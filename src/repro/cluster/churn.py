@@ -39,6 +39,7 @@ __all__ = [
     "settle_node",
     "depart_node",
     "reinsert_node",
+    "any_holder",
 ]
 
 
@@ -115,7 +116,7 @@ def _migrate_to_newcomer(system: "LessLogSystem", pid: int) -> list[str]:
         # is repopulating it.  Restore from another subtree, exactly
         # like §5.3 recovery; if no copy survives anywhere the file is
         # already lost and stays that way.
-        donor = _any_holder(system, name)
+        donor = any_holder(system, name)
         if donor is None:
             if name not in system.faults:
                 system.faults.append(name)
@@ -210,7 +211,7 @@ def _recover_after_loss(system: "LessLogSystem", pid: int) -> list[str]:
             continue
         if _inserted_holder(system, view, name) is not None:
             continue  # the crashed node was not this subtree's home
-        donor = _any_holder(system, name)
+        donor = any_holder(system, name)
         if donor is None:
             system.faults.append(name)
             continue
@@ -316,7 +317,7 @@ def _inserted_holder(
     return None
 
 
-def _any_holder(system: "LessLogSystem", name: str) -> int | None:
+def any_holder(system: "LessLogSystem", name: str) -> int | None:
     """Any live node holding a copy, preferring INSERTED copies."""
     best: int | None = None
     for pid in system.holders_of(name):

@@ -389,25 +389,27 @@ class LessLogSystem:
         if catalog_entry is None:
             raise FileNotFoundInSystemError(name)
         reached: list[int] = []
-
+        # An explicit stack, not a recursive closure: a closure that
+        # names itself is a reference cycle, and a caller that runs
+        # with the cyclic GC off (the live runtime's measured windows)
+        # would keep every walk's garbage.  Children are pushed
+        # reversed so the walk stays depth-first in children-list order.
         for view in self._views(catalog_entry.target):
-            def visit(pid: int) -> None:
-                if not self.is_live(pid):  # pragma: no cover - defensive
-                    return
-                if name not in self.stores[pid]:
-                    return  # discard: no copy, no re-broadcast
-                reached.append(pid)
-                for child in self._subtree_children_list(view, pid):
-                    visit(child)
-
             root = view.root_pid
             if self.is_live(root):
-                visit(root)
+                stack = [root]
             else:
                 # §3: "the update request will bypass a dead node and be
                 # forwarded to the children list of the dead node".
-                for child in self._subtree_children_list(view, root):
-                    visit(child)
+                stack = self._subtree_children_list(view, root)[::-1]
+            while stack:
+                pid = stack.pop()
+                if not self.is_live(pid):  # pragma: no cover - defensive
+                    continue
+                if name not in self.stores[pid]:
+                    continue  # discard: no copy, no re-broadcast
+                reached.append(pid)
+                stack.extend(self._subtree_children_list(view, pid)[::-1])
         return reached
 
     def _subtree_children_list(self, view: SubtreeView, pid: int) -> list[int]:

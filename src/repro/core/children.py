@@ -44,15 +44,15 @@ def advanced_children_list(
     ``P(k)``'s strict descendants.
     """
     collected: list[int] = []  # VIDs of live fringe nodes
-
-    def collect(vid: int) -> None:
-        for child_vid in V.children_vids(vid, tree.m):
+    # An explicit work list, not a closure that calls itself: such a
+    # closure is a reference cycle, garbage only the cyclic GC frees.
+    dead = [tree.vid_of(k)]
+    while dead:
+        for child_vid in V.children_vids(dead.pop(), tree.m):
             if liveness.is_live(tree.pid_of(child_vid)):
                 collected.append(child_vid)
             else:
-                collect(child_vid)
-
-    collect(tree.vid_of(k))
+                dead.append(child_vid)
     collected.sort(reverse=True)
     return [tree.pid_of(v) for v in collected]
 

@@ -28,7 +28,7 @@ from .client import (
     percentile,
 )
 from .churn import ChurnEvent, ChurnInjector
-from .cluster import ADMIN, LiveCluster, OpRecord, PeerUnreachableError, RuntimeConfig
+from .cluster import LiveCluster, PeerUnreachableError, RuntimeConfig
 from .conformance import (
     ClusterStateSnapshot,
     ConformanceReport,
@@ -43,6 +43,8 @@ from .conformance import (
     snapshot_of,
     verify_snapshot,
 )
+from .coordinator import ADMIN, Coordinator, OpRecord
+from .host import NodeHost
 from .node import CLIENT, NodeServer
 from .overload import (
     QUEUE_POLICIES,
@@ -99,6 +101,7 @@ __all__ = [
     "ChurnInjector",
     "ClientError",
     "ConformanceReport",
+    "Coordinator",
     "FrameEncoder",
     "FrameError",
     "FrameReader",
@@ -107,6 +110,7 @@ __all__ = [
     "LiveCluster",
     "LoadGenerator",
     "LoadReport",
+    "NodeHost",
     "NodeServer",
     "Op",
     "OpRecord",

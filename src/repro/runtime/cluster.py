@@ -7,40 +7,35 @@ The cluster is two planes:
   default connections are in-process ``socket.socketpair`` streams; with
   ``RuntimeConfig(tcp=True)`` every node listens on a real TCP port on
   loopback and the exact same frames flow through the kernel's stack.
-* **Coordination plane** — the cluster object itself plays the roles a
-  deployment would delegate to a tracker: it owns the authoritative §5
-  status word, the file catalog (name → target, version), and the
-  churn orchestration that computes §5's migration plans.  The plans
-  are *executed* purely as messages (TRANSFER / DEMOTE / REMOVE /
-  REGISTER_*) — node stores only ever change when a frame arrives.
-  This mirrors the DES driver's documented "oracle view" convention:
-  policies and plans may read global state, data may not teleport.
+* **Coordination plane** — one `Coordinator` (`repro.runtime.coordinator`)
+  owns the authoritative §5 status word, the file catalog and the
+  decision-ordered ``oplog``.  The cluster calls its verbs and puts the
+  admin frames they return (REPLICATE / TRANSFER / DEMOTE / REMOVE) on
+  the coordinator's own stream to each node; node stores only ever
+  change when a frame arrives.  What the cluster adds is sequencing:
+  booting and retiring nodes, REGISTER_* broadcasts, draining.
 
-Every placement-mutating decision is appended to ``oplog`` in decision
-order; ``repro.runtime.conformance`` replays that log through the
-synchronous ``LessLogSystem`` oracle and diffs final state.
+``repro.runtime.conformance`` replays the oplog through a fresh
+``LessLogSystem`` oracle and diffs it against the real node stores.
 """
 
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable
 
-from ..baselines.base import PlacementContext
-from ..baselines.lesslog_policy import LessLogPolicy
+from ..cluster.churn import any_holder
 from ..core.bits import check_id, check_width
-from ..core.errors import ConfigurationError, MembershipError, NoLiveNodeError
-from ..core.hashing import Psi
-from ..core.subtree import SubtreeView, SvidLiveness, check_b, identity_tree, subtree_of_pid
-from ..core.tree import LookupTree
+from ..core.errors import ConfigurationError, MembershipError
+from ..core.subtree import check_b
 from ..net.message import Message, MessageKind
 from ..node.membership import StatusWord
-from ..node.storage import FileOrigin
 from .addressing import PeerUnreachableError, dial_node, start_listener
-from .node import CLIENT, NodeServer, subtree_children
+from .coordinator import ADMIN, Coordinator, OpRecord
+from .host import NodeHost
+from .node import CLIENT, NodeServer
 from .overload import OverloadPolicy
 from .wire import (
     MAX_FRAME,
@@ -57,10 +52,6 @@ __all__ = [
     "OpRecord",
     "LiveCluster",
 ]
-
-ADMIN = -2
-"""``src`` of coordination-plane messages (the cluster orchestrator)."""
-
 
 @dataclass(frozen=True)
 class RuntimeConfig:
@@ -170,36 +161,6 @@ class RuntimeConfig:
             queue=self.queue_policy,
             victim=self.victim_policy,
         )
-
-
-@dataclass(frozen=True)
-class OpRecord:
-    """One placement-mutating decision, in cluster decision order."""
-
-    kind: str
-    """insert | update | replicate | remove | join | leave | crash, plus
-    the split churn halves: ``kill``/``recover`` (crash effect vs
-    detection+recovery), ``arrive``/``settle`` (join registration vs
-    migration), ``depart``/``reinsert`` (leave effect vs re-homing).
-    Halves are appended when their *effects* land, so replication
-    decisions taken mid-churn interleave between them in true decision
-    order — the order the conformance replay needs."""
-    name: str = ""
-    payload: Any = None
-    pid: int = -1
-    version: int = 0
-    seed: int = 0
-    target: int | None = None
-    rates: dict[int, float] | None = None
-    """Replicate only: the deciding holder's observed forwarder rates —
-    replayed verbatim so the oracle's max-traffic-child choice matches."""
-
-
-@dataclass
-class _CatalogEntry:
-    name: str
-    target: int
-    version: int
 
 
 _SINK_HIGH_WATER = 1 << 16
@@ -318,53 +279,35 @@ class _FrameSink:
             pass
 
 
-class LiveCluster:
-    """N live LessLog nodes over streams, plus the coordination plane."""
-
-    pushes_replicas = False
-    """Whether the coordination plane delivers REPLICATE frames itself.
-
-    ``False`` here: after :meth:`decide_replication` picks a target the
-    deciding `NodeServer` pushes its own copy, as §2.2 describes.  The
-    scale-out worker facade sets ``True`` — the bootstrap pushes the
-    frame in the same step that appends the oplog record, so a
-    ``kill -9`` can never land between the record and the copy."""
+class LiveCluster(NodeHost):
+    """N live LessLog nodes over streams, hosting one `Coordinator`."""
 
     def __init__(self, config: RuntimeConfig, live: set[int] | None = None) -> None:
-        self.config = config
+        super().__init__(config)
         total = 1 << config.m
         pids = set(live) if live is not None else set(range(total))
         if not pids:
             raise ConfigurationError("a cluster needs at least one live node")
         for pid in pids:
             check_id(pid, config.m)
-        self.psi = Psi(config.m)
-        self.policy = LessLogPolicy()
-        self.word = StatusWord(config.m, pids)
+        self.coordinator = Coordinator(config, tuple(pids))
+        self.initial_live = self.coordinator.initial_live
+        self.oplog = self.coordinator.oplog
         self.nodes: dict[int, NodeServer] = {}
-        self.catalog: dict[str, _CatalogEntry] = {}
-        self.faults: list[str] = []
-        self.oplog: list[OpRecord] = []
-        self.replication_enabled = True
-        self.counters: dict[str, int] = {}
-        self.initial_live: tuple[int, ...] = tuple(sorted(pids))
-        self.stage_seconds: dict[str, float] = {
-            "encode": 0.0, "decode": 0.0, "route": 0.0, "serve": 0.0,
-        }
-        self._pending_holders: dict[str, set[int]] = {}
-        self._pending_removals: dict[str, set[int]] = {}
         self._silent_deaths: set[int] = set()
         self._crash_loads: dict[int, dict[str, float]] = {}
-        self._psi_cache: dict[str, int] = {}
-        self._trees: dict[int, LookupTree] = {}
-        self._auth_ctx: dict[
-            tuple[int, int], tuple[SubtreeView, LookupTree, SvidLiveness]
-        ] = {}
         self._inflight_to: dict[int, int] = {}
         self._peer_conns: dict[tuple[int, int], _FrameSink] = {}
+        self._outbox: asyncio.Queue[Message] = asyncio.Queue()
+        self._undelivered = 0
+        self._pump: asyncio.Task[None] | None = None
         self._servers: dict[int, asyncio.base_events.Server] = {}
         self.addresses: dict[int, tuple[str, int]] = {}
-        self._started = False
+
+    @property
+    def word(self) -> StatusWord:
+        """The authoritative §5 status word (the coordinator's)."""
+        return self.coordinator.mirror.membership
 
     # -- boot / teardown ----------------------------------------------------
 
@@ -375,7 +318,9 @@ class LiveCluster:
         cluster = cls(config, live)
         for pid in sorted(cluster.word.live_pids()):
             await cluster._boot_node(pid)
-        cluster._started = True
+        cluster._pump = asyncio.get_running_loop().create_task(
+            cluster._deliver_posted(), name="coordinator-frames"
+        )
         return cluster
 
     async def _boot_node(self, pid: int) -> None:
@@ -389,6 +334,13 @@ class LiveCluster:
 
     async def shutdown(self) -> None:
         """Stop every node and close every connection and listener."""
+        if self._pump is not None:
+            self._pump.cancel()
+            try:
+                await self._pump
+            except asyncio.CancelledError:
+                pass
+            self._pump = None
         for sink in self._peer_conns.values():
             sink.close()
         self._peer_conns.clear()
@@ -412,18 +364,6 @@ class LiveCluster:
         address = self.addresses.get(pid) if self.config.tcp else None
         return await dial_node(address, attach=node.attach)
 
-    def wire_version_of(self, pid: int) -> int:
-        """Codec ceiling of one endpoint (clients use the config's)."""
-        if pid in self.config.v1_pids:
-            return WIRE_VERSION
-        return self.config.wire_version
-
-    def wire_version_for(self, src: int, dst: int) -> int:
-        """Negotiated codec for a ``src -> dst`` stream: the min of the
-        two ceilings, so a v1 node never receives a binary frame."""
-        sender = self.wire_version_of(src) if src >= 0 else self.config.wire_version
-        return min(sender, self.wire_version_of(dst))
-
     async def send(self, src: int, msg: Message) -> None:
         """Deliver one frame from ``src`` (a PID or ``ADMIN``) to ``msg.dst``.
 
@@ -440,12 +380,22 @@ class LiveCluster:
         sink = self._peer_conns.get((src, dst))
         if sink is None:
             _reader, writer = await self.open_connection(dst)
-            sink = _FrameSink(
+            fresh = _FrameSink(
                 writer, self.config.coalesce_bytes, self.config.coalesce_delay,
                 fixed=self.config.fixed_frames,
                 tick=self.config.tick_coalesce,
             )
-            self._peer_conns[(src, dst)] = sink
+            # The dial yielded.  The destination may have been retired
+            # meanwhile (a frame counted in flight now would never be
+            # enqueued, and ``drain()`` would wait on it for ever), or
+            # another sender may have dialled the same pair (one stream
+            # per (src, dst), or its frames could reorder).
+            if self.nodes.get(dst) is not node:
+                fresh.close()
+                raise PeerUnreachableError(f"P({dst}) is not serving")
+            sink = self._peer_conns.setdefault((src, dst), fresh)
+            if sink is not fresh:
+                fresh.close()
         version = self.wire_version_for(src, dst)
         self._inflight_to[dst] = self._inflight_to.get(dst, 0) + 1
         try:
@@ -490,6 +440,8 @@ class LiveCluster:
     # -- quiescence ---------------------------------------------------------
 
     def _quiet(self) -> bool:
+        if self._undelivered:
+            return False
         if any(count > 0 for count in self._inflight_to.values()):
             return False
         return not any(node.active for node in self.nodes.values())
@@ -523,118 +475,16 @@ class LiveCluster:
         self.replication_enabled = False
         await self.drain()
 
-    # -- small helpers ------------------------------------------------------
+    # -- views over the real node stores ------------------------------------
 
-    def tree(self, r: int) -> LookupTree:
-        tree = self._trees.get(r)
-        if tree is None:
-            tree = LookupTree(r, self.config.m)
-            self._trees[r] = tree
-        return tree
-
-    def psi_of(self, name: str) -> int:
-        """Memoized ψ(name): the hash is pure, so cache per file name."""
-        r = self._psi_cache.get(name)
-        if r is None:
-            r = self.psi(name)
-            self._psi_cache[name] = r
-        return r
-
-    def count(self, name: str) -> None:
-        self.counters[name] = self.counters.get(name, 0) + 1
-
-    def note_decode_error(self, pid: int) -> None:
-        self.count("wire_decode_errors")
-
-    def note_handler_error(self, pid: int) -> None:
-        self.count("handler_errors")
-
-    @property
-    def n_live(self) -> int:
-        return self.word.live_count()
-
-    # -- oracle views (coordination plane; documented, like the DES's) ------
-
-    def holders(self, name: str, include_pending: bool = False) -> set[int]:
-        """Live PIDs holding a copy; optionally plus in-flight replicas.
-
-        ``include_pending`` folds in replica pushes that have been
-        decided but whose REPLICATE frame has not landed yet, so
-        concurrent placement decisions see each other in decision
-        order — the order the conformance replay uses.
-        """
-        held = {pid for pid, node in self.nodes.items() if name in node.store}
-        if include_pending:
-            # A pending replica target that died before its REPLICATE
-            # frame landed is no holder: the copy will never exist, and
-            # the oracle's kill record already popped its store.
-            held |= {
-                p for p in self._pending_holders.get(name, set())
-                if p in self.nodes
-            }
-            held -= self._pending_removals.get(name, set())
-        return held
-
-    def note_pending_holder(self, name: str, pid: int) -> None:
-        self._pending_holders.setdefault(name, set()).add(pid)
-
-    def resolve_pending_holder(self, name: str, pid: int) -> None:
-        pending = self._pending_holders.get(name)
-        if pending is not None:
-            pending.discard(pid)
-            if not pending:
-                del self._pending_holders[name]
-
-    def record_removal(self, name: str, pid: int) -> None:
-        """Log a counter-based removal decision, in decision order.
-
-        Also marks the holder as pending-removed so placement decisions
-        made before the REMOVE frame lands already exclude it — the
-        order the conformance replay observes.
-        """
-        self.oplog.append(OpRecord(kind="remove", name=name, pid=pid))
-        self._pending_removals.setdefault(name, set()).add(pid)
-
-    def resolve_pending_removal(self, name: str, pid: int) -> None:
-        pending = self._pending_removals.get(name)
-        if pending is not None:
-            pending.discard(pid)
-            if not pending:
-                del self._pending_removals[name]
-
-    async def gc_after_removal(self, name: str) -> list[int]:
-        """Single-file orphan GC after an idle-decay removal landed.
-
-        Mirrors what ``LessLogSystem.remove_replica`` does after
-        discarding the copy: any REPLICATED holder the top-down update
-        broadcast can no longer reach is removed too, so the live
-        placement tracks the oracle's.
-        """
-        if name in self.faults or name not in self.catalog:
-            return []
-        holders = self.holders(name)
-        if not holders:
-            return []
-        reachable = self._reachable_holders(name)
-        removed: list[int] = []
-        for pid in sorted(holders - reachable):
-            copy = self.nodes[pid].store.get(name, count_access=False)
-            if copy.origin is FileOrigin.REPLICATED:
-                try:
-                    await self.send(
-                        ADMIN,
-                        Message(kind=MessageKind.REMOVE, src=ADMIN, dst=pid,
-                                file=name),
-                    )
-                except PeerUnreachableError:  # pragma: no cover - racing death
-                    continue
-                removed.append(pid)
-        return removed
+    def holders(self, name: str) -> set[int]:
+        """Live PIDs whose store holds a copy right now."""
+        return {pid for pid, node in self.nodes.items() if name in node.store}
 
     def placement(self) -> dict[str, dict[int, str]]:
         """Snapshot: file → {holder PID → origin} over live stores."""
         out: dict[str, dict[int, str]] = {}
-        for name in self.catalog:
+        for name in self.coordinator.mirror.catalog:
             out[name] = {
                 pid: node.store.get(name, count_access=False).origin.value
                 for pid, node in sorted(self.nodes.items())
@@ -643,7 +493,10 @@ class LiveCluster:
         return out
 
     def version_map(self) -> dict[str, int]:
-        return {name: entry.version for name, entry in self.catalog.items()}
+        return {
+            name: entry.version
+            for name, entry in self.coordinator.mirror.catalog.items()
+        }
 
     def served_counts(self) -> dict[int, int]:
         return {pid: node.served_total for pid, node in sorted(self.nodes.items())}
@@ -654,126 +507,51 @@ class LiveCluster:
             if rec.kind == "replicate" and rec.target is not None
         )
 
-    # -- catalog (coordination plane) ---------------------------------------
-
-    def catalog_available(self, name: str) -> bool:
-        return name not in self.catalog
-
-    def catalog_register(self, name: str, target: int, payload: Any) -> None:
-        self.catalog[name] = _CatalogEntry(name=name, target=target, version=1)
-        self.oplog.append(OpRecord(kind="insert", name=name, payload=payload))
-
-    def catalog_bump(self, name: str, payload: Any) -> int | None:
-        entry = self.catalog.get(name)
-        if entry is None:
-            return None
-        entry.version += 1
-        self.oplog.append(
-            OpRecord(kind="update", name=name, payload=payload, version=entry.version)
-        )
-        return entry.version
-
-    def record_replication(
-        self,
-        name: str,
-        holder: int,
-        seed: int,
-        target: int | None,
-        rates: dict[int, float] | None = None,
-    ) -> None:
-        self.oplog.append(
-            OpRecord(
-                kind="replicate", name=name, pid=holder, seed=seed,
-                target=target, rates=rates,
-            )
-        )
-
-    # -- async coordination interface (what a NodeServer talks to) ----------
+    # -- coordination interface (what a NodeServer talks to) ----------------
     #
-    # `NodeServer` reaches its coordination plane only through these
-    # awaitables plus a handful of sync notifications, so the same node
-    # code runs against this in-process cluster object *or* the
-    # scale-out worker facade, where each call is an RPC to the
-    # bootstrap process.  In-process they resolve without yielding —
-    # behavior (and interleaving) is unchanged.
+    # Each call is one `Coordinator` verb and resolves without yielding.
+
+    def _post(self, frames: list[Message]) -> list[Message]:
+        """Queue a verb's frames for delivery, in the step that made them.
+
+        Posting is synchronous so record and frames stay one step, and
+        delivery runs on the cluster's own task: the caller is often a
+        node's task, and that node being killed mid-delivery must not
+        take the copies it decided with it.
+        """
+        for msg in frames:
+            self._outbox.put_nowait(msg)
+        self._undelivered += len(frames)
+        return frames
+
+    async def _deliver_posted(self) -> None:
+        """Send posted frames in order: one FIFO stream per destination."""
+        while True:
+            msg = await self._outbox.get()
+            try:
+                await self.send(ADMIN, msg)
+            except PeerUnreachableError:
+                pass  # died since the verb ran; its store went with it
+            finally:
+                self._undelivered -= 1
 
     async def catalog_check(self, name: str) -> bool:
-        """Is ``name`` still available for insertion?  (Advisory: the
-        authoritative answer is :meth:`catalog_claim`.)"""
-        return self.catalog_available(name)
+        return name not in self.coordinator.mirror.catalog
 
-    async def catalog_claim(self, name: str, target: int, payload: Any) -> bool:
-        """Atomically register ``name`` (the insert record lands here).
-
-        ``False`` when another entry node won the race since the
-        :meth:`catalog_check` — the caller answers "already inserted".
-        """
-        if not self.catalog_available(name):
-            return False
-        self.catalog_register(name, target, payload)
-        return True
+    async def catalog_claim(self, name: str, entry: int, payload: Any) -> bool:
+        return self.coordinator.claim(name, payload, entry)
 
     async def catalog_advance(self, name: str, payload: Any) -> int | None:
-        """Assign the next version for an UPDATE (None: not inserted)."""
-        return self.catalog_bump(name, payload)
-
-    def _auth_subtree_ctx(
-        self, tree: LookupTree, sid: int
-    ) -> tuple[SubtreeView, LookupTree, SvidLiveness]:
-        """Memoized §4 identity reduction over the authoritative word.
-
-        Placement decisions are coordination-plane reads (the
-        documented oracle-view convention — :meth:`holders` already is
-        one), and the conformance replay re-runs each replicate record
-        against oracle membership at that oplog position.  Under
-        mid-burst churn a node's own word can lag a death or an arrival
-        by a frame; deciding against the authoritative word keeps the
-        decision replayable.  Routing (§3/§4 forwarding) keeps using
-        the node's own word — that *is* the data plane.
-        """
-        key = (tree.root, sid)
-        ctx = self._auth_ctx.get(key)
-        if ctx is None:
-            view = SubtreeView(tree, self.config.b, sid)
-            ctx = (view, identity_tree(view), SvidLiveness(view, self.word))
-            self._auth_ctx[key] = ctx
-        return ctx
+        return self.coordinator.advance(name, payload)
 
     async def decide_replication(
         self, name: str, holder: int, seed: int, rates: dict[int, float]
     ) -> int | None:
-        """One placement decision for an overloaded ``holder``.
+        frames = self._post(self.coordinator.decide(name, holder, seed, rates))
+        return frames[0].dst if frames else None
 
-        The same computation as ``LessLogSystem.replicate``: reduce to
-        the holder's subtree, run the policy over the live view and the
-        holder set (pending replicas included, so concurrent decisions
-        see each other in decision order), and record the outcome —
-        including a ``None`` outcome — with the rng seed and the
-        holder's observed forwarder rates, so the conformance replay
-        re-runs it through the synchronous oracle verbatim.
-        """
-        tree = self.tree(self.psi_of(name))
-        sid = subtree_of_pid(tree, holder, self.config.b)
-        view, itree, sliveness = self._auth_subtree_ctx(tree, sid)
-        holders = self.holders(name, include_pending=True)
-        holders_svid = {
-            view.svid_of(pid) for pid in holders if view.contains(pid)
-        }
-        rates_svid = {
-            (view.svid_of(src) if src >= 0 and view.contains(src) else -1): rate
-            for src, rate in rates.items()
-        }
-        context = PlacementContext(
-            rng=random.Random(seed), forwarder_rates=rates_svid
-        )
-        target_svid = self.policy.choose(
-            itree, view.svid_of(holder), sliveness, holders_svid, context
-        )
-        target = None if target_svid is None else view.pid_of_svid(target_svid)
-        self.record_replication(name, holder, seed, target, rates)
-        if target is not None:
-            self.note_pending_holder(name, target)
-        return target
+    async def record_removal(self, name: str, pid: int) -> None:
+        self._post(self.coordinator.remove(name, pid))
 
     async def trigger_overload(self, pid: int, name: str, seed: int) -> None:
         """Admin knob: tell a holder it is overloaded (conformance driver)."""
@@ -797,6 +575,21 @@ class LiveCluster:
             )
         await self.drain()
 
+    async def _churn_step(
+        self, verb: Callable[[int], list[Message]], pid: int
+    ) -> list[str]:
+        """The second half of a §5 operation: the coordinator's plan,
+        delivered and landed with autonomous replication paused.
+        Returns the names of the files that found a new home."""
+        was_replicating = self.replication_enabled
+        self.replication_enabled = False
+        try:
+            frames = self._post(verb(pid))
+            await self.drain()
+        finally:
+            self.replication_enabled = was_replicating
+        return [msg.file for msg in frames if msg.kind is MessageKind.TRANSFER]
+
     async def join(self, pid: int) -> list[str]:
         """§5.1: boot ``P(pid)``, register it, migrate its files to it."""
         check_id(pid, self.config.m)
@@ -809,90 +602,22 @@ class LiveCluster:
             # the victim's lost files unrecovered and the oracle replay
             # would see a live node being recovered from.
             await self.announce_crash(pid)
-        self.word.register_live(pid)
         # The arrival record lands with the membership flip, so
         # replication decisions taken while the migration plan is still
         # pending replay against a word that already knows the newcomer.
-        self.oplog.append(OpRecord(kind="arrive", pid=pid))
+        self.coordinator.arrive(pid)
         await self._boot_node(pid)
         await self._broadcast_register(MessageKind.REGISTER_LIVE, pid)
-        migrated: list[str] = []
-        was_replicating = self.replication_enabled
-        self.replication_enabled = False
-        try:
-            for name, entry in self.catalog.items():
-                if name in self.faults:
-                    continue
-                tree = self.tree(entry.target)
-                sid = subtree_of_pid(tree, pid, self.config.b)
-                view = SubtreeView(tree, self.config.b, sid)
-                new_home = view.storage_node(self.word)
-                if new_home != pid:
-                    continue  # this file's placement was unaffected by the absence
-                old_home = self._inserted_holder(view, name, exclude=pid)
-                if old_home is not None:
-                    copy = self.nodes[old_home].store.get(name, count_access=False)
-                    await self._transfer(pid, name, copy.payload, copy.version)
-                    # The previous home keeps serving as a plain replica.
-                    await self.send(
-                        ADMIN,
-                        Message(kind=MessageKind.DEMOTE, src=ADMIN, dst=old_home,
-                                file=name),
-                    )
-                    migrated.append(name)
-                    continue
-                donor = self._any_holder(name)
-                if donor is None:
-                    if name not in self.faults:
-                        self.faults.append(name)
-                    continue
-                copy = self.nodes[donor].store.get(name, count_access=False)
-                await self._transfer(pid, name, copy.payload, copy.version)
-                migrated.append(name)
-            await self.drain()
-            await self._gc_orphans()
-        finally:
-            self.replication_enabled = was_replicating
-        self.oplog.append(OpRecord(kind="settle", pid=pid))
-        return migrated
+        return await self._churn_step(self.coordinator.settle, pid)
 
     async def leave(self, pid: int) -> list[str]:
         """§5.2: ``P(pid)`` leaves; its inserted files are re-inserted."""
         if not self.word.is_live(pid) or pid not in self.nodes:
             raise MembershipError(f"P({pid}) is not live")
-        node = self.nodes[pid]
-        inserted = [
-            (copy.name, copy.payload, copy.version)
-            for copy in node.store.inserted_files()
-        ]
-        self.oplog.append(OpRecord(kind="depart", pid=pid))
+        self.coordinator.depart(pid)
         await self._retire_node(pid)
         await self._broadcast_register(MessageKind.REGISTER_DEAD, pid)
-        moved: list[str] = []
-        was_replicating = self.replication_enabled
-        self.replication_enabled = False
-        try:
-            for name, payload, version in inserted:
-                entry = self.catalog.get(name)
-                if entry is None:  # pragma: no cover - defensive
-                    continue
-                tree = self.tree(entry.target)
-                sid = subtree_of_pid(tree, pid, self.config.b)
-                view = SubtreeView(tree, self.config.b, sid)
-                try:
-                    new_home = view.storage_node(self.word)
-                except NoLiveNodeError:
-                    if not self.holders(name):
-                        self.faults.append(name)
-                    continue
-                await self._transfer(new_home, name, payload, version)
-                moved.append(name)
-            await self.drain()
-            await self._gc_orphans()
-        finally:
-            self.replication_enabled = was_replicating
-        self.oplog.append(OpRecord(kind="reinsert", pid=pid))
-        return moved
+        return await self._churn_step(self.coordinator.reinsert, pid)
 
     async def crash(self, pid: int, announce: bool = True) -> list[str]:
         """§5.3: ``P(pid)`` dies; storage lost; recover homes from donors.
@@ -923,7 +648,7 @@ class LiveCluster:
         # The kill record lands with the retirement, so replication
         # decisions taken between death and detection replay against a
         # word that already lost the victim.
-        self.oplog.append(OpRecord(kind="kill", pid=pid))
+        self.coordinator.kill(pid)
         await self._retire_node(pid)
         if not announce:
             self._silent_deaths.add(pid)
@@ -947,36 +672,7 @@ class LiveCluster:
     async def _announce_crash_effects(self, pid: int) -> list[str]:
         """REGISTER_DEAD broadcast + §5.3 recovery for a retired node."""
         await self._broadcast_register(MessageKind.REGISTER_DEAD, pid)
-        recovered: list[str] = []
-        was_replicating = self.replication_enabled
-        self.replication_enabled = False
-        try:
-            for name, entry in self.catalog.items():
-                if name in self.faults:
-                    continue
-                tree = self.tree(entry.target)
-                sid = subtree_of_pid(tree, pid, self.config.b)
-                view = SubtreeView(tree, self.config.b, sid)
-                try:
-                    new_home = view.storage_node(self.word)
-                except NoLiveNodeError:
-                    if not self.holders(name):
-                        self.faults.append(name)
-                    continue
-                if self._inserted_holder(view, name) is not None:
-                    continue  # the crashed node was not this subtree's home
-                donor = self._any_holder(name)
-                if donor is None:
-                    self.faults.append(name)
-                    continue
-                copy = self.nodes[donor].store.get(name, count_access=False)
-                await self._transfer(new_home, name, copy.payload, copy.version)
-                recovered.append(name)
-            await self.drain()
-            await self._gc_orphans()
-        finally:
-            self.replication_enabled = was_replicating
-        self.oplog.append(OpRecord(kind="recover", pid=pid))
+        recovered = await self._churn_step(self.coordinator.recover, pid)
         self._attribute_inherited_load(pid)
         return recovered
 
@@ -993,17 +689,14 @@ class LiveCluster:
         if not loads:
             return
         for name in sorted(loads):
-            heir = self._any_holder(name)
-            if heir is None:
-                continue
-            node = self.nodes.get(heir)
+            heir = any_holder(self.coordinator.mirror, name)
+            node = self.nodes.get(heir) if heir is not None else None
             if node is not None:
                 node.inherit_load(name, loads[name])
 
     async def _retire_node(self, pid: int) -> None:
         """Take a node off the wire: no new frames can reach it."""
         node = self.nodes.pop(pid)
-        self.word.register_dead(pid)
         self._inflight_to[pid] = 0
         server = self._servers.pop(pid, None)
         if server is not None:
@@ -1033,96 +726,11 @@ class LiveCluster:
                 self.nodes[origin].deliver_local(msg)
         await node.shutdown()
 
-    async def _transfer(self, dst: int, name: str, payload: Any, version: int) -> None:
-        await self.send(
-            ADMIN,
-            Message(
-                kind=MessageKind.TRANSFER, src=ADMIN, dst=dst, file=name,
-                payload={"payload": payload}, version=version,
-            ),
-        )
-
-    # -- orphan GC (mirrors repro.cluster.churn.gc_orphan_replicas) ---------
-
-    def _reachable_holders(self, name: str) -> set[int]:
-        """Holders the top-down update broadcast can reach right now."""
-        entry = self.catalog.get(name)
-        if entry is None:
-            return set()
-        tree = self.tree(entry.target)
-        reached: set[int] = set()
-        for sid in range(1 << self.config.b):
-            view = SubtreeView(tree, self.config.b, sid)
-
-            def visit(pid: int) -> None:
-                if not self.word.is_live(pid):  # pragma: no cover - defensive
-                    return
-                node = self.nodes.get(pid)
-                if node is None or name not in node.store:
-                    return
-                reached.add(pid)
-                for child in subtree_children(view, pid, self.word):
-                    visit(child)
-
-            root = view.root_pid
-            if self.word.is_live(root):
-                visit(root)
-            else:
-                for child in subtree_children(view, root, self.word):
-                    visit(child)
-        return reached
-
-    async def _gc_orphans(self) -> list[tuple[str, int]]:
-        """Drop replicas the update broadcast can no longer reach."""
-        removed: list[tuple[str, int]] = []
-        for name in self.catalog:
-            if name in self.faults:
-                continue
-            holders = self.holders(name)
-            if not holders:
-                continue
-            reachable = self._reachable_holders(name)
-            for pid in sorted(holders - reachable):
-                copy = self.nodes[pid].store.get(name, count_access=False)
-                if copy.origin is FileOrigin.REPLICATED:
-                    await self.send(
-                        ADMIN,
-                        Message(kind=MessageKind.REMOVE, src=ADMIN, dst=pid,
-                                file=name),
-                    )
-                    removed.append((name, pid))
-        if removed:
-            await self.drain()
-        return removed
-
-    # -- churn plan helpers (mirror repro.cluster.churn) --------------------
-
-    def _inserted_holder(
-        self, view: SubtreeView, name: str, exclude: int | None = None
-    ) -> int | None:
-        for member in view.members():
-            if member == exclude or not self.word.is_live(member):
-                continue
-            node = self.nodes.get(member)
-            if node is None or name not in node.store:
-                continue
-            if node.store.get(name, count_access=False).origin is FileOrigin.INSERTED:
-                return member
-        return None
-
-    def _any_holder(self, name: str) -> int | None:
-        best: int | None = None
-        for pid in sorted(self.holders(name)):
-            origin = self.nodes[pid].store.get(name, count_access=False).origin
-            if origin is FileOrigin.INSERTED:
-                return pid
-            if best is None:
-                best = pid
-        return best
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         mode = "tcp" if self.config.tcp else "streams"
         return (
             f"LiveCluster(m={self.config.m}, b={self.config.b}, "
-            f"live={self.n_live}, files={len(self.catalog)}, {mode})"
+            f"live={self.word.live_count()}, "
+            f"files={len(self.coordinator.mirror.catalog)}, "
+            f"{mode})"
         )

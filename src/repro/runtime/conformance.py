@@ -1,12 +1,13 @@
 """Oracle conformance: the live runtime must equal the synchronous model.
 
-The live cluster records every placement-mutating decision in its
-operation log (:class:`repro.runtime.cluster.OpRecord`): inserts,
-updates (with the assigned version), replicate decisions (with the
-deciding holder, its observed forwarder rates, and the rng seed the
+The live cluster's `Coordinator` records every placement-mutating
+decision in its operation log (:class:`repro.runtime.coordinator.OpRecord`):
+inserts, updates (with the assigned version), replicate decisions (with
+the deciding holder, its observed forwarder rates, and the rng seed the
 policy drew from), and churn.  :func:`replay_oplog` feeds that log, in
-decision order, through the synchronous :class:`LessLogSystem` — the
-oracle — and :func:`diff_states` compares final state field by field:
+decision order, through a fresh coordinator's :class:`LessLogSystem` —
+the oracle — and :func:`diff_states` compares final state field by
+field, with placement and per-node words read off the real node stores:
 
 * **replica placement** — file → {holder PID → inserted/replicated},
 * **version map** — file → catalog version,
@@ -32,18 +33,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..cluster.churn import (
-    arrive_node,
-    depart_node,
-    kill_node,
-    recover_node,
-    reinsert_node,
-    settle_node,
-)
 from ..cluster.system import LessLogSystem
 from ..core.errors import ConfigurationError
 from .client import RuntimeClient
-from .cluster import LiveCluster, OpRecord, RuntimeConfig
+from .cluster import LiveCluster, RuntimeConfig
+from .coordinator import Coordinator, OpRecord
 
 __all__ = [
     "Op",
@@ -173,62 +167,13 @@ async def apply_ops(cluster: LiveCluster, ops: list[Op], seed: int = 0) -> None:
 def replay_oplog(
     oplog: list[OpRecord], config: RuntimeConfig, initial_live: tuple[int, ...]
 ) -> LessLogSystem:
-    """Replay a live cluster's operation log through the oracle.
-
-    Besides the one-shot churn kinds (``join``/``leave``/``crash``,
-    kept for older logs), the log can carry *split* churn halves —
-    ``kill``/``recover``, ``arrive``/``settle``, ``depart``/``reinsert``
-    — appended when their effects landed, so replication decisions
-    recorded between the halves replay against the membership they
-    actually saw.
-    """
-    system = LessLogSystem(
-        m=config.m, b=config.b, live=set(initial_live), seed=config.seed
-    )
-    # pid → the inserted copies a "depart" popped, awaiting "reinsert".
-    departed: dict[int, list[tuple[str, Any, int]]] = {}
+    """Replay a live cluster's operation log through the oracle: a
+    fresh `Coordinator` applies each record, in order, exactly as the
+    live one did (:meth:`Coordinator.apply` knows every record kind)."""
+    oracle = Coordinator(config, initial_live)
     for rec in oplog:
-        if rec.kind == "insert":
-            system.insert(rec.name, rec.payload)
-        elif rec.kind == "update":
-            result = system.update(rec.name, rec.payload)
-            if result.version != rec.version:
-                raise ConfigurationError(
-                    f"replay version skew on {rec.name!r}: live assigned "
-                    f"v{rec.version}, oracle v{result.version}"
-                )
-        elif rec.kind == "replicate":
-            system.replicate(
-                rec.name,
-                rec.pid,
-                forwarder_rates=rec.rates,
-                rng=random.Random(rec.seed),
-            )
-        elif rec.kind == "remove":
-            # Counter-based idle decay in the live runtime; the oracle
-            # runs the same removal (plus its orphan GC).
-            system.remove_replica(rec.name, rec.pid)
-        elif rec.kind == "join":
-            system.join(rec.pid)
-        elif rec.kind == "leave":
-            system.leave(rec.pid)
-        elif rec.kind == "crash":
-            system.fail(rec.pid)
-        elif rec.kind == "kill":
-            kill_node(system, rec.pid)
-        elif rec.kind == "recover":
-            recover_node(system, rec.pid)
-        elif rec.kind == "arrive":
-            arrive_node(system, rec.pid)
-        elif rec.kind == "settle":
-            settle_node(system, rec.pid)
-        elif rec.kind == "depart":
-            departed[rec.pid] = depart_node(system, rec.pid)
-        elif rec.kind == "reinsert":
-            reinsert_node(system, rec.pid, departed.pop(rec.pid, []))
-        else:  # pragma: no cover - defensive
-            raise ConfigurationError(f"unknown oplog record {rec.kind!r}")
-    return system
+        oracle.apply(rec)
+    return oracle.mirror
 
 
 @dataclass
@@ -283,19 +228,20 @@ class ClusterStateSnapshot:
 
 def snapshot_of(cluster: LiveCluster) -> ClusterStateSnapshot:
     """Freeze a quiesced in-process cluster for the conformance diff."""
+    mirror = cluster.coordinator.mirror
     return ClusterStateSnapshot(
         config=cluster.config,
         initial_live=cluster.initial_live,
         oplog=list(cluster.oplog),
-        live_pids=set(cluster.word.live_pids()),
+        live_pids=set(mirror.membership.live_pids()),
         node_words={
             pid: set(node.word.live_pids())
             for pid, node in sorted(cluster.nodes.items())
         },
-        catalog=set(cluster.catalog),
+        catalog=set(mirror.catalog),
         versions=cluster.version_map(),
         placement=cluster.placement(),
-        faults=list(cluster.faults),
+        faults=list(mirror.faults),
         replicas_created=cluster.replicas_created(),
     )
 

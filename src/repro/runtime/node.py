@@ -22,10 +22,10 @@ messages:
 * **UPDATE** (§2.2) broadcasts top-down from each subtree root
   (bypassing a dead root to its children list); holders re-broadcast,
   non-holders discard.
-* **REPLICATE** (§2.2/§3) runs the placement policy inside the
-  overloaded node's subtree via the §4 identity reduction — the exact
-  computation ``LessLogSystem.replicate`` performs — and pushes the
-  copy to the chosen node.
+* **REPLICATE** (§2.2/§3): an overloaded holder reports its seed and
+  observed forwarder rates to the coordination plane, which runs
+  ``LessLogSystem.replicate`` on its mirror and sends the chosen
+  node its copy as a REPLICATE frame.
 
 Dead peers are discovered the §3 way: a failed send marks the peer
 dead in this node's own status word and the routing step recomputes —
@@ -54,8 +54,8 @@ memoized on the node.  The inbox consumer drains a bounded *batch* of
 messages per scheduling tick (``RuntimeConfig.batch_max``), and the
 sweeper optionally runs counter-based idle decay: a REPLICATED copy
 whose access counter has not moved for ``idle_timeout`` seconds is
-REMOVEd via a frame to self and the decision is recorded in the oplog
-for conformance replay.
+reported to the coordination plane, which records the removal and
+answers with the REMOVE frame.
 """
 
 from __future__ import annotations
@@ -79,11 +79,12 @@ from ..core.tree import LookupTree
 from ..net.message import Message, MessageKind, fast_message
 from ..node.loadmon import LoadMonitor
 from ..node.storage import FileOrigin, FileStore
+from .addressing import PeerUnreachableError
 from .overload import AdmissionController, LatencyTracker
 from .wire import WIRE_VERSION, FrameEncoder, FrameError, FrameReader
 
 if TYPE_CHECKING:  # pragma: no cover
-    from .cluster import LiveCluster
+    from .host import NodeHost
 
 __all__ = ["CLIENT", "NodeServer", "subtree_children"]
 
@@ -166,7 +167,7 @@ class _PendingInsert:
 class NodeServer:
     """One live node: storage, membership view, and the four flows."""
 
-    def __init__(self, pid: int, cluster: "LiveCluster") -> None:
+    def __init__(self, pid: int, cluster: "NodeHost") -> None:
         self.pid = pid
         self.cluster = cluster
         config = cluster.config
@@ -371,8 +372,6 @@ class NodeServer:
         Returning ``False`` is the §3 fault-discovery moment: the
         caller recomputes its routing step against the updated word.
         """
-        from .cluster import PeerUnreachableError
-
         try:
             await self.cluster.send(self.pid, msg)
             return True
@@ -463,12 +462,6 @@ class NodeServer:
                 )
         elif kind is MessageKind.REMOVE:
             self.store.discard(msg.file)
-            payload = msg.payload if isinstance(msg.payload, dict) else {}
-            if payload.get("decay"):
-                # Idle-decay removal: mirror the oracle's post-remove
-                # orphan GC so downstream-only holders don't linger.
-                self.cluster.resolve_pending_removal(msg.file, self.pid)
-                await self.cluster.gc_after_removal(msg.file)
         elif kind is MessageKind.REGISTER_LIVE:
             self.word.register_live(int(msg.payload["pid"]))
         elif kind is MessageKind.REGISTER_DEAD:
@@ -829,7 +822,7 @@ class NodeServer:
         if not homes:
             await self._client_error(msg, conn, f"no live storage node for {name!r}")
             return
-        if not await self.cluster.catalog_claim(name, r, msg.payload):
+        if not await self.cluster.catalog_claim(name, self.pid, msg.payload):
             # Another entry node won the race between check and claim
             # (possible only when the catalog is a remote service).
             await self._client_error(msg, conn, f"file {name!r} already inserted")
@@ -930,7 +923,6 @@ class NodeServer:
             msg.file, payload.get("payload"), msg.version,
             FileOrigin.REPLICATED, now=asyncio.get_running_loop().time(),
         )
-        self.cluster.resolve_pending_holder(msg.file, self.pid)
 
     def _handle_transfer(self, msg: Message) -> None:
         """§5 churn migration: adopt an original copy as its new home."""
@@ -946,40 +938,19 @@ class NodeServer:
         The node contributes what only it knows — whether it still
         holds the copy, the derived rng seed, its monitor's observed
         forwarder rates — and the coordination plane runs the
-        ``LessLogSystem.replicate`` computation and records the
-        decision (:meth:`LiveCluster.decide_replication`).  When the
-        plane is in-process the node then pushes the copy itself; the
-        scale-out bootstrap pushes it atomically with the record.
+        ``LessLogSystem.replicate`` computation, records the decision
+        and sends the target its copy in the same step
+        (:meth:`Coordinator.decide`), so no crash can land between the
+        record and the copy.
         """
         if name not in self.store:
             return None
         if seed is None:
             seed = self._derived_seed()
         self._decision_count += 1
-        cluster = self.cluster
         now = asyncio.get_running_loop().time()
         rates = dict(self.monitor.source_rates(name, now))
-        target = await cluster.decide_replication(name, self.pid, seed, rates)
-        if target is None:
-            return None
-        if cluster.pushes_replicas:
-            # Scale-out: the coordination plane already pushed the
-            # REPLICATE frame atomically with the oplog record.
-            return target
-        copy = self.store.get(name, count_access=False)
-        sent = await self._send(
-            Message(
-                kind=MessageKind.REPLICATE,
-                src=self.pid,
-                dst=target,
-                file=name,
-                payload={"payload": copy.payload},
-                version=copy.version,
-            )
-        )
-        if not sent:  # pragma: no cover - target died this instant
-            cluster.resolve_pending_holder(name, target)
-        return target
+        return await self.cluster.decide_replication(name, self.pid, seed, rates)
 
     # -- overload sweeper ---------------------------------------------------
 
@@ -1008,7 +979,7 @@ class NodeServer:
         counter-based removal (§5-adjacent, the live dual of
         ``LessLogSystem.remove_replica``): a REPLICATED copy whose
         access counter has not advanced for ``idle_timeout`` seconds is
-        removed via a REMOVE frame to self, recorded in the oplog.
+        reported for removal (:meth:`Coordinator.remove`).
         """
         config = self.cluster.config
         decay = config.idle_timeout != float("inf")
@@ -1018,7 +989,7 @@ class NodeServer:
                 continue
             now = asyncio.get_running_loop().time()
             if decay:
-                self._decay_idle(now)
+                await self._decay_idle(now)
             rate = self.monitor.total_rate(now)
             saturated = self.inbox.qsize() >= config.inflight_limit
             slo_breach = (
@@ -1036,17 +1007,16 @@ class NodeServer:
             self.last_replication = now
             await self._replicate_decision(name)
 
-    def _decay_idle(self, now: float) -> None:
+    async def _decay_idle(self, now: float) -> None:
         """Counter-based idle decay over this node's REPLICATED copies.
 
         Each tick compares every replica's access counter against the
         last observed mark; a counter that moved resets the clock, one
         that sat still past ``idle_timeout`` makes the copy cold.  The
-        removal is recorded *before* the REMOVE frame is enqueued (the
-        cluster also marks it pending, so concurrent placement
-        decisions stop seeing this holder in decision order), and the
-        frame's ``decay`` flag triggers the oracle-mirroring orphan GC
-        when it lands.
+        copy stays until the coordination plane's REMOVE frame lands:
+        the plane records the removal, runs the oracle's orphan GC and
+        answers with one REMOVE per copy dropped — none at all when
+        the copy was already gone in decision order.
         """
         config = self.cluster.config
         cold: list[str] = []
@@ -1060,13 +1030,7 @@ class NodeServer:
                 cold.append(copy.name)
         for name in cold:
             self._access_marks.pop(name, None)
-            self.cluster.record_removal(name, self.pid)
-            self.deliver_local(
-                Message(
-                    kind=MessageKind.REMOVE, src=self.pid, dst=self.pid,
-                    file=name, payload={"decay": True},
-                )
-            )
+            await self.cluster.record_removal(name, self.pid)
 
     def _derived_seed(self) -> int:
         """Deterministic per-decision rng seed (pid- and count-keyed)."""

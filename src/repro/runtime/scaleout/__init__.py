@@ -4,12 +4,10 @@ The pieces, smallest to largest:
 
 * :mod:`.control` — the CONTROL-frame RPC/cast channel everything
   coordinates over (same wire framing as the data plane);
-* :mod:`.worker` — `WorkerRuntime` (the per-process coordination
-  facade `NodeServer` runs against, unchanged) and the process
-  entrypoint;
+* :mod:`.worker` — `WorkerRuntime` (the per-process `NodeHost` a
+  `NodeServer` runs against, unchanged) and the process entrypoint;
 * :mod:`.bootstrap` — identifier assignment, the address book, and
-  the mirror-oracle coordination plane that ships the oplog at
-  decision time;
+  the `Coordinator` behind the control RPCs;
 * :mod:`.endpoint` — the client facade `RuntimeClient`/`LoadGenerator`
   drive unchanged;
 * :mod:`.loadshard` — `ShardedLoadDriver`, K forked load-generator
@@ -29,7 +27,7 @@ from .control import (
 )
 from .endpoint import ScaleoutEndpoint
 from .loadshard import ShardedLoadDriver
-from .supervisor import ScaleoutSupervisor
+from .supervisor import FleetLifecycleError, ScaleoutSupervisor
 from .worker import WorkerProcess, WorkerRuntime, run_worker
 
 __all__ = [
@@ -42,6 +40,7 @@ __all__ = [
     "decode_batch",
     "ScaleoutEndpoint",
     "ShardedLoadDriver",
+    "FleetLifecycleError",
     "ScaleoutSupervisor",
     "WorkerProcess",
     "WorkerRuntime",

@@ -1,36 +1,23 @@
 """The scale-out bootstrap: identifier assignment, address book, and
 the coordination plane for a cluster of per-node worker processes.
 
-In the single-process runtime the `LiveCluster` object *is* the
-coordination plane — catalog, status word, oplog, churn orchestration.
-Split across OS processes, that role moves here: the bootstrap process
-listens on one TCP endpoint, assigns each connecting worker its LessLog
-identifier, hands out the address book once everyone has registered,
-and serves every coordination decision over :class:`ControlLink` RPCs.
+In the single-process runtime the `LiveCluster` object hosts the
+coordination plane.  Split across OS processes, that role moves here:
+the bootstrap process listens on one TCP endpoint, assigns each
+connecting worker its LessLog identifier, hands out the address book
+once everyone has registered, and serves every coordination decision
+over :class:`ControlLink` RPCs.
 
-**The mirror oracle.**  Instead of tracking catalog/placement state in
-bespoke dicts, the bootstrap holds a live synchronous
-:class:`LessLogSystem` — the same class the conformance replay builds —
-and applies every oplog record to it *in the same step* that appends
-the record.  The invariant ``mirror == replay(oplog)`` therefore holds
-by construction at every instant, which is what makes coordination
-decisions replayable:
-
-* a replicate decision is computed by ``mirror.replicate(...)`` with
-  the worker's reported seed and forwarder rates — the exact call the
-  replay will make — and the chosen target's copy is *pushed by the
-  bootstrap itself* (a REPLICATE admin frame over the target's control
-  channel) atomically with the record, so a ``kill -9`` can never land
-  between the decision and the copy;
-* §5.3 crash recovery is reconcile-by-state-diff: apply
-  ``recover_node`` to the mirror, diff placement before/after, and
-  emit exactly the TRANSFER/DEMOTE/REMOVE frames that realize the diff
-  on the live stores.
-
-**Oplog shipping** therefore happens at decision time: every worker's
-placement decisions flow through these RPCs in true decision order, so
-the central log needs no post-hoc merge — shutdown only ships final
-stores and counters for the conformance snapshot.
+**The coordination plane** is the same `Coordinator` the in-process
+cluster holds (`repro.runtime.coordinator`): every RPC below is one of
+its verbs, and the admin frames a verb returns leave through
+:meth:`BootstrapServer._deliver` — a ``deliver`` cast on the
+destination's control link — in the same synchronous step that appended
+the oplog record, so a ``kill -9`` can never land between a decision and
+the copy it made.  Every worker's decisions flow through these RPCs in
+true decision order, so the central log needs no post-hoc merge —
+shutdown only ships final stores and counters for the conformance
+snapshot.
 
 **Quiescence** across processes is a per-(source, dest) ledger: each
 worker counts its sends per destination and its receipts per source,
@@ -54,22 +41,15 @@ oplogged), so conformance is unaffected.
 from __future__ import annotations
 
 import asyncio
-import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from ...cluster.churn import kill_node, recover_node
-from ...cluster.system import LessLogSystem
-from ...core.errors import (
-    ConfigurationError,
-    FileNotFoundInSystemError,
-    MembershipError,
-)
+from ...core.errors import ConfigurationError, MembershipError
 from ...net.message import Message, MessageKind
-from ...node.storage import FileOrigin
 from ..addressing import Address
-from ..cluster import ADMIN, OpRecord, RuntimeConfig
+from ..cluster import RuntimeConfig
 from ..conformance import ClusterStateSnapshot
+from ..coordinator import ADMIN, Coordinator
 from ..node import CLIENT
 from .control import ControlLink, config_to_wire, message_to_wire
 
@@ -109,15 +89,13 @@ class BootstrapServer:
         self.config = config
         self.expected = n
         self.initial_live: tuple[int, ...] = tuple(range(n))
-        self.mirror = LessLogSystem(
-            m=config.m, b=config.b, live=set(self.initial_live), seed=config.seed
-        )
-        self.oplog: list[OpRecord] = []
+        self.coordinator = Coordinator(config, self.initial_live)
+        self.mirror = self.coordinator.mirror
+        self.oplog = self.coordinator.oplog
         self.book: dict[int, Address] = {}
         self.paused = False
         self.ready = asyncio.Event()
         """Set once every expected worker has registered its address."""
-        self._lock = asyncio.Lock()
         self._unassigned = list(reversed(self.initial_live))
         self._workers: dict[int, _Peer] = {}
         self._ospids: dict[int, int] = {}
@@ -176,18 +154,20 @@ class BootstrapServer:
             return {"ok": True}
         if op == "catalog_check":
             return {"ok": body.get("name", "") not in self.mirror.catalog}
+        # The four mutating ops are synchronous — verb, then frames
+        # cast — and the control link starts handlers in arrival order,
+        # so they apply in the order workers issued them.
         if op == "catalog_claim":
-            async with self._lock:
-                return self._op_claim(body)
+            return self._op_claim(body)
         if op == "catalog_advance":
-            async with self._lock:
-                return self._op_advance(body)
+            return {"version": self.coordinator.advance(
+                str(body["name"]), body.get("payload"))}
         if op == "decide":
-            async with self._lock:
-                return self._op_decide(body)
+            return self._op_decide(body)
         if op == "record_removal":
-            async with self._lock:
-                self._op_removal(body)
+            self._deliver(
+                *self.coordinator.remove(str(body["name"]), int(body["pid"]))
+            )
             return None
         if op == "goodbye":
             self._goodbyes[peer.pid] = dict(body)
@@ -244,120 +224,46 @@ class BootstrapServer:
 
     def _op_claim(self, body: dict) -> dict:
         name = str(body["name"])
-        entry = int(body.get("pid", -1))
-        if name in self.mirror.catalog:
+        if not self.coordinator.claim(
+            name, body.get("payload"), entry=int(body.get("pid", -1))
+        ):
             return {"ok": False}
-        if entry >= 0 and not self.mirror.membership.is_live(entry):
-            return {"ok": False}  # the entry died while the RPC was queued
-        try:
-            self.mirror.insert(name, body.get("payload"))
-        except FileNotFoundInSystemError:
-            return {"ok": False}  # no live storage node in any subtree
-        self.oplog.append(
-            OpRecord(kind="insert", name=name, payload=body.get("payload"))
-        )
         # Placement delta piggyback: the claimer learns where the
         # mirror actually put the copy, warming its holder-hint cache.
         return {"ok": True, "holders": self.mirror.holders_of(name)}
 
-    def _op_advance(self, body: dict) -> dict:
-        name = str(body["name"])
-        if name in self.mirror.faults or name not in self.mirror.catalog:
-            return {"version": None}
-        result = self.mirror.update(name, body.get("payload"))
-        self.oplog.append(
-            OpRecord(
-                kind="update", name=name, payload=body.get("payload"),
-                version=result.version,
-            )
-        )
-        return {"version": result.version}
-
     def _op_decide(self, body: dict) -> dict:
-        """One replication decision, computed *on the mirror*.
-
-        Applying ``mirror.replicate`` with the reported seed/rates is
-        exactly the call the conformance replay will make for this
-        record, so decision and replay agree by construction.  The
-        target's copy leaves here too — same step as the record — so
-        no crash window separates them.
-        """
         name = str(body["name"])
-        holder = int(body["holder"])
-        seed = int(body["seed"])
-        rates = {int(k): float(v) for k, v in (body.get("rates") or {}).items()}
-        if self.paused or not self.mirror.membership.is_live(holder):
-            return {"target": None, "holders": self.mirror.holders_of(name)}
-        if name not in self.mirror.stores[holder]:
-            # The holder's copy is already gone in decision order
-            # (decayed or GC'd); nothing to replicate, nothing recorded.
-            return {"target": None, "holders": self.mirror.holders_of(name)}
-        target = self.mirror.replicate(
-            name, holder, forwarder_rates=rates, rng=random.Random(seed)
-        )
-        self.oplog.append(
-            OpRecord(
-                kind="replicate", name=name, pid=holder, seed=seed,
-                target=target, rates=rates,
+        frames: list[Message] = []
+        if not self.paused:
+            frames = self.coordinator.decide(
+                name, int(body["holder"]), int(body["seed"]),
+                {int(k): float(v) for k, v in (body.get("rates") or {}).items()},
             )
-        )
-        if target is not None:
-            copy = self.mirror.stores[target].get(name, count_access=False)
-            self._deliver(
-                target,
-                Message(
-                    kind=MessageKind.REPLICATE, src=ADMIN, dst=target,
-                    file=name, payload={"payload": copy.payload},
-                    version=copy.version,
-                ),
-            )
+            self._deliver(*frames)
         # Placement delta piggyback: the decider learns the full holder
         # set in decision order — its next shed of this file can emit a
         # real redirect hint instead of ``-1``.
-        return {"target": target, "holders": self.mirror.holders_of(name)}
-
-    def _op_removal(self, body: dict) -> None:
-        """Apply a worker's idle-decay removal + the oracle's orphan GC.
-
-        The worker already discarded its local copy (REMOVE-to-self);
-        here the record lands, the mirror applies the same removal, and
-        any holder the mirror's orphan GC dropped gets a REMOVE frame —
-        the cross-process form of `LiveCluster.gc_after_removal`.
-        """
-        name = str(body["name"])
-        pid = int(body["pid"])
-        store = self.mirror.stores.get(pid)
-        if (
-            not self.mirror.membership.is_live(pid)
-            or store is None
-            or name not in store
-            or store.get(name, count_access=False).origin is not FileOrigin.REPLICATED
-        ):
-            return  # raced a kill or a GC that already dropped the copy
-        before = set(self.mirror.holders_of(name))
-        self.mirror.remove_replica(name, pid)
-        self.oplog.append(OpRecord(kind="remove", name=name, pid=pid))
-        after = set(self.mirror.holders_of(name))
-        for orphan in sorted(before - after - {pid}):
-            self._deliver(
-                orphan,
-                Message(kind=MessageKind.REMOVE, src=ADMIN, dst=orphan, file=name),
-            )
+        return {
+            "target": frames[0].dst if frames else None,
+            "holders": self.mirror.holders_of(name),
+        }
 
     # -- admin frame delivery ------------------------------------------------
 
-    def _deliver(self, pid: int, msg: Message) -> None:
-        """Push one admin frame to a worker over its control channel."""
-        peer = self._workers.get(pid)
-        if peer is None:  # pragma: no cover - racing death
-            return
-        self._admin_sent[pid] = self._admin_sent.get(pid, 0) + 1
-        peer.link.cast("deliver", msg=message_to_wire(msg))
+    def _deliver(self, *frames: Message) -> None:
+        """Push admin frames to their workers' control channels, in the
+        order given (a cast is synchronous: one FIFO per destination)."""
+        for msg in frames:
+            peer = self._workers.get(msg.dst)
+            if peer is None:  # pragma: no cover - racing death
+                continue
+            self._admin_sent[msg.dst] = self._admin_sent.get(msg.dst, 0) + 1
+            peer.link.cast("deliver", msg=message_to_wire(msg))
 
     async def trigger_overload(self, pid: int, name: str, seed: int) -> None:
         """Admin knob: tell a holder it is overloaded (conformance driver)."""
         self._deliver(
-            pid,
             Message(kind=MessageKind.OVERLOAD, src=ADMIN, dst=pid, file=name,
                     payload={"seed": seed}),
         )
@@ -384,99 +290,40 @@ class BootstrapServer:
         """
         if not self.mirror.membership.is_live(pid):
             raise MembershipError(f"P({pid}) is not live")
-        async with self._lock:
-            self.oplog.append(OpRecord(kind="kill", pid=pid))
-            kill_node(self.mirror, pid)
-            self._silent_deaths.add(pid)
-            peer = self._workers.pop(pid, None)
-            if peer is not None:
-                await peer.link.close()
-            self.book.pop(pid, None)
-            self._admin_sent.pop(pid, None)
-            self._push_book()
+        self.coordinator.kill(pid)
+        self._silent_deaths.add(pid)
+        peer = self._workers.pop(pid, None)
+        self.book.pop(pid, None)
+        self._admin_sent.pop(pid, None)
+        self._push_book()
+        if peer is not None:
+            await peer.link.close()
 
     async def announce_crash(self, pid: int) -> None:
         """The autopsy: deferred §5.3 detection + recovery for a kill.
 
-        Reconcile-by-state-diff: REGISTER_DEAD circulates to every live
-        worker, ``recover_node`` runs on the mirror, and the placement
-        diff becomes TRANSFER / DEMOTE / REMOVE frames — so live stores
-        land exactly where the oracle says recovery puts them.  The
-        ``recover`` record closes the kill/recover pair.
+        REGISTER_DEAD circulates to every live worker, then the
+        coordinator's ``recover`` closes the kill/recover pair and its
+        TRANSFER / DEMOTE / REMOVE frames put live stores exactly where
+        the oracle says recovery puts them.
         """
         if pid not in self._silent_deaths:
             raise MembershipError(f"P({pid}) has no unannounced crash")
         self._silent_deaths.discard(pid)
-        async with self._lock:
-            for other in sorted(self._workers):
-                self._deliver(
-                    other,
-                    Message(kind=MessageKind.REGISTER_DEAD, src=ADMIN, dst=other,
-                            payload={"pid": pid}),
-                )
-            before = self._mirror_placement()
-            recover_node(self.mirror, pid)
-            after = self._mirror_placement()
-            for name in sorted(self.mirror.catalog):
-                was = before.get(name, {})
-                now = after.get(name, {})
-                for holder in sorted(now):
-                    if holder == pid or holder not in self._workers:
-                        continue
-                    origin = now[holder]
-                    if holder not in was:
-                        self._deliver(holder, self._transfer_frame(name, holder))
-                    elif was[holder] != origin:
-                        if origin == FileOrigin.INSERTED.value:
-                            self._deliver(
-                                holder, self._transfer_frame(name, holder)
-                            )
-                        else:  # pragma: no cover - recovery never demotes
-                            self._deliver(
-                                holder,
-                                Message(kind=MessageKind.DEMOTE, src=ADMIN,
-                                        dst=holder, file=name),
-                            )
-                for holder in sorted(set(was) - set(now)):
-                    if holder == pid or holder not in self._workers:
-                        continue
-                    self._deliver(
-                        holder,
-                        Message(kind=MessageKind.REMOVE, src=ADMIN, dst=holder,
-                                file=name),
-                    )
-            changed = {
-                name: sorted(after.get(name, {}))
-                for name in sorted(set(before) | set(after))
-                if before.get(name, {}) != after.get(name, {})
-            }
-            self._push_holders(changed)
-            # A ping per worker flushes the link FIFO: every frame
-            # above is in its destination's inbox before the record
-            # closes the pair.
-            for other in sorted(self._workers):
-                await self._workers[other].link.call("ping")
-            self.oplog.append(OpRecord(kind="recover", pid=pid))
+        for other in sorted(self._workers):
+            self._deliver(
+                Message(kind=MessageKind.REGISTER_DEAD, src=ADMIN, dst=other,
+                        payload={"pid": pid}),
+            )
+        frames = self.coordinator.recover(pid)
+        self._deliver(*frames)
+        self._push_holders({
+            name: self.mirror.holders_of(name)
+            for name in sorted({msg.file for msg in frames})
+        })
         # No drain here: the quiescence ledger's CLIENT column balances
         # only once endpoints ship their send counts (their drain RPC
         # does) — callers drain through an endpoint after the autopsy.
-
-    def _transfer_frame(self, name: str, holder: int) -> Message:
-        copy = self.mirror.stores[holder].get(name, count_access=False)
-        return Message(
-            kind=MessageKind.TRANSFER, src=ADMIN, dst=holder, file=name,
-            payload={"payload": copy.payload}, version=copy.version,
-        )
-
-    def _mirror_placement(self) -> dict[str, dict[int, str]]:
-        out: dict[str, dict[int, str]] = {}
-        for name in self.mirror.catalog:
-            out[name] = {
-                pid: self.mirror.stores[pid].get(name, count_access=False)
-                .origin.value
-                for pid in self.mirror.holders_of(name)
-            }
-        return out
 
     def _push_book(self) -> None:
         """Membership changed: push the shrunk book to clients AND

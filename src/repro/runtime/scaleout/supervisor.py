@@ -22,8 +22,10 @@ Lifecycle discipline:
   membership bit, so nothing the victim might still have written races
   the kill record.
 * **shutdown()** SIGTERMs the remaining children, collects their
-  ``goodbye`` snapshots (each worker drains its inbox first), reaps
-  everyone, and closes the bootstrap.
+  ``goodbye`` snapshots (each worker drains its inbox first), keeps the
+  loop turning until every child has exited, and closes the bootstrap.
+  Nothing after SIGTERM blocks without a deadline: a child still alive
+  when it passes is SIGKILLed and named in a :class:`FleetLifecycleError`.
 """
 
 from __future__ import annotations
@@ -41,7 +43,11 @@ from ..cluster import RuntimeConfig
 from .bootstrap import BootstrapServer
 from .worker import run_worker
 
-__all__ = ["ScaleoutSupervisor"]
+__all__ = ["FleetLifecycleError", "ScaleoutSupervisor"]
+
+_EXIT_GRACE = 1.0
+"""Seconds a worker gets to exit once its goodbye has been answered,
+even when the goodbye wait used up the whole ``term_timeout``."""
 
 _PR_SET_PDEATHSIG = 1
 
@@ -53,6 +59,18 @@ def _die_with_parent() -> None:
         libc.prctl(_PR_SET_PDEATHSIG, signal.SIGKILL)
     except (OSError, AttributeError):  # pragma: no cover - non-glibc
         pass
+
+
+class FleetLifecycleError(RuntimeError):
+    """Workers outlived ``shutdown()``'s deadline and had to be SIGKILLed."""
+
+    def __init__(self, stuck: dict[int, int]) -> None:
+        self.stuck = stuck
+        """OS pid → node id (``-1``: it never said hello) of each one."""
+        super().__init__(
+            "workers did not exit on SIGTERM and were killed: "
+            + ", ".join(f"os pid {o} (P({n}))" for o, n in sorted(stuck.items()))
+        )
 
 
 class ScaleoutSupervisor:
@@ -173,6 +191,7 @@ class ScaleoutSupervisor:
         await self.bootstrap.note_killed(pid)
 
     def _reap(self, ospid: int) -> None:
+        """Blocking reap — only ever called right after a SIGKILL."""
         if ospid in self._reaped:
             return
         if self.mode == "subprocess":
@@ -190,10 +209,12 @@ class ScaleoutSupervisor:
     # -- teardown ------------------------------------------------------------
 
     async def shutdown(self, term_timeout: float = 30.0) -> None:
-        """SIGTERM the fleet, await the goodbyes, reap, close."""
-        survivors = [
-            pid for pid in sorted(self.bootstrap.worker_pids())
-        ]
+        """SIGTERM the fleet, await the goodbyes and the exits, close.
+
+        Raises :class:`FleetLifecycleError`, after cleaning up, when a
+        worker had to be SIGKILLed.
+        """
+        survivors = sorted(self.bootstrap.worker_pids())
         for pid in survivors:
             ospid = self.bootstrap.ospid_of(pid)
             if ospid > 0 and ospid not in self._reaped:
@@ -208,10 +229,23 @@ class ScaleoutSupervisor:
             and loop.time() < deadline
         ):
             await asyncio.sleep(0.01)
-        for ospid in list(self._children) + [p.pid for p in self._procs]:
-            if ospid not in self._reaped:
-                self._reap(ospid)
+        # A worker exits only after it has read the reply to its
+        # goodbye, and that reply leaves on the control link's next
+        # tick flush: the loop has to keep running while children exit.
+        deadline = max(deadline, loop.time() + _EXIT_GRACE)
+        while any(self.alive().values()) and loop.time() < deadline:
+            await asyncio.sleep(0.01)
+        stuck = [ospid for ospid, up in self.alive().items() if up]
+        for ospid in stuck:
+            os.kill(ospid, signal.SIGKILL)
+            self._reap(ospid)
         await self.bootstrap.shutdown()
         if self._listen_sock is not None:
             self._listen_sock.close()
             self._listen_sock = None
+        if stuck:
+            node_of = {
+                self.bootstrap.ospid_of(pid): pid
+                for pid in range(self.bootstrap.expected)
+            }
+            raise FleetLifecycleError({o: node_of.get(o, -1) for o in stuck})

@@ -1,27 +1,17 @@
 """One LessLog node as its own OS process.
 
-:class:`WorkerRuntime` is the per-process stand-in for `LiveCluster`:
-it exposes the exact coordination surface `NodeServer` consumes, but
-every coordination call is an RPC to the bootstrap process and every
+:class:`WorkerRuntime` is the `NodeHost` of one worker process: every
+coordination call is an RPC to the bootstrap's `Coordinator` and every
 data-plane send dials the address book.  The node code itself —
 routing, the four flows, the overload plane, the zero-copy fast lane —
-runs *unchanged*; the only behavioural difference it can observe is
-``pushes_replicas = True`` (the bootstrap delivers the REPLICATE frame
-atomically with the oplog record, so no crash window separates them).
+runs *unchanged*; admin frames (REPLICATE, TRANSFER, REMOVE, ...)
+arrive as ``deliver`` casts on the control link.
 
-Documented v1 fidelity gap, by design:
-
-* Pending-holder/pending-removal bookkeeping is a no-op here: the
-  bootstrap's mirror applies each decision in the same step it is
-  recorded, so decision-order state lives entirely on the mirror.
-
-(:meth:`WorkerRuntime.holders` used to be a second gap — own-store
-view only, so shed redirect hints degraded to ``-1``.  It now unions
-the own-store view with a bounded holder-hint cache fed by placement
-deltas piggybacked on ``decide``/``catalog_claim`` replies and book
-pushes; staleness is handled by the machinery that already existed —
-the status-word filter in ``NodeServer._redirect_hint`` and the
-client's FINDLIVENODE reroute.)
+:meth:`WorkerRuntime.holders` unions the own-store view with a bounded
+holder-hint cache fed by placement deltas piggybacked on
+``decide``/``catalog_claim`` replies and book pushes; staleness is
+handled by the status-word filter in ``NodeServer._redirect_hint`` and
+the client's FINDLIVENODE reroute.
 
 :class:`WorkerProcess` is the process entrypoint: connect (with
 retry) → ``hello`` (identifier assignment) → boot the `NodeServer` and
@@ -42,52 +32,18 @@ from ...net.message import Message
 from ...node.membership import StatusWord
 from ..addressing import Address, PeerUnreachableError, dial_peer, start_listener
 from ..cluster import ADMIN, RuntimeConfig, _FrameSink
+from ..host import NodeHost, _BoundedCache
 from ..node import CLIENT, NodeServer
-from ..wire import WIRE_VERSION, WireError
-from ...core.hashing import Psi
-from ...core.tree import LookupTree
 from .control import ControlLink, config_from_wire, message_from_wire
 
 __all__ = ["WorkerRuntime", "WorkerProcess", "run_worker"]
-
-PSI_CACHE_CAP = 4096
-"""Upper bound on memoized ψ values per worker — a wide catalog must
-not grow worker memory without limit."""
 
 HOLDER_CACHE_CAP = 4096
 """Upper bound on cached holder hints per worker."""
 
 
-class _BoundedCache(dict):
-    """A size-capped dict: inserting past ``cap`` evicts the oldest
-    entry (dicts preserve insertion order, so ``next(iter(...))`` is
-    the first-inserted key).  O(1) insertion-order eviction rather
-    than strict LRU — hits don't reorder — which is plenty for ψ and
-    holder memoization: the hot set re-inserts right after any
-    eviction, and correctness never depends on a hit (a ψ miss
-    recomputes, a holder miss degrades to the pre-cache ``-1`` path).
-    """
-
-    __slots__ = ("cap",)
-
-    def __init__(self, cap: int) -> None:
-        super().__init__()
-        if cap < 1:
-            raise ValueError("cache cap must be positive")
-        self.cap = cap
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        if key not in self and len(self) >= self.cap:
-            del self[next(iter(self))]
-        super().__setitem__(key, value)
-
-
-class WorkerRuntime:
+class WorkerRuntime(NodeHost):
     """The coordination plane, as seen from inside one worker process."""
-
-    pushes_replicas = True
-    """The bootstrap pushes REPLICATE frames itself, in the same step
-    that appends the decision record (see `BootstrapServer._op_decide`)."""
 
     def __init__(
         self,
@@ -96,17 +52,12 @@ class WorkerRuntime:
         live: list[int],
         link: ControlLink,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         self.pid = pid
         self.link = link
         self.word = StatusWord(config.m, set(live))
         self.book: dict[int, Address] = {}
         self.node: NodeServer | None = None
-        self.replication_enabled = True
-        self.counters: dict[str, int] = {}
-        self.stage_seconds: dict[str, float] = {
-            "encode": 0.0, "decode": 0.0, "route": 0.0, "serve": 0.0,
-        }
         self.sent_to: dict[int, int] = {}
         """Cumulative data-plane frames sent per destination PID."""
         self.recv_from: dict[int, int] = {}
@@ -115,48 +66,11 @@ class WorkerRuntime:
         per *source* so quiescence survives a sender that is killed
         along with its send counters: the victim's column is simply
         ignored once it leaves the live set."""
-        self.psi = Psi(config.m)
-        self._psi_cache: _BoundedCache = _BoundedCache(PSI_CACHE_CAP)
         self._holder_cache: _BoundedCache = _BoundedCache(HOLDER_CACHE_CAP)
         """name -> sorted tuple of holder PIDs, as last reported by the
         bootstrap (piggybacked on decide/claim replies and book
         pushes).  Possibly stale; see :meth:`holders`."""
-        self._trees: dict[int, LookupTree] = {}
         self._sinks: dict[int, _FrameSink] = {}
-
-    # -- small helpers (the LiveCluster surface NodeServer reads) -----------
-
-    def tree(self, r: int) -> LookupTree:
-        tree = self._trees.get(r)
-        if tree is None:
-            tree = LookupTree(r, self.config.m)
-            self._trees[r] = tree
-        return tree
-
-    def psi_of(self, name: str) -> int:
-        r = self._psi_cache.get(name)
-        if r is None:
-            r = self.psi(name)
-            self._psi_cache[name] = r
-        return r
-
-    def count(self, name: str) -> None:
-        self.counters[name] = self.counters.get(name, 0) + 1
-
-    def note_decode_error(self, pid: int) -> None:
-        self.count("wire_decode_errors")
-
-    def note_handler_error(self, pid: int) -> None:
-        self.count("handler_errors")
-
-    def wire_version_of(self, pid: int) -> int:
-        if pid in self.config.v1_pids:
-            return WIRE_VERSION
-        return self.config.wire_version
-
-    def wire_version_for(self, src: int, dst: int) -> int:
-        sender = self.wire_version_of(src) if src >= 0 else self.config.wire_version
-        return min(sender, self.wire_version_of(dst))
 
     def holders(self, name: str) -> set[int]:
         """Own store ∪ the holder-hint cache.
@@ -231,8 +145,6 @@ class WorkerRuntime:
             sink.add(msg, version)
             sink.poke()
             await sink.drain_if_needed()
-        except WireError:
-            raise
         except (ConnectionError, OSError):
             self._sinks.pop(dst, None)
             sink.close()
@@ -257,10 +169,10 @@ class WorkerRuntime:
             return False
         return bool(reply.get("ok"))
 
-    async def catalog_claim(self, name: str, target: int, payload: Any) -> bool:
+    async def catalog_claim(self, name: str, entry: int, payload: Any) -> bool:
         try:
             reply = await self.link.call(
-                "catalog_claim", name=name, pid=self.pid, payload=payload
+                "catalog_claim", name=name, pid=entry, payload=payload
             )
         except (ConnectionError, RuntimeError):
             return False
@@ -293,20 +205,11 @@ class WorkerRuntime:
         target = reply.get("target")
         return None if target is None else int(target)
 
-    def record_removal(self, name: str, pid: int) -> None:
-        """Ship the idle-decay decision; the record (and the oracle's
-        orphan GC, as REMOVE frames back through ``deliver``) land at
-        the bootstrap in control-channel FIFO order."""
+    async def record_removal(self, name: str, pid: int) -> None:
+        """Ship the idle-decay decision; the record lands at the
+        bootstrap in control-channel FIFO order and the REMOVE frames
+        (this copy's and the orphan GC's) come back through ``deliver``."""
         self.link.cast("record_removal", name=name, pid=pid)
-
-    def resolve_pending_holder(self, name: str, pid: int) -> None:
-        pass  # decision-order state lives on the bootstrap's mirror
-
-    def resolve_pending_removal(self, name: str, pid: int) -> None:
-        pass  # decision-order state lives on the bootstrap's mirror
-
-    async def gc_after_removal(self, name: str) -> list[int]:
-        return []  # the orphan GC rides the record_removal cast
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -418,16 +321,19 @@ class WorkerProcess:
         pid = int(hello["pid"])
         runtime = WorkerRuntime(config, pid, list(hello["live"]), link)
         self.runtime = runtime
-        node = NodeServer(pid, runtime)  # type: ignore[arg-type]
+        node = NodeServer(pid, runtime)
         runtime.node = node
         self.node = node
         server, (node_host, node_port) = await start_listener(node.attach)
-        await link.call("register", host=node_host, port=node_port)
         loop = asyncio.get_running_loop()
+        # Before ``register``: the last registration releases the
+        # supervisor's ``start()``, and a SIGTERM sent right after must
+        # find the handler, not the default action (death, no goodbye).
         try:
             loop.add_signal_handler(signal.SIGTERM, self.stop.set)
         except (NotImplementedError, RuntimeError):  # pragma: no cover
             pass
+        await link.call("register", host=node_host, port=node_port)
         # Inbound frames can land the instant peers get their books, and
         # a forwarded request would make this node dial out — so the
         # inbox consumer must not start until our own book arrived via

@@ -55,6 +55,7 @@ MUTATIONS = (
     "drop-timeout",
     "phantom-shed",
     "stale-hint",
+    "drop-admin-frame",
 )
 
 
@@ -349,8 +350,14 @@ class ScenarioHarness:
         """
         import asyncio
 
-        from ..runtime.cluster import RuntimeConfig
-        from ..runtime.conformance import WorkloadSpec, run_conformance
+        from ..runtime.cluster import LiveCluster, RuntimeConfig
+        from ..runtime.conformance import (
+            WorkloadSpec,
+            apply_ops,
+            diff_states,
+            generate_ops,
+            replay_oplog,
+        )
 
         params = event.params
         m = max(2, min(int(params.get("m", 3)), 3))
@@ -373,8 +380,20 @@ class ScenarioHarness:
             coalesce_bytes=max(0, int(params.get("coalesce_bytes", 0))),
             batch_max=max(1, int(params.get("batch_max", 16))),
         )
-        report = asyncio.run(run_conformance(spec, config=config))
-        self.live_reports.append(report)
+
+        async def segment():
+            cluster = await LiveCluster.start(config)
+            try:
+                if self.scenario.mutation == "drop-admin-frame":
+                    self._mutated_drop_admin_frame(cluster)
+                await apply_ops(cluster, generate_ops(spec), seed=spec.seed)
+                system = replay_oplog(cluster.oplog, config, cluster.initial_live)
+                system.check_invariants()
+                return diff_states(cluster, system)
+            finally:
+                await cluster.shutdown()
+
+        self.live_reports.append(asyncio.run(segment()))
         return True
 
     def _apply_live_overload(self, event: ScenarioEvent) -> bool:
@@ -888,6 +907,28 @@ class ScenarioHarness:
         return True
 
     # -- mutations (deliberate bugs, test-only) ------------------------------
+
+    @staticmethod
+    def _mutated_drop_admin_frame(cluster) -> None:
+        """Make the wire swallow the first copy the coordinator sends.
+
+        One real store then never gets what the oplog says it got —
+        exactly the kind of fault the conformance diff exists to find
+        now that mirror and oplog agree by construction.
+        """
+        from ..runtime.cluster import ADMIN
+
+        send, armed = cluster.send, [True]
+
+        async def lossy_send(src: int, msg: Message) -> None:
+            if armed and src == ADMIN and msg.kind in (
+                MessageKind.REPLICATE, MessageKind.TRANSFER
+            ):
+                armed.clear()
+                return
+            await send(src, msg)
+
+        cluster.send = lossy_send
 
     def _mutated_drop_timeout(self, policy: RetryPolicy) -> None:
         """Issue a doomed request, then lose its timeout event.

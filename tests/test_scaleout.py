@@ -18,6 +18,9 @@ event loop, so each test calls ``launch()`` first and only then enters
 
 import asyncio
 import json
+import os
+import signal
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +38,7 @@ from repro.runtime.addressing import dial_peer
 from repro.runtime.client import LatencyHistogram, LoadReport
 from repro.runtime.node import NodeServer
 from repro.runtime.scaleout import (
+    FleetLifecycleError,
     ScaleoutEndpoint,
     ScaleoutSupervisor,
     ShardedLoadDriver,
@@ -371,6 +375,37 @@ class TestWorkerLifecycle:
         got = asyncio.run(drive())
         assert got.payload == "p"
         assert sorted(supervisor.bootstrap.goodbyes) == list(range(6))
+
+
+@pytest.mark.runtime
+class TestShutdownDeadline:
+    def test_sigstopped_worker_ends_in_a_typed_error_inside_the_deadline(self):
+        """A worker that cannot answer SIGTERM (stopped, here) must not
+        wedge ``shutdown()``: past ``term_timeout`` it is SIGKILLed,
+        reaped, and named — OS pid and node id — in the error."""
+        config = RuntimeConfig(m=2, drain_timeout=15.0)
+        supervisor = ScaleoutSupervisor(config, mode="fork")
+        supervisor.launch()
+
+        async def drive() -> tuple:
+            await supervisor.start(boot_timeout=60.0)
+            victim = supervisor.bootstrap.worker_pids()[1]
+            ospid = supervisor.bootstrap.ospid_of(victim)
+            os.kill(ospid, signal.SIGSTOP)
+            started = time.monotonic()
+            with pytest.raises(FleetLifecycleError) as caught:
+                await supervisor.shutdown(term_timeout=2.0)
+            return victim, ospid, caught.value, time.monotonic() - started
+
+        victim, ospid, error, elapsed = asyncio.run(drive())
+        assert elapsed < 5.0
+        assert error.stuck == {ospid: victim}
+        assert str(ospid) in str(error) and f"P({victim})" in str(error)
+        assert not any(supervisor.alive().values())
+        # The three healthy workers still said goodbye.
+        assert sorted(supervisor.bootstrap.goodbyes) == sorted(
+            set(range(4)) - {victim}
+        )
 
 
 @pytest.mark.runtime

@@ -324,6 +324,22 @@ class TestMutationCaught:
         violation = self._first_violation("conflate-drops")
         assert violation.invariant == "metrics-trace-reconcile"
 
+    def test_dropped_admin_frame_caught_shrunk_and_replayed(self, tmp_path):
+        # The coordinator's mirror and oplog agree by construction; what
+        # conformance still checks is that the frames it issued reached
+        # the real stores.  Swallow one and the placement diff must say
+        # so, shrunk to the one live segment that lost the copy.
+        violation = self._first_violation("drop-admin-frame")
+        assert violation.invariant == "runtime-oracle-conformance"
+        assert "placement" in violation.message
+
+        minimized, shrunk = Shrinker().shrink(violation.scenario, violation)
+        assert [e.op for e in minimized.events] == ["live_segment"]
+        assert shrunk.invariant == violation.invariant
+
+        path = save_repro(tmp_path / "dropped.json", minimized, shrunk)
+        assert replay_file(path).reproduced
+
     def test_dropped_timeout_caught(self):
         # The mutation cancels a doomed request's deadline event: it can
         # neither complete nor expire, so once the engine drains the
