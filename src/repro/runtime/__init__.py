@@ -3,7 +3,7 @@
 Everything the synchronous model (:mod:`repro.cluster.system`) and the
 DES driver state about the paper's algorithms, this package *runs*:
 ``2**m`` asyncio node servers exchange length-prefixed frames over
-in-process streams (or real TCP on loopback), clients drive them with
+in-process socketpairs (or real TCP on loopback), clients drive them with
 seeded workloads, and an operation-log replay through the synchronous
 oracle proves the live system lands in the identical final state.
 
@@ -65,9 +65,10 @@ from .wire import (
     MAX_WIRE_VERSION,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
+    WRITE_HIGH_WATER,
+    FrameConnection,
     FrameEncoder,
     FrameError,
-    FrameReader,
     WireDecodeError,
     WireError,
     decode_message,
@@ -96,15 +97,16 @@ __all__ = [
     "VICTIM_POLICIES",
     "WIRE_VERSION",
     "WIRE_VERSION_BINARY",
+    "WRITE_HIGH_WATER",
     "AdmissionController",
     "ChurnEvent",
     "ChurnInjector",
     "ClientError",
     "ConformanceReport",
     "Coordinator",
+    "FrameConnection",
     "FrameEncoder",
     "FrameError",
-    "FrameReader",
     "LatencyHistogram",
     "LatencyTracker",
     "LiveCluster",

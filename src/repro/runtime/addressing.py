@@ -1,18 +1,18 @@
-"""Address resolution shared by every stream-dialing path.
+"""Address resolution shared by every data-plane dial.
 
 The runtime reaches a node three ways — a `LiveCluster` peer/client
-stream in socketpair mode, the same in TCP mode, and (scale-out) a
+connection in socketpair mode, the same in TCP mode, and (scale-out) a
 worker or client dialing a ``(host, port)`` entry from the bootstrap's
-address book.  Before this module each path open-coded its own dial,
-and the socketpair/TCP asymmetry lived inside
-``LiveCluster.open_connection``.  Now every mode resolves through one
-code path:
+address book.  Every mode resolves through one code path, and every
+connection it makes runs the protocol the caller's ``factory`` builds
+(a :class:`~repro.runtime.wire.FrameConnection`):
 
 * an **address** — a ``(host, port)`` pair — dials the kernel's TCP
   stack;
-* ``None`` with an ``attach`` callback builds an in-process
-  ``socket.socketpair`` and hands the server end to the node, which is
-  exactly what a TCP accept would have done.
+* ``None`` with an ``attach`` factory builds an in-process
+  ``socket.socketpair`` and gives the server end to the protocol the
+  node's factory returns, which is exactly what a TCP accept would
+  have done.
 
 ``PeerUnreachableError`` lives here (re-exported by
 ``repro.runtime.cluster`` for compatibility) so the scale-out worker
@@ -44,30 +44,33 @@ class PeerUnreachableError(ConnectionError):
 
 async def dial_node(
     address: Address | None,
-    attach: Callable[[asyncio.StreamReader, asyncio.StreamWriter], object]
-    | None = None,
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-    """A fresh client-side stream to one node, either transport mode.
+    factory: Callable[[], asyncio.Protocol],
+    attach: Callable[[], asyncio.Protocol] | None = None,
+):
+    """A fresh client-side connection to one node, either transport mode.
 
-    ``address`` dials TCP; ``None`` requires ``attach`` and builds the
-    in-process socketpair equivalent, delivering the server end to the
-    node the way its TCP listener would.
+    Returns the protocol ``factory`` built, connected.  ``address``
+    dials TCP; ``None`` requires ``attach`` — the node's own protocol
+    factory — and builds the in-process socketpair equivalent, handing
+    the node the server end the way its TCP listener would.
     """
+    loop = asyncio.get_running_loop()
     if address is not None:
-        return await asyncio.open_connection(address[0], address[1])
+        _transport, conn = await loop.create_connection(factory, *address)
+        return conn
     if attach is None:
-        raise ValueError("socketpair mode needs an attach callback")
+        raise ValueError("socketpair mode needs an attach factory")
     ours, theirs = socket.socketpair()
     ours.setblocking(False)
     theirs.setblocking(False)
-    server_reader, server_writer = await asyncio.open_connection(sock=theirs)
-    attach(server_reader, server_writer)
-    return await asyncio.open_connection(sock=ours)
+    await loop.create_connection(attach, sock=theirs)
+    _transport, conn = await loop.create_connection(factory, sock=ours)
+    return conn
 
 
 async def dial_peer(
-    address: Address | None, pid: int
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    address: Address | None, pid: int, factory: Callable[[], asyncio.Protocol]
+):
     """Dial a peer's published address, mapping failure to the §3 signal.
 
     A missing address-book entry or a refused/unroutable connect both
@@ -78,22 +81,23 @@ async def dial_peer(
     if address is None:
         raise PeerUnreachableError(f"P({pid}) has no published address")
     try:
-        return await dial_node(address)
+        return await dial_node(address, factory)
     except (ConnectionError, OSError) as exc:
         raise PeerUnreachableError(f"connection to P({pid}) failed: {exc}") from None
 
 
 async def start_listener(
-    attach: Callable[[asyncio.StreamReader, asyncio.StreamWriter], object],
+    attach: Callable[[], asyncio.Protocol],
     host: str = "127.0.0.1",
     port: int = 0,
 ) -> tuple[asyncio.base_events.Server, Address]:
     """Bind one node's listener; returns the server and its address.
 
+    Every accepted connection runs the protocol ``attach`` returns.
     Shared by `LiveCluster._boot_node` (TCP mode) and the scale-out
     worker entrypoint, so both transports publish addresses the same
     shape.
     """
-    server = await asyncio.start_server(lambda r, w: attach(r, w), host, port)
+    server = await asyncio.get_running_loop().create_server(attach, host, port)
     sockname = server.sockets[0].getsockname()
     return server, (sockname[0], sockname[1])

@@ -1,8 +1,9 @@
 """Async client and load generator for the live runtime.
 
 :class:`RuntimeClient` speaks the wire protocol to one entry node:
-requests go out as frames, a reader task resolves per-``request_id``
-futures as replies land, and every call carries an asyncio deadline
+requests go out as frames, the connection's ``data_received`` resolves
+per-``request_id`` futures as replies land, and every call carries an
+asyncio deadline
 (the live dual of the DES request-reliability layer's per-attempt
 timeout — here a timed-out request simply reports ``timed_out``).
 
@@ -35,11 +36,7 @@ from typing import Any
 from ..core.errors import ConfigurationError
 from ..net.message import Message, MessageKind, fast_message
 from .node import CLIENT
-from .wire import FrameEncoder, FrameError, FrameReader
-
-_WRITE_HIGH_WATER = 1 << 16
-"""Transport buffer level above which a request write awaits drain —
-below it requests pipeline without a per-frame round trip."""
+from .wire import FrameConnection
 
 _TIMEOUT_SWEEP = 0.25
 """Deadline-sweep period: one repeating timer per client expires every
@@ -96,40 +93,31 @@ class RuntimeClient:
         self.cluster = cluster
         self.pid = pid
         self.wire_version = cluster.wire_version_of(pid)
-        self._encoder = FrameEncoder(fixed=cluster.config.fixed_frames)
-        self._reader: asyncio.StreamReader | None = None
-        self._writer: asyncio.StreamWriter | None = None
+        self._conn: FrameConnection | None = None
         self._futures: dict[int, asyncio.Future] = {}
         self._deadlines: dict[int, float] = {}
         self._sweep_timer: asyncio.TimerHandle | None = None
-        self._task: asyncio.Task | None = None
-        self._tick_coalesce = cluster.config.tick_coalesce
-        self._flush_scheduled = False
         self._closed = False
-        self._conn_lost = False
 
     async def connect(self) -> "RuntimeClient":
-        self._reader, self._writer = await self.cluster.open_connection(self.pid)
-        self._task = asyncio.get_running_loop().create_task(
-            self._read_loop(), name=f"client:{self.pid}"
+        self._conn = await self.cluster.open_connection(
+            self.pid,
+            lambda: FrameConnection.configured(
+                self.cluster.config, self.wire_version, self._on_frames,
+                self._on_lost,
+            ),
         )
         return self
 
-    async def _read_loop(self) -> None:
-        assert self._reader is not None
-        frames = FrameReader(
-            self._reader, self.cluster.config.max_frame, self.wire_version
-        )
-        try:
-            while not self._closed:
-                msgs, _errors = await frames.read_batch()
-                for msg, _version in msgs:
-                    self._deadlines.pop(msg.request_id, None)
-                    future = self._futures.pop(msg.request_id, None)
-                    if future is not None and not future.done():
-                        future.set_result(msg)
-        except (EOFError, FrameError, ConnectionError, OSError):
-            self._conn_lost = True
+    def _on_frames(self, _conn: FrameConnection, frames: list, _errors: int) -> None:
+        for msg, _version in frames:
+            self._deadlines.pop(msg.request_id, None)
+            future = self._futures.pop(msg.request_id, None)
+            if future is not None and not future.done():
+                future.set_result(msg)
+
+    def _on_lost(self, _conn: FrameConnection) -> None:
+        if not self._closed:
             self._fail_pending()
 
     @property
@@ -144,7 +132,15 @@ class RuntimeClient:
         cluster's in-flight ledger sticks above zero and ``drain()``
         blocks until its timeout.
         """
-        return self._conn_lost
+        conn = self._conn
+        return conn is not None and conn.closed and not self._closed
+
+    @property
+    def writable(self) -> bool:
+        """Connected and below the write high-water mark: a request
+        pipelines without waiting for the transport to drain."""
+        conn = self._conn
+        return conn is not None and not conn.closed and not conn.paused
 
     def _fail_pending(self) -> None:
         """The connection dropped: resolve every in-flight request *now*.
@@ -157,23 +153,11 @@ class RuntimeClient:
         check classifies it (churn loss when the entry has left the
         membership, timeout otherwise).
         """
-        if self._closed:
-            return
         self._deadlines.clear()
         futures, self._futures = self._futures, {}
         for future in futures.values():
             if not future.done():
                 future.set_result(None)
-
-    def _flush_soon(self) -> None:
-        """Tick-coalesced flush of every request buffered this iteration."""
-        self._flush_scheduled = False
-        if self._closed or self._writer is None or not self._encoder.pending:
-            return
-        try:
-            self._encoder.flush_to(self._writer)
-        except (ConnectionError, OSError):  # pragma: no cover - server died
-            self._encoder.reset()
 
     def _sweep_deadlines(self) -> None:
         """Resolve every overdue request as a timeout; reschedule."""
@@ -206,24 +190,20 @@ class RuntimeClient:
         backpressure is applied here; callers that may queue faster
         than the transport drains should check the write buffer first.
         """
-        if self._writer is None:
+        conn = self._conn
+        if conn is None:
             raise ConfigurationError("client is not connected")
-        if self._conn_lost:
+        if conn.closed:
             raise ConnectionError(f"connection to P({self.pid}) was lost")
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
         self._futures[msg.request_id] = future
         self.cluster.count_client_send(self.pid)
-        self._encoder.add(msg, self.wire_version)
-        if self._tick_coalesce:
-            # Requests issued in the same event-loop iteration (e.g. a
-            # burst of load-generator fires waking from one sleep) ride
-            # a single vectored write, scheduled once per tick.
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                loop.call_soon(self._flush_soon)
-        else:
-            self._encoder.flush_to(self._writer)
+        # Requests issued in the same event-loop iteration (e.g. a burst
+        # of load-generator fires waking from one sleep) ride a single
+        # vectored write, scheduled once per tick.
+        conn.add(msg, self.wire_version)
+        conn.poke()
         # Per-request deadlines go through the shared sweep timer: one
         # heap entry per client per sweep period instead of a
         # call_later handle (and its heap churn) per request.
@@ -238,13 +218,8 @@ class RuntimeClient:
         loop = asyncio.get_running_loop()
         start = loop.time()
         future = self.request_future(msg, timeout)
-        assert self._writer is not None
-        transport = self._writer.transport
-        if (
-            transport is not None
-            and transport.get_write_buffer_size() > _WRITE_HIGH_WATER
-        ):
-            await self._writer.drain()
+        if self._conn.paused:
+            await self._conn.drained()
         try:
             reply = await future
         finally:
@@ -281,18 +256,14 @@ class RuntimeClient:
 
     async def get(self, name: str, timeout: float = 5.0) -> RequestOutcome:
         return await self._request(
-            Message(kind=MessageKind.GET, src=CLIENT, dst=self.pid, file=name),
-            timeout,
+            fast_message(MessageKind.GET, CLIENT, self.pid, name), timeout
         )
 
     async def insert(
         self, name: str, payload: Any = None, timeout: float = 5.0
     ) -> RequestOutcome:
         outcome = await self._request(
-            Message(
-                kind=MessageKind.INSERT, src=CLIENT, dst=self.pid,
-                file=name, payload=payload,
-            ),
+            fast_message(MessageKind.INSERT, CLIENT, self.pid, name, payload),
             timeout,
         )
         if outcome.kind == "error":
@@ -303,10 +274,7 @@ class RuntimeClient:
         self, name: str, payload: Any = None, timeout: float = 5.0
     ) -> RequestOutcome:
         outcome = await self._request(
-            Message(
-                kind=MessageKind.UPDATE, src=CLIENT, dst=self.pid,
-                file=name, payload=payload,
-            ),
+            fast_message(MessageKind.UPDATE, CLIENT, self.pid, name, payload),
             timeout,
         )
         if outcome.kind == "error":
@@ -314,27 +282,15 @@ class RuntimeClient:
         return outcome
 
     async def close(self) -> None:
-        if self._writer is not None and self._encoder.pending:
-            try:
-                self._encoder.flush_to(self._writer)
-            except (ConnectionError, OSError):
-                self._encoder.reset()
+        conn = self._conn
+        if conn is not None:
+            conn.flush()  # requests still coalescing leave before the FIN
         self._closed = True
         if self._sweep_timer is not None:
             self._sweep_timer.cancel()
             self._sweep_timer = None
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-        if self._writer is not None:
-            try:
-                self._writer.close()
-                await self._writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+        if conn is not None:
+            await conn.close()
 
 
 # -- workload shapes -----------------------------------------------------
@@ -876,28 +832,19 @@ class LoadGenerator:
         client = self._clients.get(entry)
         # A lost connection (the entry died, perhaps to rejoin) falls
         # back to the task path, which redials through _client().
-        if (
-            client is not None
-            and not client.connection_lost
-            and client._writer is not None
-        ):
-            transport = client._writer.transport
-            if (
-                transport is not None
-                and transport.get_write_buffer_size() <= _WRITE_HIGH_WATER
-            ):
-                report.requests += 1
-                start = loop.time()
-                future = client.request_future(
-                    fast_message(MessageKind.GET, CLIENT, client.pid, name),
-                    self.timeout,
+        if client is not None and client.writable:
+            report.requests += 1
+            start = loop.time()
+            future = client.request_future(
+                fast_message(MessageKind.GET, CLIENT, client.pid, name),
+                self.timeout,
+            )
+            future.add_done_callback(
+                lambda fut, s=start, e=entry: self._record(
+                    report, fut, loop, s, e
                 )
-                future.add_done_callback(
-                    lambda fut, s=start, e=entry: self._record(
-                        report, fut, loop, s, e
-                    )
-                )
-                return future
+            )
+            return future
         return loop.create_task(self._fire_path(entry, name, report))
 
     def _record(

@@ -41,7 +41,7 @@ from .wire import (
     MAX_FRAME,
     MAX_WIRE_VERSION,
     WIRE_VERSION,
-    FrameEncoder,
+    FrameConnection,
     WireError,
 )
 
@@ -163,122 +163,6 @@ class RuntimeConfig:
         )
 
 
-_SINK_HIGH_WATER = 1 << 16
-"""Transport buffer level above which a sink's writer is awaited."""
-
-
-class _FrameSink:
-    """One peer stream, coalescing frames per tick or Nagle-style.
-
-    Frames are encoded straight into the sink's reusable
-    :class:`~repro.runtime.wire.FrameEncoder` buffer — no per-frame
-    ``bytes`` object exists — and leave through one vectored
-    ``writelines`` per flush.  Three flush policies:
-
-    * ``tick=True`` (the fast lane): the first frame of an event-loop
-      iteration schedules one ``call_soon`` flush; every frame the
-      sender produces before the loop goes back to sleep rides the
-      same syscall, at zero added latency.
-    * ``max_bytes > 0``: Nagle-style — flush at the byte watermark or
-      after ``delay`` seconds, whichever first.
-    * otherwise: flush on every ``add``.
-
-    In-flight accounting happens at :meth:`LiveCluster.send` time
-    (before buffering), so a buffered frame still holds the cluster
-    un-quiet until it lands.
-    """
-
-    __slots__ = ("writer", "encoder", "max_bytes", "delay", "tick",
-                 "_timer", "_scheduled")
-
-    def __init__(
-        self,
-        writer: asyncio.StreamWriter,
-        max_bytes: int,
-        delay: float,
-        fixed: bool = True,
-        tick: bool = False,
-    ) -> None:
-        self.writer = writer
-        self.encoder = FrameEncoder(fixed=fixed)
-        self.max_bytes = max_bytes
-        self.delay = delay
-        self.tick = tick
-        self._timer: asyncio.TimerHandle | None = None
-        self._scheduled = False
-
-    def add(self, msg: Message, version: int) -> None:
-        """Encode one frame into the sink buffer (no flush).
-
-        Raises :class:`WireError` on an unencodable message (the
-        buffer is rolled back, the sink stays usable) and
-        ``ConnectionError`` on a stream the peer already closed.
-        Callers follow up with :meth:`poke` — encoding and the flush
-        policy are split so the bench's ``encode`` stage never absorbs
-        a write syscall.
-        """
-        if self.writer.is_closing():
-            raise ConnectionError("peer stream is closing")
-        self.encoder.add(msg, version)
-
-    def poke(self) -> None:
-        """Apply the flush policy to whatever :meth:`add` buffered.
-
-        Propagates ``ConnectionError``/``OSError`` from an immediate
-        flush.
-        """
-        if self.tick:
-            if self.encoder.pending_bytes >= _SINK_HIGH_WATER:
-                self.flush()
-            elif not self._scheduled:
-                self._scheduled = True
-                asyncio.get_running_loop().call_soon(self._flush_soon)
-        elif self.max_bytes <= 0 or self.encoder.pending_bytes >= self.max_bytes:
-            self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self.delay, self._flush_timer
-            )
-
-    def flush(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        if self.encoder.pending:
-            self.encoder.flush_to(self.writer)
-
-    def _flush_soon(self) -> None:
-        self._scheduled = False
-        self._flush_timer()
-
-    def _flush_timer(self) -> None:
-        self._timer = None
-        if not self.encoder.pending:
-            return
-        try:
-            self.encoder.flush_to(self.writer)
-        except (ConnectionError, OSError):  # pragma: no cover - peer died
-            self.encoder.reset()
-
-    async def drain_if_needed(self) -> None:
-        transport = self.writer.transport
-        if (
-            transport is not None
-            and transport.get_write_buffer_size() > _SINK_HIGH_WATER
-        ):
-            await self.writer.drain()
-
-    def close(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-        self.encoder.reset()
-        try:
-            self.writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-
-
 class LiveCluster(NodeHost):
     """N live LessLog nodes over streams, hosting one `Coordinator`."""
 
@@ -297,7 +181,7 @@ class LiveCluster(NodeHost):
         self._silent_deaths: set[int] = set()
         self._crash_loads: dict[int, dict[str, float]] = {}
         self._inflight_to: dict[int, int] = {}
-        self._peer_conns: dict[tuple[int, int], _FrameSink] = {}
+        self._peer_conns: dict[tuple[int, int], FrameConnection] = {}
         self._outbox: asyncio.Queue[Message] = asyncio.Queue()
         self._undelivered = 0
         self._pump: asyncio.Task[None] | None = None
@@ -341,9 +225,10 @@ class LiveCluster(NodeHost):
             except asyncio.CancelledError:
                 pass
             self._pump = None
-        for sink in self._peer_conns.values():
-            sink.close()
+        closing = [sink.close() for sink in self._peer_conns.values()]
         self._peer_conns.clear()
+        if closing:
+            await asyncio.wait(closing)
         for server in self._servers.values():
             server.close()
             await server.wait_closed()
@@ -355,14 +240,14 @@ class LiveCluster(NodeHost):
     # -- connections --------------------------------------------------------
 
     async def open_connection(
-        self, pid: int
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        """A fresh stream to ``P(pid)`` (client side of the pair)."""
+        self, pid: int, factory: Callable[[], FrameConnection]
+    ) -> FrameConnection:
+        """A fresh connection to ``P(pid)``, run by ``factory``'s protocol."""
         node = self.nodes.get(pid)
         if node is None:
             raise PeerUnreachableError(f"P({pid}) is not serving")
         address = self.addresses.get(pid) if self.config.tcp else None
-        return await dial_node(address, attach=node.attach)
+        return await dial_node(address, factory, attach=node.attach)
 
     async def send(self, src: int, msg: Message) -> None:
         """Deliver one frame from ``src`` (a PID or ``ADMIN``) to ``msg.dst``.
@@ -379,12 +264,7 @@ class LiveCluster(NodeHost):
             return
         sink = self._peer_conns.get((src, dst))
         if sink is None:
-            _reader, writer = await self.open_connection(dst)
-            fresh = _FrameSink(
-                writer, self.config.coalesce_bytes, self.config.coalesce_delay,
-                fixed=self.config.fixed_frames,
-                tick=self.config.tick_coalesce,
-            )
+            fresh = await self.open_connection(dst, self.peer_connection)
             # The dial yielded.  The destination may have been retired
             # meanwhile (a frame counted in flight now would never be
             # enqueued, and ``drain()`` would wait on it for ever), or
@@ -405,7 +285,8 @@ class LiveCluster(NodeHost):
             finally:
                 self.stage_seconds["encode"] += perf_counter() - t0
             sink.poke()
-            await sink.drain_if_needed()
+            if sink.paused:
+                await sink.drained()
         except WireError:
             self._inflight_to[dst] = max(0, self._inflight_to.get(dst, 0) - 1)
             raise

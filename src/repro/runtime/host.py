@@ -18,7 +18,7 @@ from ..core.tree import LookupTree
 from ..net.message import Message
 from ..node.membership import StatusWord
 from .node import CLIENT
-from .wire import WIRE_VERSION
+from .wire import WIRE_VERSION, FrameConnection
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import RuntimeConfig
@@ -111,6 +111,11 @@ class NodeHost(ABC):
         return min(sender, self.wire_version_of(dst))
 
     # -- data plane ---------------------------------------------------------
+
+    def peer_connection(self) -> FrameConnection:
+        """Protocol factory for a send-only node-to-node stream (nothing
+        is ever read off it)."""
+        return FrameConnection.configured(self.config, peer=True)
 
     @abstractmethod
     async def send(self, src: int, msg: Message) -> None:

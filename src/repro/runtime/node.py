@@ -2,7 +2,10 @@
 
 Each node is a single consumer task draining an inbox of decoded
 frames, plus one housekeeping task (the load monitor / overload
-sweeper) and one reader task per open connection.  The consumer never
+sweeper); every open connection is a
+:class:`~repro.runtime.wire.FrameConnection` whose ``data_received``
+decodes, admits and enqueues arrivals with no task of its own.  The
+consumer never
 blocks on a reply — multi-message flows (an INSERT fanning out to its
 ``2**b`` homes, a GET climbing the lookup tree) park their state in a
 pending table keyed by ``request_id`` and resume when the matching
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import types
 from collections import deque
 from dataclasses import dataclass, replace
 from time import perf_counter
@@ -81,7 +85,7 @@ from ..node.loadmon import LoadMonitor
 from ..node.storage import FileOrigin, FileStore
 from .addressing import PeerUnreachableError
 from .overload import AdmissionController, LatencyTracker
-from .wire import WIRE_VERSION, FrameEncoder, FrameError, FrameReader
+from .wire import FrameConnection
 
 if TYPE_CHECKING:  # pragma: no cover
     from .host import NodeHost
@@ -90,9 +94,6 @@ __all__ = ["CLIENT", "NodeServer", "subtree_children"]
 
 CLIENT = -1
 """``src`` of a request arriving straight from a client connection."""
-
-_WRITE_HIGH_WATER = 1 << 16
-"""Transport buffer level above which a writer awaits ``drain()``."""
 
 _SLO_MIN_SAMPLES = 8
 """Windowed latency samples required before the p99 SLO trigger can
@@ -121,45 +122,35 @@ def subtree_children(view: SubtreeView, pid: int, word) -> list[int]:
     ]
 
 
-@dataclass(eq=False)
-class _Connection:
-    """One open stream (client or peer) attached to this node."""
-
-    reader: asyncio.StreamReader
-    writer: asyncio.StreamWriter
-    encoder: FrameEncoder
-    """Reusable reply-frame buffer: replies within one inbox batch
-    accumulate here and leave in a single vectored ``writelines``."""
-    flush_scheduled: bool = False
-    """A tick-coalesced flush callback is pending for this connection."""
-    closed: bool = False
-    wire_version: int = WIRE_VERSION
-    """Highest codec seen from the peer on this connection; replies
-    never exceed it (per-connection negotiation)."""
-
-    async def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
+@types.coroutine
+def _resume(coro, yielded):
+    """Finish a coroutine that was already stepped to a suspension:
+    re-yield what it yielded, then relay sends and throws until it ends."""
+    while True:
         try:
-            self.writer.close()
-            await self.writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
+            sent = yield yielded
+        except BaseException as exc:  # noqa: BLE001 - relayed, never kept
+            step, arg = coro.throw, exc
+        else:
+            step, arg = coro.send, sent
+        try:
+            yielded = step(arg)
+        except StopIteration:
+            return
 
 
 @dataclass
 class _PendingGet:
     """A client GET this node entered into the overlay, awaiting a reply."""
 
-    conn: _Connection
+    conn: FrameConnection
 
 
 @dataclass
 class _PendingInsert:
     """A client INSERT awaiting ACKs from its remote homes."""
 
-    conn: _Connection
+    conn: FrameConnection
     awaiting: int
     reply: Message
 
@@ -177,7 +168,7 @@ class NodeServer:
         self.wire_version = cluster.wire_version_of(pid)
         self.store = FileStore()
         self.monitor = LoadMonitor(capacity=1.0, window=config.window)
-        self.inbox: asyncio.Queue[tuple[Message, _Connection | None]] = asyncio.Queue()
+        self.inbox: asyncio.Queue[tuple[Message, FrameConnection | None]] = asyncio.Queue()
         self.pending: dict[int, _PendingGet | _PendingInsert] = {}
         self.admission = (
             AdmissionController(
@@ -204,166 +195,130 @@ class NodeServer:
         # view offers no alternative.
         self._hint_cache: dict[str, tuple[int, ...]] = {}
         self._access_marks: dict[str, tuple[int, float]] = {}
-        self._batch_conns: set[_Connection] | None = None
-        self._conns: set[_Connection] = set()
-        self._tasks: list[asyncio.Task] = []
+        self._batch_conns: set[FrameConnection] | None = None
+        self._conns: set[FrameConnection] = set()
+        self._tasks: set[asyncio.Task] = set()
         self._serve_queue: deque[tuple[float, Message, float | None]] = deque()
         self._serve_waiter: asyncio.Future | None = None
         self._serving = False
         self._pipelined = config.batch_max > 1
-        self._tick_coalesce = config.tick_coalesce
         self._running = True
 
     def start(self) -> None:
         """Spawn the consumer, sweeper, and serve-worker tasks."""
         loop = asyncio.get_running_loop()
-        self._tasks.append(loop.create_task(self._consume(), name=f"node:{self.pid}"))
-        self._tasks.append(loop.create_task(self._sweep(), name=f"sweep:{self.pid}"))
+        self._tasks.add(loop.create_task(self._consume(), name=f"node:{self.pid}"))
+        self._tasks.add(loop.create_task(self._sweep(), name=f"sweep:{self.pid}"))
         if self._pipelined and self.cluster.config.service_time > 0:
-            self._tasks.append(
+            self._tasks.add(
                 loop.create_task(self._serve_worker(), name=f"serve:{self.pid}")
             )
 
     # -- connection plumbing ------------------------------------------------
 
-    def attach(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        """Adopt an accepted stream: spawn its frame-reader task."""
-        conn = _Connection(
-            reader, writer, FrameEncoder(fixed=self.cluster.config.fixed_frames)
+    def attach(self) -> FrameConnection:
+        """Protocol factory for an accepted connection (client or peer):
+        it lives in ``_conns`` until it is lost."""
+        conn = FrameConnection.configured(
+            self.cluster.config, self.wire_version, self._on_frames,
+            self._conns.discard,
         )
         self._conns.add(conn)
-        task = asyncio.get_running_loop().create_task(
-            self._read_loop(conn), name=f"read:{self.pid}"
-        )
-        self._tasks.append(task)
+        return conn
 
-    async def _read_loop(self, conn: _Connection) -> None:
-        """Batch-decode incoming frames off one connection.
+    def _on_frames(self, conn: FrameConnection, frames: list, errors: int) -> None:
+        """Admit and enqueue one decoded batch, inside ``data_received``.
 
-        One ``FrameReader.read_batch`` await drains every complete
-        frame the transport has buffered — a burst of pipelined
-        requests costs one scheduling round trip, not one per frame.
-        Well-framed bodies that fail to decode are counted and skipped
-        (framing stays aligned); framing damage ends the connection.
+        Well-framed bodies that failed to decode were counted and
+        skipped by the connection (framing stays aligned).  Shed
+        replies leave in arrival order, before the next arrival is
+        looked at.
         """
-        frames = FrameReader(
-            conn.reader, self.cluster.config.max_frame, self.wire_version
-        )
-        stage = self.cluster.stage_seconds
+        cluster = self.cluster
+        pid = self.pid
+        if errors:
+            self.decode_errors += errors
+            for _ in range(errors):
+                cluster.note_decode_error(pid)
         inbox_put = self.inbox.put_nowait
-        enqueued = self.cluster.msg_enqueued
-        decoded = 0.0
+        enqueued = cluster.msg_enqueued
+        admission = self.admission
+        if admission is None and not self._track_latency:
+            for msg, _version in frames:
+                inbox_put((msg, conn))
+                enqueued(pid, msg.src)
+        else:
+            now = asyncio.get_running_loop().time()
+            for msg, _version in frames:
+                if self._track_latency and msg.kind is MessageKind.GET:
+                    self._arrivals[msg.request_id] = now
+                if admission is not None:
+                    accepted, victims = admission.admit(msg, conn)
+                    for victim_msg, victim_conn in victims:
+                        self._start(self._shed(victim_msg, victim_conn))
+                    if not accepted:
+                        self._start(self._shed(msg, conn))
+                        # The shed arrival never reaches the inbox, but
+                        # the sender's in-flight accounting must still
+                        # settle or drain() hangs on this frame forever.
+                        enqueued(pid, msg.src)
+                        continue
+                inbox_put((msg, conn))
+                enqueued(pid, msg.src)
+        cluster.stage_seconds["decode"] += conn.decode_seconds
+        conn.decode_seconds = 0.0
+
+    def _start(self, coro) -> None:
+        """Run ``coro`` now, up to its first suspension — what 3.12's
+        eager task start does.  A shed reply almost always completes
+        here; one that must dial or wait out backpressure finishes on a
+        task, and the arrivals behind it are not held up."""
         try:
-            while self._running:
-                msgs, errors = await frames.read_batch()
-                if errors:
-                    # Well-framed but malformed bodies: count them and
-                    # keep the connection — framing is still aligned.
-                    self.decode_errors += errors
-                    for _ in range(errors):
-                        self.cluster.note_decode_error(self.pid)
-                admission = self.admission
-                if admission is None and not self._track_latency:
-                    for msg, version in msgs:
-                        conn.wire_version = version
-                        inbox_put((msg, conn))
-                        enqueued(self.pid, msg.src)
-                else:
-                    now = asyncio.get_running_loop().time()
-                    for msg, version in msgs:
-                        conn.wire_version = version
-                        if self._track_latency and msg.kind is MessageKind.GET:
-                            self._arrivals[msg.request_id] = now
-                        if admission is not None:
-                            accepted, victims = admission.admit(msg, conn)
-                            for victim_msg, victim_conn in victims:
-                                await self._shed(victim_msg, victim_conn)
-                            if not accepted:
-                                await self._shed(msg, conn)
-                                # The shed arrival never reaches the
-                                # inbox, but the sender's in-flight
-                                # accounting must still settle or
-                                # drain() hangs on this frame forever.
-                                enqueued(self.pid, msg.src)
-                                continue
-                        inbox_put((msg, conn))
-                        enqueued(self.pid, msg.src)
-                stage["decode"] += frames.decode_seconds - decoded
-                decoded = frames.decode_seconds
-        except (EOFError, FrameError, ConnectionError, OSError):
-            pass
-        finally:
-            self._conns.discard(conn)
-            await conn.close()
+            yielded = coro.send(None)
+        except StopIteration:
+            return
+        task = asyncio.ensure_future(_resume(coro, yielded))
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
 
     def deliver_local(self, msg: Message) -> None:
         """Enqueue a message this node addressed to itself."""
         self.inbox.put_nowait((msg, None))
 
-    async def _write_client(self, conn: _Connection, msg: Message) -> None:
+    async def _write_client(self, conn: FrameConnection, msg: Message) -> None:
         """Best-effort reply to a client connection, at its codec.
 
-        The frame lands in the connection's reusable encoder buffer.
         Mid-batch (the inbox consumer holds ``_batch_conns``) the flush
         is deferred so every reply of the batch leaves in one vectored
-        ``writelines``.  Outside a batch, tick coalescing schedules one
-        ``call_soon`` flush per connection per event-loop iteration —
-        replies from serve tasks whose timers expired in the same tick
-        share a single syscall; with coalescing off the frame is
-        flushed immediately.
+        write.  Outside a batch the connection's own policy applies:
+        tick coalescing shares one flush per event-loop iteration among
+        replies from serve tasks whose timers expired in the same tick.
         """
         if conn.closed:
             return
-        try:
-            t0 = perf_counter()
-            conn.encoder.add(msg, conn.wire_version)
-            self.cluster.stage_seconds["encode"] += perf_counter() - t0
-            if self._batch_conns is not None:
-                self._batch_conns.add(conn)
-                return
-            transport = conn.writer.transport
-            backlogged = (
-                transport is not None
-                and transport.get_write_buffer_size() > _WRITE_HIGH_WATER
-            )
-            if self._tick_coalesce and not backlogged:
-                if not conn.flush_scheduled and conn.encoder.pending:
-                    conn.flush_scheduled = True
-                    asyncio.get_running_loop().call_soon(
-                        self._flush_conn_soon, conn
-                    )
-                return
-            conn.encoder.flush_to(conn.writer)
-            if backlogged:
-                await conn.writer.drain()
-        except (ConnectionError, OSError):
-            await conn.close()
-
-    def _flush_conn_soon(self, conn: _Connection) -> None:
-        """Tick-coalesced flush: every reply buffered this iteration."""
-        conn.flush_scheduled = False
-        if conn.closed or not conn.encoder.pending:
+        t0 = perf_counter()
+        conn.add(msg, conn.wire_version)
+        self.cluster.stage_seconds["encode"] += perf_counter() - t0
+        if self._batch_conns is not None:
+            self._batch_conns.add(conn)
             return
-        try:
-            conn.encoder.flush_to(conn.writer)
-        except (ConnectionError, OSError):  # pragma: no cover - client died
-            conn.encoder.reset()
+        conn.poke()
+        if conn.paused:
+            await self._await_drained(conn)
 
-    async def _flush_batch_conns(self, conns: set[_Connection]) -> None:
+    @staticmethod
+    async def _await_drained(conn: FrameConnection) -> None:
+        try:
+            await conn.drained()
+        except ConnectionError:
+            pass  # the client died; its connection is already closed
+
+    async def _flush_batch_conns(self, conns: set[FrameConnection]) -> None:
         """Flush every connection a consumer batch wrote replies to."""
         for conn in conns:
-            if conn.closed or not conn.encoder.pending:
-                continue
-            try:
-                conn.encoder.flush_to(conn.writer)
-                transport = conn.writer.transport
-                if (
-                    transport is not None
-                    and transport.get_write_buffer_size() > _WRITE_HIGH_WATER
-                ):
-                    await conn.writer.drain()
-            except (ConnectionError, OSError):
-                await conn.close()
+            conn.flush()
+            if conn.paused:
+                await self._await_drained(conn)
         conns.clear()
 
     async def _send(self, msg: Message) -> bool:
@@ -399,7 +354,7 @@ class NodeServer:
         """
         inbox = self.inbox
         batch_max = self.cluster.config.batch_max
-        batch_conns: set[_Connection] = set()
+        batch_conns: set[FrameConnection] = set()
         while self._running:
             msg, conn = await inbox.get()
             self.busy = True
@@ -428,7 +383,7 @@ class NodeServer:
                     await self._flush_batch_conns(batch_conns)
                 self.busy = False
 
-    async def _dispatch(self, msg: Message, conn: _Connection | None) -> None:
+    async def _dispatch(self, msg: Message, conn: FrameConnection | None) -> None:
         kind = msg.kind
         if kind is MessageKind.GET:
             await self._handle_get(msg, conn)
@@ -488,7 +443,7 @@ class NodeServer:
 
     # -- GET ----------------------------------------------------------------
 
-    async def _handle_get(self, msg: Message, conn: _Connection | None) -> None:
+    async def _handle_get(self, msg: Message, conn: FrameConnection | None) -> None:
         admission = self.admission
         if admission is not None and admission.release(msg):
             return  # shed while queued; its OVERLOAD reply already left
@@ -592,7 +547,7 @@ class NodeServer:
             msg, replace(msg.reply(MessageKind.GET_FAULT), dst=msg.origin)
         )
 
-    async def _shed(self, msg: Message, conn: _Connection | None) -> None:
+    async def _shed(self, msg: Message, conn: FrameConnection | None) -> None:
         """Answer a shed GET with an OVERLOAD reply — never a silent drop.
 
         The reply names the shedding node and a redirect hint (another
@@ -782,7 +737,7 @@ class NodeServer:
 
     # -- INSERT -------------------------------------------------------------
 
-    async def _handle_insert(self, msg: Message, conn: _Connection | None) -> None:
+    async def _handle_insert(self, msg: Message, conn: FrameConnection | None) -> None:
         if msg.src != CLIENT:
             # A home receiving its copy: store and confirm to the origin.
             self.store.store(
@@ -861,7 +816,7 @@ class NodeServer:
             await self._write_client(pend.conn, pend.reply)
 
     async def _client_error(
-        self, msg: Message, conn: _Connection | None, reason: str
+        self, msg: Message, conn: FrameConnection | None, reason: str
     ) -> None:
         self.cluster.count("client_errors")
         if conn is not None:
@@ -873,7 +828,7 @@ class NodeServer:
 
     # -- UPDATE -------------------------------------------------------------
 
-    async def _handle_update(self, msg: Message, conn: _Connection | None) -> None:
+    async def _handle_update(self, msg: Message, conn: FrameConnection | None) -> None:
         if msg.src != CLIENT:
             # §2.2 top-down broadcast step: refresh + re-broadcast, or discard.
             if msg.file not in self.store:
@@ -1080,9 +1035,10 @@ class NodeServer:
         """Stop serving: cancel tasks, close every connection."""
         self._running = False
         self._serve_queue.clear()
-        for task in self._tasks:
+        tasks = list(self._tasks)
+        for task in tasks:
             task.cancel()
-        for task in self._tasks:
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
@@ -1090,7 +1046,6 @@ class NodeServer:
         self._tasks.clear()
         for conn in list(self._conns):
             await conn.close()
-        self._conns.clear()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

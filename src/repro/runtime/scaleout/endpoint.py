@@ -84,10 +84,8 @@ class ScaleoutEndpoint:
             return WIRE_VERSION
         return self.config.wire_version
 
-    async def open_connection(
-        self, pid: int
-    ) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
-        return await dial_peer(self.nodes.get(pid), pid)
+    async def open_connection(self, pid: int, factory):
+        return await dial_peer(self.nodes.get(pid), pid, factory)
 
     def count_client_send(self, pid: int) -> None:
         """The client column of the quiescence ledger.  Gated on the

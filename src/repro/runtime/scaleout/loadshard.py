@@ -45,9 +45,13 @@ from typing import Any, Sequence
 from ...core.errors import ConfigurationError
 from ..client import LoadGenerator, LoadReport, WorkloadShape
 from .endpoint import ScaleoutEndpoint
-from .supervisor import _die_with_parent
+from .supervisor import FleetLifecycleError, _die_with_parent
 
 __all__ = ["ShardedLoadDriver"]
+
+_COLLECT_SLACK = 10.0
+"""Seconds :meth:`ShardedLoadDriver.collect` allows, beyond warm-up,
+window and request timeout, for dialing, closing and shipping reports."""
 
 
 @dataclass
@@ -160,26 +164,50 @@ class ShardedLoadDriver:
         the pipe buffer, so the reader must not serialize behind a
         writer), then each child is reaped.  A shard that died without
         shipping a report fails the whole run — a lost shard would
-        silently shrink the offered load and fake a sustained verdict.
+        silently shrink the offered load and fake a sustained verdict —
+        and one still running at the deadline (warm-up + window +
+        request timeout + slack) is SIGKILLed, reaped and raised as a
+        :class:`FleetLifecycleError` naming shard index and OS pid.
         """
         loop = asyncio.get_running_loop()
-        raws = await asyncio.gather(
-            *(loop.run_in_executor(None, self._read_all, shard.res_r)
-              for shard in self._handles)
+        deadline = (
+            loop.time() + self.warmup + self.duration + self.timeout
+            + _COLLECT_SLACK
         )
-        statuses = await asyncio.gather(
-            *(loop.run_in_executor(None, self._reap, shard.ospid)
-              for shard in self._handles)
-        )
+        shards = self._handles
+        reads = [
+            loop.run_in_executor(None, self._read_all, shard.res_r)
+            for shard in shards
+        ]
+        await asyncio.wait(reads, timeout=deadline - loop.time())
+        stuck: dict[int, int] = {}
+        statuses: list[int] = []
+        for shard, read in zip(shards, reads):
+            # A shard exits right after it closes its result pipe.
+            status = None
+            while read.done():
+                status = self._reap(shard.ospid, os.WNOHANG)
+                if status is not None or loop.time() >= deadline:
+                    break
+                await asyncio.sleep(0.01)
+            if status is None:
+                os.kill(shard.ospid, signal.SIGKILL)
+                status = self._reap(shard.ospid)
+                stuck[shard.ospid] = shard.index
+            statuses.append(status)
+        # Every writer is reaped, so every pipe has reached EOF.
+        raws = await asyncio.gather(*reads)
+        self._handles = []
+        if stuck:
+            raise FleetLifecycleError(stuck, member="shard {}")
         reports: list[LoadReport] = []
-        for shard, raw, status in zip(self._handles, raws, statuses):
+        for shard, raw, status in zip(shards, raws, statuses):
             if not raw:
                 raise RuntimeError(
                     f"load shard {shard.index} died without a report "
                     f"(exit status {status})"
                 )
             reports.append(LoadReport.from_wire(json.loads(raw)))
-        self._handles = []
         self.shard_reports = reports
         merged = LoadReport()
         for report in reports:
@@ -216,12 +244,13 @@ class ShardedLoadDriver:
         return b"".join(chunks)
 
     @staticmethod
-    def _reap(ospid: int) -> int:
+    def _reap(ospid: int, flags: int = 0) -> int | None:
+        """The exit status; ``None`` under ``WNOHANG`` while it runs."""
         try:
-            _pid, status = os.waitpid(ospid, 0)
+            pid, status = os.waitpid(ospid, flags)
         except ChildProcessError:  # pragma: no cover - reaped elsewhere
             return 0
-        return status
+        return status if pid else None
 
     def _shard_child(self, k: int, go_r: int, res_w: int) -> int:
         """Everything a shard process does: park, drive, report."""

@@ -62,14 +62,17 @@ def _die_with_parent() -> None:
 
 
 class FleetLifecycleError(RuntimeError):
-    """Workers outlived ``shutdown()``'s deadline and had to be SIGKILLed."""
+    """Child processes outlived a lifecycle deadline and were SIGKILLed:
+    workers that of ``shutdown()``, load shards that of ``collect()``."""
 
-    def __init__(self, stuck: dict[int, int]) -> None:
+    def __init__(self, stuck: dict[int, int], member: str = "P({})") -> None:
         self.stuck = stuck
-        """OS pid → node id (``-1``: it never said hello) of each one."""
+        """OS pid → node id (``-1``: it never said hello) of each one;
+        for load shards, OS pid → shard index."""
         super().__init__(
-            "workers did not exit on SIGTERM and were killed: "
-            + ", ".join(f"os pid {o} (P({n}))" for o, n in sorted(stuck.items()))
+            "processes outlived their deadline and were killed: " + ", ".join(
+                f"os pid {o} ({member.format(n)})" for o, n in sorted(stuck.items())
+            )
         )
 
 

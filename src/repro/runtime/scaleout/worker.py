@@ -31,9 +31,10 @@ from typing import Any
 from ...net.message import Message
 from ...node.membership import StatusWord
 from ..addressing import Address, PeerUnreachableError, dial_peer, start_listener
-from ..cluster import ADMIN, RuntimeConfig, _FrameSink
+from ..cluster import ADMIN, RuntimeConfig
 from ..host import NodeHost, _BoundedCache
 from ..node import CLIENT, NodeServer
+from ..wire import FrameConnection
 from .control import ControlLink, config_from_wire, message_from_wire
 
 __all__ = ["WorkerRuntime", "WorkerProcess", "run_worker"]
@@ -70,7 +71,7 @@ class WorkerRuntime(NodeHost):
         """name -> sorted tuple of holder PIDs, as last reported by the
         bootstrap (piggybacked on decide/claim replies and book
         pushes).  Possibly stale; see :meth:`holders`."""
-        self._sinks: dict[int, _FrameSink] = {}
+        self._sinks: dict[int, FrameConnection] = {}
 
     def holders(self, name: str) -> set[int]:
         """Own store ∪ the holder-hint cache.
@@ -133,18 +134,14 @@ class WorkerRuntime(NodeHost):
             return
         sink = self._sinks.get(dst)
         if sink is None:
-            _reader, writer = await dial_peer(self.book.get(dst), dst)
-            sink = _FrameSink(
-                writer, self.config.coalesce_bytes, self.config.coalesce_delay,
-                fixed=self.config.fixed_frames,
-                tick=self.config.tick_coalesce,
-            )
+            sink = await dial_peer(self.book.get(dst), dst, self.peer_connection)
             self._sinks[dst] = sink
         version = self.wire_version_for(src, dst)
         try:
             sink.add(msg, version)
             sink.poke()
-            await sink.drain_if_needed()
+            if sink.paused:
+                await sink.drained()
         except (ConnectionError, OSError):
             self._sinks.pop(dst, None)
             sink.close()

@@ -68,18 +68,19 @@ connection.
 ``bytearray``: frames are appended in place (header packed via
 ``pack_into`` after the body lands, no per-frame ``bytes``
 concatenation) and handed to the transport as ``memoryview`` slices
-through ``writer.writelines`` — one vectored call per flush, one copy
+through ``writelines`` — one vectored call per flush, one copy
 total (the transport's own join).  The buffer is recycled only after
 the flush materialises the views, so no frame ever aliases a later
-frame's bytes.  :class:`FrameReader` is the decode dual: one
-``read()`` syscall fills a buffer that is sliced into as many complete
-frames as it holds, decoded straight off a ``memoryview`` (leaf
-strings/bytes are copied out, so decoded messages never alias the
-buffer).
+frame's bytes.  :class:`FrameConnection` — the protocol every
+data-plane connection runs — is the decode dual: the chunk one
+``recv()`` returned is sliced, inside ``data_received``, into as many
+complete frames as it holds, decoded straight off a ``memoryview``
+(leaf strings/bytes are copied out, so decoded messages never alias
+the buffer).  :func:`read_frame` serves the scale-out control link.
 
 Negotiation is per connection: each side learns the peer's codec from
 the version byte of the frames it receives (:func:`read_frame` /
-:class:`FrameReader`) and a sender never exceeds the receiver's
+:class:`FrameConnection`) and a sender never exceeds the receiver's
 advertised maximum — the cluster computes ``min(sender, receiver)``
 per link, so a v1 node in a v2 cluster keeps working and never sees a
 v2 frame.
@@ -96,6 +97,7 @@ continue).
 
 from __future__ import annotations
 
+import asyncio
 import base64
 import binascii
 import json
@@ -103,7 +105,7 @@ import math
 import struct
 from asyncio import IncompleteReadError, StreamReader, StreamWriter
 from time import perf_counter
-from typing import Any
+from typing import Any, Callable
 
 from ..net.message import Message, MessageKind, fast_message
 
@@ -121,7 +123,8 @@ __all__ = [
     "FrameError",
     "WireDecodeError",
     "FrameEncoder",
-    "FrameReader",
+    "FrameConnection",
+    "WRITE_HIGH_WATER",
     "message_to_dict",
     "message_from_dict",
     "encode_message",
@@ -153,7 +156,6 @@ FRAME_OVERLOAD = 4
 """Flags value: fixed-layout OVERLOAD shed reply, v2 only."""
 
 _HEADER_PAD = bytes(HEADER.size)
-_READ_CHUNK = 1 << 16
 
 
 class WireError(Exception):
@@ -788,7 +790,7 @@ class FrameEncoder:
             del buf[:]
         self._bounds = [0]
 
-    def flush_to(self, writer: StreamWriter) -> int:
+    def flush_to(self, writer: "StreamWriter | asyncio.WriteTransport") -> int:
         """Vectored write of all pending frames; returns bytes written.
 
         ``writelines`` joins the views into the transport's buffer
@@ -869,92 +871,263 @@ def decode_message(
     return _decode_body(version, flags, body)
 
 
-# -- stream I/O ----------------------------------------------------------
+# -- connection and stream I/O -------------------------------------------
 
-class FrameReader:
-    """Buffered batch decoder: one ``read()``, as many frames as it holds.
+WRITE_HIGH_WATER = 1 << 16
+"""The one write watermark (64 KiB): a transport buffered beyond it
+pauses its :class:`FrameConnection`, and an encoder holding this much
+is flushed without waiting for the end of the tick."""
 
-    The await-per-frame cost of :func:`read_frame` (two ``readexactly``
-    round trips through the stream machinery) dominated the decode path
-    under load.  A ``FrameReader`` instead pulls whatever the transport
-    has ready into its own buffer and slices out every complete frame
-    via ``memoryview`` — zero awaits for all but the first frame of a
-    burst.  Decoded messages never alias the buffer (leaf values are
-    copied out), so recycling it between batches is safe.
 
-    :meth:`read_batch` returns ``(messages, decode_errors)`` where each
-    message pairs with its frame's wire version and ``decode_errors``
-    counts well-framed bodies that failed to decode (framing stays
-    aligned, the connection continues — same policy as
-    :func:`read_frame`).  Raises :class:`EOFError` on a clean
-    end-of-stream at a frame boundary and :class:`FrameError` on broken
-    framing, after which the reader is unusable.
+class FrameConnection(asyncio.Protocol):
+    """One data-plane connection: frames decoded where the bytes land.
+
+    **Read side.**  ``data_received`` slices every complete frame out of
+    the chunk the transport hands it — straight off the chunk when no
+    partial frame is buffered, so only a trailing fragment is ever
+    copied — and passes the batch to ``on_frames(conn, frames,
+    errors)``: ``frames`` pairs each message with its frame's wire
+    version, ``errors`` counts well-framed bodies that failed to decode
+    (skipped; framing stays aligned).  Decoded messages never alias the
+    buffer.  Broken framing, or EOF inside a frame, sets :attr:`error`
+    to the :class:`FrameError` and closes the connection.  With no
+    ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
+
+    **Write side.**  :meth:`add` encodes into the connection's reusable
+    :class:`FrameEncoder`; :meth:`poke` applies the flush policy —
+    ``tick``: one ``call_soon`` flush per event-loop iteration, so every
+    frame of the tick leaves in a single vectored write at no added
+    latency; else ``max_bytes > 0``: Nagle-style, at the byte watermark
+    or after ``delay`` seconds; else immediately.  While the transport
+    is over its high-water mark (:attr:`paused`) frames stay in the
+    encoder and :meth:`drained` suspends until it resumes.
+
+    ``on_lost(conn)`` fires once, when the connection stops being
+    usable: peer EOF, a framing or socket error, or :meth:`close`.
     """
-
-    __slots__ = ("reader", "max_frame", "max_version", "decode_seconds", "_buf")
 
     def __init__(
         self,
-        reader: StreamReader,
+        on_frames: Callable[["FrameConnection", list, int], None] | None = None,
+        on_lost: Callable[["FrameConnection"], None] | None = None,
+        *,
         max_frame: int = MAX_FRAME,
         max_version: int = MAX_WIRE_VERSION,
+        fixed: bool = True,
+        tick: bool = True,
+        max_bytes: int = 0,
+        delay: float = 0.001,
     ) -> None:
-        self.reader = reader
+        self.encoder = FrameEncoder(fixed=fixed)
+        self.transport: asyncio.Transport | None = None
+        self.wire_version = WIRE_VERSION
+        """Codec of the last frame the peer sent; replies on this
+        connection never exceed it (per-connection negotiation)."""
+        self.closed = False
+        self.paused = False
+        self.error: FrameError | None = None
+        self.decode_seconds = 0.0
+        """Wall time spent slicing + decoding since the owner last
+        zeroed it (the bench's ``decode`` stage)."""
         self.max_frame = max_frame
         self.max_version = max_version
-        self.decode_seconds = 0.0
-        """Cumulative wall time spent slicing + decoding frames (the
-        bench's ``decode`` stage; read the delta between batches)."""
+        self._on_frames = on_frames
+        self._on_lost = on_lost
+        self._tick = tick
+        self._max_bytes = max_bytes
+        self._delay = delay
         self._buf = bytearray()
+        self._flush_scheduled = False
+        self._timer: asyncio.TimerHandle | None = None
+        self._drain_waiters: list[asyncio.Future] = []
+        self._close_waiter: asyncio.Future | None = None
 
-    def _drain_buffer(self) -> tuple[list[tuple[Message, int]], int]:
-        """Slice every complete frame out of the buffer and decode it."""
-        buf = self._buf
-        header_size = HEADER.size
-        if len(buf) < header_size:
-            return [], 0
+    @classmethod
+    def configured(
+        cls, config, max_version: int = MAX_WIRE_VERSION, on_frames=None,
+        on_lost=None, peer: bool = False,
+    ) -> "FrameConnection":
+        """A connection with a ``RuntimeConfig``'s framing and flush
+        settings; ``peer`` adds the Nagle watermark, which applies to
+        node-to-node streams only."""
+        return cls(
+            on_frames, on_lost, max_frame=config.max_frame,
+            max_version=max_version, fixed=config.fixed_frames,
+            tick=config.tick_coalesce,
+            max_bytes=config.coalesce_bytes if peer else 0,
+            delay=config.coalesce_delay,
+        )
+
+    # -- asyncio.Protocol ---------------------------------------------------
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        transport.set_write_buffer_limits(high=WRITE_HIGH_WATER)
+
+    def data_received(self, data: bytes) -> None:
+        on_frames = self._on_frames
+        if on_frames is None or self.closed:
+            return
         t0 = perf_counter()
-        out: list[tuple[Message, int]] = []
+        buf = self._buf
+        if buf:
+            buf += data
+            data = buf
+        header_size = HEADER.size
+        size = len(data)
+        frames: list[tuple[Message, int]] = []
         errors = 0
         pos = 0
-        mv = memoryview(buf)
+        failure = None
+        mv = memoryview(data)
         try:
-            while len(buf) - pos >= header_size:
+            while size - pos >= header_size:
                 version, flags, length = _check_header(
                     mv, pos, self.max_frame, self.max_version
                 )
                 end = pos + header_size + length
-                if end > len(buf):
+                if end > size:
                     break
                 try:
-                    out.append(
+                    frames.append(
                         (_decode_body(version, flags, mv[pos + header_size:end]),
                          version)
                     )
                 except WireDecodeError:
                     errors += 1
                 pos = end
+            if data is not buf and pos < size:
+                buf += mv[pos:]
+        except FrameError as exc:
+            failure = exc
         finally:
             mv.release()
-        if pos:
+        if data is buf and pos:
             del buf[:pos]
         self.decode_seconds += perf_counter() - t0
-        return out, errors
+        if frames:
+            self.wire_version = frames[-1][1]
+        if frames or errors:
+            on_frames(self, frames, errors)
+        if failure is not None:
+            self._fail(failure)
 
-    async def read_batch(self) -> tuple[list[tuple[Message, int]], int]:
-        """Block until at least one frame resolves; drain all available."""
-        while True:
-            msgs, errors = self._drain_buffer()
-            if msgs or errors:
-                return msgs, errors
-            chunk = await self.reader.read(_READ_CHUNK)
-            if not chunk:
-                if self._buf:
-                    raise FrameError(
-                        f"connection closed mid-frame ({len(self._buf)} bytes)"
-                    )
-                raise EOFError("connection closed")
-            self._buf += chunk
+    def eof_received(self) -> None:
+        if self._buf:
+            self._fail(
+                FrameError(f"connection closed mid-frame ({len(self._buf)} bytes)")
+            )
+        else:
+            self._lost()  # the transport closes itself on a falsy return
+
+    def pause_writing(self) -> None:
+        self.paused = True
+
+    def resume_writing(self) -> None:
+        self.paused = False
+        self.flush()
+        self._wake_drainers()
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        self._lost()
+        self.transport = None  # the socket is closed
+        if self._close_waiter is not None and not self._close_waiter.done():
+            self._close_waiter.set_result(None)
+
+    # -- write side ---------------------------------------------------------
+
+    def add(self, msg: Message, version: int) -> None:
+        """Encode one frame into the buffer (no flush; see :meth:`poke`).
+
+        Raises :class:`WireError` on an unencodable message (the buffer
+        is rolled back, the connection stays usable) and
+        ``ConnectionError`` on a closed connection.  Encoding and the
+        flush policy are split so the bench's ``encode`` stage never
+        absorbs a write syscall.
+        """
+        if self.closed:
+            raise ConnectionError("connection is closed")
+        self.encoder.add(msg, version)
+
+    def poke(self) -> None:
+        """Apply the flush policy to whatever :meth:`add` buffered."""
+        if self._tick:
+            if self.encoder.pending_bytes >= WRITE_HIGH_WATER:
+                self.flush()
+            elif not self._flush_scheduled:
+                self._flush_scheduled = True
+                asyncio.get_running_loop().call_soon(self._flush_tick)
+        elif self.encoder.pending_bytes >= self._max_bytes:
+            self.flush()
+        elif self._timer is None:
+            self._timer = asyncio.get_running_loop().call_later(
+                self._delay, self.flush
+            )
+
+    def flush(self) -> None:
+        """Write every pending frame now, unless paused or closed."""
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        if not self.closed and not self.paused:
+            self.encoder.flush_to(self.transport)
+
+    def _flush_tick(self) -> None:
+        self._flush_scheduled = False
+        self.flush()
+
+    async def drained(self) -> None:
+        """Return once the transport is below its high-water mark;
+        ``ConnectionResetError`` when the connection is (or gets) lost."""
+        if self.paused and not self.closed:
+            waiter = asyncio.get_running_loop().create_future()
+            self._drain_waiters.append(waiter)
+            await waiter
+        if self.closed:
+            raise ConnectionResetError("connection lost")
+
+    def _wake_drainers(self) -> None:
+        waiters, self._drain_waiters = self._drain_waiters, []
+        for waiter in waiters:
+            if not waiter.done():
+                waiter.set_result(None)
+
+    # -- lifecycle ----------------------------------------------------------
+
+    def _fail(self, error: FrameError) -> None:
+        self.error = error
+        self._lost()
+        self.transport.close()
+
+    def _lost(self) -> None:
+        """No more I/O: wake writers, tell the owner — exactly once.
+
+        Pending frames stay countable in :attr:`encoder` (a retiring
+        sender reverses its in-flight ledger by them)."""
+        if self.closed:
+            return
+        self.closed = True
+        if self._timer is not None:
+            self._timer.cancel()
+            self._timer = None
+        self._wake_drainers()
+        if self._on_lost is not None:
+            self._on_lost(self)
+
+    def close(self) -> asyncio.Future:
+        """Drop pending frames and close; the returned future resolves
+        once the socket is closed (the peer sees EOF no later than its
+        next loop iteration), so ``await conn.close()`` is a full close
+        and a caller that cannot wait may ignore it."""
+        if self._close_waiter is None:
+            self._close_waiter = asyncio.get_running_loop().create_future()
+            self._lost()
+            self.encoder.reset()
+            if self.transport is None:
+                self._close_waiter.set_result(None)
+            else:
+                self.transport.close()
+        return self._close_waiter
 
 
 async def read_frame(

@@ -36,9 +36,9 @@ from repro.runtime.wire import (
     MAGIC,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
+    FrameConnection,
     FrameEncoder,
     FrameError,
-    FrameReader,
     WireDecodeError,
     WireError,
     decode_message,
@@ -491,26 +491,53 @@ class TestFrameEncoder:
         assert enc.take_bytes() == first
 
 
+class _FakeTransport:
+    """What a `FrameConnection` touches on its transport, no socket."""
+
+    def __init__(self):
+        self.written = bytearray()
+        self.closed = False
+
+    def set_write_buffer_limits(self, high=None, low=None):
+        pass
+
+    def writelines(self, chunks):
+        for chunk in chunks:
+            self.written += chunk
+
+    def close(self):
+        self.closed = True
+
+
+def _feed(chunks, eof=True, **kwargs):
+    """Hand ``chunks`` to a fresh connection's ``data_received``, one
+    call each; returns ``(connection, [(message, version)], errors)``."""
+    out, errors = [], [0]
+
+    def on_frames(_conn, frames, errs):
+        out.extend(frames)
+        errors[0] += errs
+
+    conn = FrameConnection(on_frames, **kwargs)
+    conn.connection_made(_FakeTransport())
+    for chunk in chunks:
+        conn.data_received(chunk)
+    if eof and not conn.closed:
+        conn.eof_received()
+    return conn, out, errors[0]
+
+
 class TestFrameReader:
+    """The read side of `FrameConnection` (decode inside ``data_received``)."""
+
     def _drain(self, blob: bytes, chunk: int):
         """Feed ``blob`` in ``chunk``-sized slices; decode to exhaustion."""
-
-        async def run():
-            reader = asyncio.StreamReader()
-            for i in range(0, len(blob), chunk):
-                reader.feed_data(blob[i:i + chunk])
-            reader.feed_eof()
-            frames = FrameReader(reader)
-            out, errors = [], 0
-            try:
-                while True:
-                    msgs, errs = await frames.read_batch()
-                    out.extend(m for m, _v in msgs)
-                    errors += errs
-            except EOFError:
-                return out, errors
-
-        return asyncio.run(run())
+        conn, out, errors = _feed(
+            blob[i:i + chunk] for i in range(0, len(blob), chunk)
+        )
+        if conn.error is not None:
+            raise conn.error
+        return [m for m, _v in out], errors
 
     @settings(max_examples=40)
     @given(st.lists(messages, min_size=1, max_size=6),
@@ -562,20 +589,213 @@ class TestFrameReader:
         second = Message(kind=MessageKind.GET_REPLY, src=0, dst=1, file="b",
                          payload={"payload": b"\xff" * 32, "server": 8})
 
-        async def run():
-            stream = asyncio.StreamReader()
-            frames = FrameReader(stream)
-            stream.feed_data(encode_message(first, WIRE_VERSION_BINARY))
-            batch1, _ = await frames.read_batch()
-            # The second batch recycles the reader's internal buffer,
-            # overwriting the bytes the first decode sliced from.
-            stream.feed_data(encode_message(second, WIRE_VERSION_BINARY))
-            batch2, _ = await frames.read_batch()
-            return batch1[0][0], batch2[0][0]
-
-        got_first, got_second = asyncio.run(run())
+        # Split mid-frame so both decodes slice from the connection's
+        # own buffer, which the second overwrites after the first.
+        blob1 = encode_message(first, WIRE_VERSION_BINARY)
+        blob2 = encode_message(second, WIRE_VERSION_BINARY)
+        _conn, out, _errors = _feed(
+            [blob1[:10], blob1[10:] + blob2[:10], blob2[10:]]
+        )
+        (got_first, _v1), (got_second, _v2) = out
         assert got_first == first  # still intact: leaves were copied out
         assert got_second == second
+
+
+def _broken(frame: bytes) -> bytes:
+    """``frame`` with one byte appended to its body and the header's
+    length to match: well framed, and no codec decodes it."""
+    body = frame[HEADER.size:] + b"\x00"
+    return frame[:4] + len(body).to_bytes(4, "big") + body
+
+
+#: (message, codec) pairs covering all three body encodings.
+mixed_frames = st.one_of(
+    st.tuples(messages, st.sampled_from(["v1", "v2"])),
+    st.tuples(fixed_eligible, st.just("fixed")),
+)
+
+
+def _encode_as(msg: Message, codec: str) -> bytes:
+    if codec == "v1":
+        return encode_message(msg, WIRE_VERSION)
+    return encode_message(msg, WIRE_VERSION_BINARY, fixed=codec == "fixed")
+
+
+class TestFrameConnection:
+    @settings(max_examples=60)
+    @given(
+        st.lists(st.tuples(mixed_frames, st.booleans()), min_size=1, max_size=6),
+        st.lists(st.integers(min_value=1, max_value=48), min_size=1, max_size=8),
+        st.data(),
+    )
+    def test_any_chunking_decodes_like_one_shot(self, specs, sizes, data):
+        """However the byte stream is cut, ``data_received`` yields the
+        messages, versions and decode-error count of one-shot decode;
+        cut short inside a frame, it reports a ``FrameError`` after
+        delivering every frame that was complete."""
+        frames = [
+            _broken(_encode_as(msg, codec)) if broken else _encode_as(msg, codec)
+            for (msg, codec), broken in specs
+        ]
+        blob = b"".join(frames)
+
+        def decodable(prefix):
+            return [
+                (msg, WIRE_VERSION if codec == "v1" else WIRE_VERSION_BINARY)
+                for (msg, codec), broken in prefix if not broken
+            ]
+
+        def chunked(raw: bytes):
+            pos, turn = 0, 0
+            while pos < len(raw):
+                step = sizes[turn % len(sizes)]
+                yield raw[pos:pos + step]
+                pos, turn = pos + step, turn + 1
+
+        whole, out_whole, errors_whole = _feed([blob])
+        assert whole.error is None and whole.closed
+        assert out_whole == decodable(specs)
+        assert errors_whole == sum(broken for _spec, broken in specs)
+        conn, out, errors = _feed(chunked(blob))
+        assert conn.error is None
+        assert (out, errors) == (out_whole, errors_whole)
+
+        cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1))
+        ends = [sum(map(len, frames[:i + 1])) for i in range(len(frames))]
+        conn, out, errors = _feed(chunked(blob[:cut]))
+        assert out == decodable(specs[:sum(end <= cut for end in ends)])
+        if cut in ends:
+            assert conn.error is None
+        else:
+            assert isinstance(conn.error, FrameError)
+            assert "mid-frame" in str(conn.error)
+            assert conn.transport.closed
+
+    def test_framing_damage_closes_after_delivering_what_decoded(self):
+        good = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
+        lost = []
+        conn = FrameConnection(lambda *_a: None, lost.append)
+        conn.connection_made(_FakeTransport())
+        conn.data_received(encode_message(good, WIRE_VERSION_BINARY) + b"XX\x02\x00")
+        conn.data_received(b"\x00\x00\x00\x00")
+        assert isinstance(conn.error, FrameError) and "magic" in str(conn.error)
+        assert conn.closed and conn.transport.closed and lost == [conn]
+        with pytest.raises(ConnectionError):
+            conn.add(good, WIRE_VERSION_BINARY)
+
+    def test_paused_transport_keeps_frames_in_the_encoder(self):
+        """Backpressure: while the transport is over its high-water
+        mark nothing is written, ``drained()`` suspends, and on
+        ``resume_writing`` every frame leaves once, in order."""
+        msgs = [
+            Message(kind=MessageKind.GET, src=-1, dst=i, file=f"f-{i}")
+            for i in range(5)
+        ]
+
+        async def run():
+            conn = FrameConnection()
+            transport = _FakeTransport()
+            conn.connection_made(transport)
+            conn.add(msgs[0], WIRE_VERSION_BINARY)
+            conn.poke()
+            await asyncio.sleep(0)  # the tick-coalesced flush
+            assert conn.encoder.pending == 0 and transport.written
+            await asyncio.wait_for(conn.drained(), 1.0)  # not paused: no wait
+            conn.pause_writing()
+            for msg in msgs[1:]:
+                conn.add(msg, WIRE_VERSION_BINARY)
+                conn.poke()
+            waiter = asyncio.ensure_future(conn.drained())
+            await asyncio.sleep(0.01)
+            assert conn.encoder.pending == 4 and not waiter.done()
+            before = len(transport.written)
+            conn.flush()  # an explicit flush does not jump the pause
+            assert len(transport.written) == before
+            conn.resume_writing()
+            await asyncio.wait_for(waiter, 1.0)
+            assert conn.encoder.pending == 0
+            return bytes(transport.written)
+
+        written = asyncio.run(run())
+        _conn, out, errors = _feed([written])
+        assert [m for m, _v in out] == msgs and errors == 0
+
+    def test_drained_wakes_with_an_error_when_the_connection_is_lost(self):
+        async def run():
+            conn = FrameConnection()
+            conn.connection_made(_FakeTransport())
+            conn.pause_writing()
+            waiter = asyncio.ensure_future(conn.drained())
+            await asyncio.sleep(0)
+            conn.connection_lost(None)
+            with pytest.raises(ConnectionError):
+                await asyncio.wait_for(waiter, 1.0)
+            await asyncio.wait_for(conn.close(), 1.0)  # already closed
+
+        asyncio.run(run())
+
+    def test_started_coroutine_runs_now_and_finishes_on_a_task_if_it_waits(self):
+        """`NodeServer._start` (how ``data_received`` sheds through the
+        host's async ``send``): synchronous up to the first suspension,
+        then a tracked task that leaves ``_tasks`` when it ends."""
+
+        async def run():
+            cluster = await LiveCluster.start(RuntimeConfig(m=2, seed=5))
+            try:
+                node = cluster.nodes[0]
+                before = len(node._tasks)
+                gate = asyncio.get_running_loop().create_future()
+                log = []
+
+                async def quick():
+                    log.append("quick")
+
+                async def waits():
+                    log.append("started")
+                    assert await gate == "go"
+                    await asyncio.sleep(0)
+                    log.append("finished")
+
+                node._start(quick())
+                assert log == ["quick"] and len(node._tasks) == before
+                node._start(waits())
+                assert log == ["quick", "started"]
+                assert len(node._tasks) == before + 1
+                gate.set_result("go")
+                await asyncio.sleep(0.01)
+                assert log[-1] == "finished" and len(node._tasks) == before
+            finally:
+                await cluster.shutdown()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+
+    def test_connections_leave_no_task_and_no_entry_behind(self):
+        """100 connect/close rounds against one node: its task set and
+        connection set are back where they started (a reader task per
+        accepted connection used to pile up until shutdown)."""
+
+        async def run():
+            cluster = await LiveCluster.start(RuntimeConfig(m=2, seed=5))
+            try:
+                node = cluster.nodes[1]
+                boot = await RuntimeClient(cluster, 1).connect()
+                await boot.insert("loop.dat", "x")
+                await boot.close()
+                await cluster.drain()
+                await asyncio.sleep(0)
+                start = (len(node._tasks), len(node._conns))
+                for _ in range(100):
+                    client = await RuntimeClient(cluster, 1).connect()
+                    assert len(node._conns) == start[1] + 1
+                    assert (await client.get("loop.dat")).ok
+                    await client.close()
+                    await asyncio.sleep(0)  # the node sees the EOF
+                return start, (len(node._tasks), len(node._conns))
+            finally:
+                await cluster.shutdown()
+
+        start, end = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+        assert end == start
 
 
 # ---------------------------------------------------------------------------
@@ -960,9 +1180,8 @@ def test_corrupt_frame_does_not_kill_the_connection():
             from repro.runtime.wire import HEADER as H, MAGIC as MG
 
             body = b'{"kind": "teleport"}'
-            assert boot._writer is not None
-            boot._writer.write(H.pack(MG, 1, 0, len(body)) + body)
-            await boot._writer.drain()
+            assert boot._conn is not None
+            boot._conn.transport.write(H.pack(MG, 1, 0, len(body)) + body)
             outcome = await boot.get("ok.dat")
             assert outcome.ok and outcome.payload == "fine"
             assert cluster.counters.get("wire_decode_errors", 0) >= 1

@@ -47,6 +47,7 @@ from repro.runtime.scaleout import (
     decode_batch,
     encode_batch,
 )
+from repro.runtime.wire import FrameConnection
 from repro.runtime.scaleout.worker import WorkerRuntime, _BoundedCache, _book_from_wire
 
 # ---------------------------------------------------------------------------
@@ -281,7 +282,7 @@ class TestHolderHintCache:
 class TestAddressing:
     def test_missing_book_entry_is_the_dead_peer_signal(self):
         with pytest.raises(PeerUnreachableError, match=r"P\(9\)"):
-            asyncio.run(dial_peer(None, 9))
+            asyncio.run(dial_peer(None, 9, FrameConnection))
 
     def test_refused_connection_is_the_dead_peer_signal(self):
         import socket
@@ -290,7 +291,7 @@ class TestAddressing:
         port = sock.getsockname()[1]
         sock.close()  # nobody listens here any more
         with pytest.raises(PeerUnreachableError, match=rf"P\(4\).*failed"):
-            asyncio.run(dial_peer(("127.0.0.1", port), 4))
+            asyncio.run(dial_peer(("127.0.0.1", port), 4, FrameConnection))
 
 
 class TestSupervisorValidation:
@@ -406,6 +407,57 @@ class TestShutdownDeadline:
         assert sorted(supervisor.bootstrap.goodbyes) == sorted(
             set(range(4)) - {victim}
         )
+
+
+@pytest.mark.runtime
+class TestCollectDeadline:
+    def test_sigstopped_shard_ends_in_a_typed_error_inside_the_deadline(
+        self, monkeypatch
+    ):
+        """A load shard that never reports (stopped, here) must not
+        wedge ``collect()`` in its executor threads: past the deadline
+        it is SIGKILLed, reaped and named — shard index and OS pid —
+        while the healthy shard is still reaped normally."""
+        from repro.runtime.scaleout import loadshard
+
+        monkeypatch.setattr(loadshard, "_COLLECT_SLACK", 1.5)
+        config = RuntimeConfig(m=2, tcp=True)
+        supervisor = ScaleoutSupervisor(config, mode="fork")
+        host, port = supervisor.launch()
+        driver = ShardedLoadDriver(
+            host, port, ["stop-0"], shards=2, rps=40, duration=0.3,
+            timeout=0.5, seed=3, inherited_sockets=[supervisor.listen_socket],
+        )
+        driver.launch()
+        ospids = [shard.ospid for shard in driver._handles]
+
+        async def drive() -> tuple:
+            await supervisor.start(boot_timeout=60.0)
+            endpoint = await ScaleoutEndpoint.connect(host, port)
+            client = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
+            await client.insert("stop-0", payload="p")
+            await client.close()
+            await endpoint.drain()
+            os.kill(ospids[1], signal.SIGSTOP)
+            driver.start()
+            started = time.monotonic()
+            with pytest.raises(FleetLifecycleError) as caught:
+                await driver.collect()
+            elapsed = time.monotonic() - started
+            await endpoint.close()
+            await supervisor.shutdown()
+            return caught.value, elapsed
+
+        try:
+            error, elapsed = asyncio.run(drive())
+        finally:
+            driver.kill()
+        assert elapsed < 6.0
+        assert error.stuck == {ospids[1]: 1}
+        assert str(ospids[1]) in str(error) and "shard 1" in str(error)
+        for ospid in ospids:  # both reaped: nothing left to wait for
+            with pytest.raises(ChildProcessError):
+                os.waitpid(ospid, os.WNOHANG)
 
 
 @pytest.mark.runtime
