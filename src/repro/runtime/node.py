@@ -1,16 +1,19 @@
 """`NodeServer`: one live LessLog node as an asyncio service.
 
-Each node is a single consumer task draining an inbox of decoded
-frames, plus one housekeeping task (the load monitor / overload
-sweeper); every open connection is a
-:class:`~repro.runtime.wire.FrameConnection` whose ``data_received``
-decodes, admits and enqueues arrivals with no task of its own.  The
-consumer never
-blocks on a reply — multi-message flows (an INSERT fanning out to its
-``2**b`` homes, a GET climbing the lookup tree) park their state in a
-pending table keyed by ``request_id`` and resume when the matching
-ACK / GET_REPLY frame arrives.  That keeps every node deadlock-free by
-construction: a node can always make progress on its inbox.
+Every connection is a :class:`~repro.runtime.wire.FrameConnection`,
+and a frame is served where it lands: the ``data_received`` callback
+that decoded it admits it and runs its handler on the spot, as long as
+nothing is ahead of it — the node's consumer task is parked on an empty
+inbox.  A handler that has to wait (a first-contact dial, a paused
+stream, a ``service_time`` sleep, a control RPC) is handed, half-run, to
+the consumer, and later arrivals queue in the inbox behind it, so a
+node still handles one message at a time, in arrival order.  One
+housekeeping task (the load monitor / overload sweeper) runs beside
+the consumer.  No handler blocks on a reply — multi-message flows (an
+INSERT fanning out to its ``2**b`` homes, a GET climbing the lookup
+tree) park their state in a pending table keyed by ``request_id`` and
+resume when the matching ACK / GET_REPLY frame arrives, so a node can
+always make progress on its inbox: deadlock-free by construction.
 
 The node serves the paper's four flows with the *existing core
 algebra* — the same calls `LessLogSystem` makes, just spread across
@@ -53,9 +56,10 @@ lists are O(1) array/memo lookups, and any word mutation (a failed
 send, a REGISTER frame) changes the token and transparently
 invalidates the cache.  Subtree decisions reuse per-``(root, sid)``
 identity reductions (:func:`identity_tree` + :class:`SvidLiveness`)
-memoized on the node.  The inbox consumer drains a bounded *batch* of
-messages per scheduling tick (``RuntimeConfig.batch_max``), and the
-sweeper optionally runs counter-based idle decay: a REPLICATED copy
+memoized on the node.  Client replies written while one decoded chunk
+is served, or one batch of at most ``RuntimeConfig.batch_max`` queued
+messages, leave in one write per connection, and the sweeper
+optionally runs counter-based idle decay: a REPLICATED copy
 whose access counter has not moved for ``idle_timeout`` seconds is
 reported to the coordination plane, which records the removal and
 answers with the REMOVE frame.
@@ -139,6 +143,12 @@ def _resume(coro, yielded):
             return
 
 
+class _Inbox(deque):
+    """Arrivals that found something ahead of them, oldest first."""
+
+    qsize = deque.__len__
+
+
 @dataclass
 class _PendingGet:
     """A client GET this node entered into the overlay, awaiting a reply."""
@@ -168,7 +178,13 @@ class NodeServer:
         self.wire_version = cluster.wire_version_of(pid)
         self.store = FileStore()
         self.monitor = LoadMonitor(capacity=1.0, window=config.window)
-        self.inbox: asyncio.Queue[tuple[Message, FrameConnection | None]] = asyncio.Queue()
+        self.inbox = _Inbox()  # (message, connection) pairs
+        self._wake: asyncio.Future | None = None
+        """Set exactly while the consumer is parked with nothing queued
+        — the one condition under which an arrival is served inline."""
+        self._parked: tuple | None = None
+        """A handler that suspended inline, with what it yielded; the
+        consumer finishes it before it looks at the inbox."""
         self.pending: dict[int, _PendingGet | _PendingInsert] = {}
         self.admission = (
             AdmissionController(
@@ -195,6 +211,7 @@ class NodeServer:
         # view offers no alternative.
         self._hint_cache: dict[str, tuple[int, ...]] = {}
         self._access_marks: dict[str, tuple[int, float]] = {}
+        self._reply_conns: set[FrameConnection] = set()
         self._batch_conns: set[FrameConnection] | None = None
         self._conns: set[FrameConnection] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -227,12 +244,14 @@ class NodeServer:
         return conn
 
     def _on_frames(self, conn: FrameConnection, frames: list, errors: int) -> None:
-        """Admit and enqueue one decoded batch, inside ``data_received``.
+        """Admit and serve one decoded batch, inside ``data_received``.
 
         Well-framed bodies that failed to decode were counted and
         skipped by the connection (framing stays aligned).  Shed
         replies leave in arrival order, before the next arrival is
-        looked at.
+        looked at.  An admitted frame is dispatched here and now when
+        nothing is ahead of it (see :meth:`_inline`), else it queues;
+        client replies the batch wrote leave in one flush at its end.
         """
         cluster = self.cluster
         pid = self.pid
@@ -240,33 +259,68 @@ class NodeServer:
             self.decode_errors += errors
             for _ in range(errors):
                 cluster.note_decode_error(pid)
-        inbox_put = self.inbox.put_nowait
+        replies = self._reply_conns
+        inline = self._wake is not None
+        if inline:
+            self._batch_conns = replies
         enqueued = cluster.msg_enqueued
         admission = self.admission
-        if admission is None and not self._track_latency:
-            for msg, _version in frames:
-                inbox_put((msg, conn))
-                enqueued(pid, msg.src)
-        else:
-            now = asyncio.get_running_loop().time()
-            for msg, _version in frames:
-                if self._track_latency and msg.kind is MessageKind.GET:
-                    self._arrivals[msg.request_id] = now
-                if admission is not None:
-                    accepted, victims = admission.admit(msg, conn)
-                    for victim_msg, victim_conn in victims:
-                        self._start(self._shed(victim_msg, victim_conn))
-                    if not accepted:
-                        self._start(self._shed(msg, conn))
-                        # The shed arrival never reaches the inbox, but
-                        # the sender's in-flight accounting must still
-                        # settle or drain() hangs on this frame forever.
-                        enqueued(pid, msg.src)
-                        continue
-                inbox_put((msg, conn))
-                enqueued(pid, msg.src)
+        track = self._track_latency
+        now = asyncio.get_running_loop().time() if track or admission else 0.0
+        for msg, _version in frames:
+            if track and msg.kind is MessageKind.GET:
+                self._arrivals[msg.request_id] = now
+            if admission is not None:
+                accepted, victims = admission.admit(msg, conn)
+                for victim_msg, victim_conn in victims:
+                    self._start(self._shed(victim_msg, victim_conn))
+                if not accepted:
+                    self._start(self._shed(msg, conn))
+                    # The shed arrival is never dispatched, but the
+                    # sender's in-flight accounting must still settle
+                    # or drain() hangs on this frame forever.
+                    enqueued(pid, msg.src)
+                    continue
+            enqueued(pid, msg.src)
+            if self._wake is not None:
+                self._inline(self._dispatch(msg, conn))
+            else:
+                self.inbox.append((msg, conn))
+        if inline:
+            self._batch_conns = None
+            if replies and self._wake is not None:
+                self._inline(self._flush_batch_conns(replies))
+            else:
+                # This batch woke the consumer, whose turn ends with the
+                # same flush over the same set and waits out a paused one.
+                for reply_conn in replies:
+                    reply_conn.flush()
         cluster.stage_seconds["decode"] += conn.decode_seconds
         conn.decode_seconds = 0.0
+
+    def _inline(self, coro) -> None:
+        """Run a handler in the callback its frame arrived in — only
+        with the consumer parked on an empty inbox, i.e. when it would
+        have run this handler next.  One that suspends becomes the
+        consumer's first job and, the consumer no longer being parked,
+        everything after it queues: dispatch order is arrival order."""
+        try:
+            yielded = coro.send(None)
+        except StopIteration:
+            return
+        except Exception:  # noqa: BLE001 - must not escape data_received
+            self.cluster.note_handler_error(self.pid)
+            return
+        self._parked = (coro, yielded)
+        self.busy = True
+        self._rouse()
+
+    def _rouse(self) -> None:
+        """Wake a parked consumer; arrivals queue until it parks again."""
+        wake = self._wake
+        if wake is not None:
+            self._wake = None
+            wake.set_result(None)
 
     def _start(self, coro) -> None:
         """Run ``coro`` now, up to its first suspension — what 3.12's
@@ -283,15 +337,16 @@ class NodeServer:
 
     def deliver_local(self, msg: Message) -> None:
         """Enqueue a message this node addressed to itself."""
-        self.inbox.put_nowait((msg, None))
+        self.inbox.append((msg, None))
+        self._rouse()
 
     async def _write_client(self, conn: FrameConnection, msg: Message) -> None:
         """Best-effort reply to a client connection, at its codec.
 
-        Mid-batch (the inbox consumer holds ``_batch_conns``) the flush
-        is deferred so every reply of the batch leaves in one vectored
-        write.  Outside a batch the connection's own policy applies:
-        tick coalescing shares one flush per event-loop iteration among
+        Mid-batch (``_batch_conns`` is held, inline or by the consumer)
+        the flush is deferred so the batch's replies leave in one write.
+        Outside a batch the connection's own policy applies: tick
+        coalescing shares one flush per event-loop iteration among
         replies from serve tasks whose timers expired in the same tick.
         """
         if conn.closed:
@@ -314,12 +369,12 @@ class NodeServer:
             pass  # the client died; its connection is already closed
 
     async def _flush_batch_conns(self, conns: set[FrameConnection]) -> None:
-        """Flush every connection a consumer batch wrote replies to."""
-        for conn in conns:
+        """Flush each connection a batch wrote to; wait out a paused one."""
+        while conns:
+            conn = conns.pop()
             conn.flush()
             if conn.paused:
                 await self._await_drained(conn)
-        conns.clear()
 
     async def _send(self, msg: Message) -> bool:
         """Send toward a peer; a dead peer is marked in our own word.
@@ -338,50 +393,48 @@ class NodeServer:
     # -- main loop ----------------------------------------------------------
 
     async def _consume(self) -> None:
-        """Drain the inbox in bounded batches per scheduling tick.
+        """Serve what could not be served where it landed.
 
-        After the first (awaited) message, up to ``batch_max - 1`` more
-        already-queued messages are processed without yielding back to
-        the event loop — amortising the task switch over the batch.
-        The per-message accounting (``task_done``, error counters)
-        is unchanged, so ``drain()`` semantics are preserved.
-
-        Batch-aware encode: while the batch runs, reply frames written
-        through :meth:`_write_client` accumulate in their connection's
-        encoder buffer and are flushed once per batch as a single
-        vectored write — one ``writelines`` per (connection, batch)
-        instead of one write per reply.
+        Parked on ``_wake`` while there is nothing to do — the state in
+        which :meth:`_on_frames` dispatches inline.  Woken, it finishes
+        the handler that suspended inline, if any, then drains the
+        inbox; ``batch_max`` bounds how many queued messages share one
+        end-of-batch flush of the replies :meth:`_write_client` buffered.
         """
         inbox = self.inbox
         batch_max = self.cluster.config.batch_max
-        batch_conns: set[FrameConnection] = set()
+        batch_conns = self._reply_conns
+        loop = asyncio.get_running_loop()
         while self._running:
-            msg, conn = await inbox.get()
+            if self._parked is None and not inbox:
+                self.busy = False
+                self._wake = loop.create_future()
+                try:
+                    await self._wake
+                finally:
+                    self._wake = None
+                continue
             self.busy = True
-            drained = 1
             self._batch_conns = batch_conns
             try:
-                while True:
-                    try:
-                        await self._dispatch(msg, conn)
-                    except asyncio.CancelledError:  # pragma: no cover
-                        raise
-                    except Exception:  # pragma: no cover - defensive
-                        self.cluster.note_handler_error(self.pid)
-                    finally:
-                        inbox.task_done()
-                    if drained >= batch_max:
-                        break
-                    try:
-                        msg, conn = inbox.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
+                parked, self._parked = self._parked, None
+                if parked is not None:
+                    await self._guarded(_resume(*parked))
+                drained = 0
+                while inbox and drained < batch_max:
                     drained += 1
+                    await self._guarded(self._dispatch(*inbox.popleft()))
             finally:
                 self._batch_conns = None
                 if batch_conns:
                     await self._flush_batch_conns(batch_conns)
-                self.busy = False
+
+    async def _guarded(self, handler) -> None:
+        """Await one handler; its failure is counted, not propagated."""
+        try:
+            await handler
+        except Exception:  # pragma: no cover - defensive
+            self.cluster.note_handler_error(self.pid)
 
     async def _dispatch(self, msg: Message, conn: FrameConnection | None) -> None:
         kind = msg.kind
@@ -507,12 +560,9 @@ class NodeServer:
             try:
                 while queue and queue[0][0] <= loop.time():
                     _, msg, arrival = queue.popleft()
-                    try:
-                        await self._serve(msg, slept=True, arrival=arrival)
-                    except asyncio.CancelledError:  # pragma: no cover
-                        raise
-                    except Exception:  # pragma: no cover - defensive
-                        self.cluster.note_handler_error(self.pid)
+                    await self._guarded(
+                        self._serve(msg, slept=True, arrival=arrival)
+                    )
             finally:
                 self._serving = False
 
@@ -1016,15 +1066,11 @@ class NodeServer:
         equivalent of the entry's retransmit-on-connection-reset — so
         a mid-burst crash costs the request latency, not the client.
         """
-        lost: list[Message] = []
-        try:
-            while True:
-                msg, _conn = self.inbox.get_nowait()
-                self.inbox.task_done()
-                if msg.kind is MessageKind.GET and msg.src != CLIENT:
-                    lost.append(msg)
-        except asyncio.QueueEmpty:
-            pass
+        lost = [
+            msg for msg, _conn in self.inbox
+            if msg.kind is MessageKind.GET and msg.src != CLIENT
+        ]
+        self.inbox.clear()
         for _due, msg, _arrival in self._serve_queue:
             if msg.src != CLIENT:
                 lost.append(msg)
@@ -1034,6 +1080,7 @@ class NodeServer:
     async def shutdown(self) -> None:
         """Stop serving: cancel tasks, close every connection."""
         self._running = False
+        self._wake = None  # nothing is dispatched from here on
         self._serve_queue.clear()
         tasks = list(self._tasks)
         for task in tasks:
@@ -1044,6 +1091,9 @@ class NodeServer:
             except (asyncio.CancelledError, Exception):  # noqa: BLE001
                 pass
         self._tasks.clear()
+        parked, self._parked = self._parked, None
+        if parked is not None:
+            parked[0].close()  # suspended inline, never picked up: unwind it
         for conn in list(self._conns):
             await conn.close()
 

@@ -21,6 +21,9 @@ Lifecycle discipline:
   the process is provably gone before the coordination plane flips the
   membership bit, so nothing the victim might still have written races
   the kill record.
+* **start()** polls the process table while it waits for the last
+  registration: a worker that exited can never register, so the rest are
+  SIGKILLed and a :class:`FleetLifecycleError` names the dead one at once.
 * **shutdown()** SIGTERMs the remaining children, collects their
   ``goodbye`` snapshots (each worker drains its inbox first), keeps the
   loop turning until every child has exited, and closes the bootstrap.
@@ -62,15 +65,19 @@ def _die_with_parent() -> None:
 
 
 class FleetLifecycleError(RuntimeError):
-    """Child processes outlived a lifecycle deadline and were SIGKILLed:
-    workers that of ``shutdown()``, load shards that of ``collect()``."""
+    """Child processes outlived a lifecycle deadline and were SIGKILLed
+    (workers that of ``shutdown()``, load shards that of ``collect()``)
+    or, with another ``what``, exited before ``start()`` saw them register."""
 
-    def __init__(self, stuck: dict[int, int], member: str = "P({})") -> None:
+    def __init__(
+        self, stuck: dict[int, int], member: str = "P({})",
+        what: str = "processes outlived their deadline and were killed",
+    ) -> None:
         self.stuck = stuck
         """OS pid → node id (``-1``: it never said hello) of each one;
         for load shards, OS pid → shard index."""
         super().__init__(
-            "processes outlived their deadline and were killed: " + ", ".join(
+            f"{what}: " + ", ".join(
                 f"os pid {o} ({member.format(n)})" for o, n in sorted(stuck.items())
             )
         )
@@ -154,9 +161,22 @@ class ScaleoutSupervisor:
         return self._listen_sock
 
     async def start(self, boot_timeout: float = 60.0) -> None:
-        """Serve the bootstrap and wait until every worker registered."""
+        """Serve the bootstrap and wait until every worker registered.
+        If one exits first the fleet stays one short for good: the rest
+        are SIGKILLed and :class:`FleetLifecycleError` names the dead."""
         await self.bootstrap.serve(sock=self._listen_sock)
-        await asyncio.wait_for(self.bootstrap.ready.wait(), boot_timeout)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + boot_timeout
+        while not self.bootstrap.ready.is_set():
+            dead = [ospid for ospid, up in self.alive().items() if not up]
+            if dead:
+                await self._kill_and_close()
+                raise FleetLifecycleError(
+                    self._nodes_of(dead), what="workers exited before registering"
+                )
+            if loop.time() >= deadline:
+                raise asyncio.TimeoutError(f"no fleet within {boot_timeout}s")
+            await asyncio.sleep(0.01)
 
     # -- liveness / crash injection ------------------------------------------
 
@@ -238,6 +258,12 @@ class ScaleoutSupervisor:
         deadline = max(deadline, loop.time() + _EXIT_GRACE)
         while any(self.alive().values()) and loop.time() < deadline:
             await asyncio.sleep(0.01)
+        stuck = self._nodes_of(await self._kill_and_close())
+        if stuck:
+            raise FleetLifecycleError(stuck)
+
+    async def _kill_and_close(self) -> list[int]:
+        """SIGKILL and reap what still runs, close up; returns those pids."""
         stuck = [ospid for ospid, up in self.alive().items() if up]
         for ospid in stuck:
             os.kill(ospid, signal.SIGKILL)
@@ -246,9 +272,12 @@ class ScaleoutSupervisor:
         if self._listen_sock is not None:
             self._listen_sock.close()
             self._listen_sock = None
-        if stuck:
-            node_of = {
-                self.bootstrap.ospid_of(pid): pid
-                for pid in range(self.bootstrap.expected)
-            }
-            raise FleetLifecycleError({o: node_of.get(o, -1) for o in stuck})
+        return stuck
+
+    def _nodes_of(self, ospids: list[int]) -> dict[int, int]:
+        """OS pid → the node id it said hello as (``-1``: it never did)."""
+        node_of = {
+            self.bootstrap.ospid_of(pid): pid
+            for pid in range(self.bootstrap.expected)
+        }
+        return {ospid: node_of.get(ospid, -1) for ospid in ospids}

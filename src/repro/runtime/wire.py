@@ -67,16 +67,15 @@ connection.
 **Zero-copy fast lane.**  :class:`FrameEncoder` owns a reusable
 ``bytearray``: frames are appended in place (header packed via
 ``pack_into`` after the body lands, no per-frame ``bytes``
-concatenation) and handed to the transport as ``memoryview`` slices
-through ``writelines`` — one vectored call per flush, one copy
-total (the transport's own join).  The buffer is recycled only after
-the flush materialises the views, so no frame ever aliases a later
-frame's bytes.  :class:`FrameConnection` — the protocol every
-data-plane connection runs — is the decode dual: the chunk one
-``recv()`` returned is sliced, inside ``data_received``, into as many
-complete frames as it holds, decoded straight off a ``memoryview``
-(leaf strings/bytes are copied out, so decoded messages never alias
-the buffer).  :func:`read_frame` serves the scale-out control link.
+concatenation) and handed to the transport as one ``bytes`` per flush
+— the single copy, taken before the buffer is recycled, so the
+transport never holds a view into it.  :class:`FrameConnection` — the
+protocol every data-plane connection runs — is the decode dual: the
+chunk one ``recv()`` returned is sliced, inside ``data_received``, into
+as many complete frames as it holds, decoded straight off a
+``memoryview`` (leaf strings/bytes are copied out, so decoded messages
+never alias the buffer).  :func:`read_frame` serves the scale-out
+control link.
 
 Negotiation is per connection: each side learns the peer's codec from
 the version byte of the frames it receives (:func:`read_frame` /
@@ -690,33 +689,26 @@ def _decode_body_fixed(flags: int, body) -> Message:
 # -- frame encoder (zero-copy fast lane, write side) ---------------------
 
 class FrameEncoder:
-    """Reusable frame builder: append frames, flush them vectored.
+    """Reusable frame builder: append frames, flush them in one write.
 
     One encoder owns one ``bytearray`` scratch buffer.  :meth:`add`
     appends a complete frame in place — eight placeholder bytes, the
     body, then the header packed *into* the reserved slot — so building
-    a frame performs no ``bytes`` materialisation at all.  :meth:`views`
-    exposes the pending frames as ``memoryview`` slices for
-    ``writer.writelines`` (which joins them immediately, taking the one
-    unavoidable copy), and :meth:`flush_to` does exactly that before
-    recycling the buffer.
-
-    Buffer-ownership rule: views returned by :meth:`views` are valid
-    until the next :meth:`reset` / :meth:`flush_to` / :meth:`add` —
-    consumers must materialise (join/write) before the encoder is
-    reused.  ``flush_to`` upholds the rule by construction; anything
-    else must copy.
+    a frame performs no ``bytes`` materialisation at all.
+    :meth:`flush_to` hands the transport one ``bytes`` copy of the
+    buffer and recycles it.
 
     ``fixed=False`` pins the encoder to generic bodies (the v2-generic
     interop profile / the pre-fast-lane wire format).
     """
 
-    __slots__ = ("fixed", "_buf", "_bounds")
+    __slots__ = ("fixed", "pending", "_buf")
 
     def __init__(self, fixed: bool = True) -> None:
         self.fixed = fixed
+        self.pending = 0
+        """Frames added since the last reset/flush."""
         self._buf = bytearray()
-        self._bounds: list[int] = [0]
 
     def add(self, msg: Message, version: int = WIRE_VERSION) -> int:
         """Append one frame; returns its size in bytes.
@@ -755,24 +747,13 @@ class FrameEncoder:
             del buf[start:]
             raise
         HEADER.pack_into(buf, start, MAGIC, version, flags, length)
-        self._bounds.append(len(buf))
+        self.pending += 1
         return len(buf) - start
-
-    @property
-    def pending(self) -> int:
-        """Frames added since the last reset/flush."""
-        return len(self._bounds) - 1
 
     @property
     def pending_bytes(self) -> int:
         """Bytes buffered since the last reset/flush."""
         return len(self._buf)
-
-    def views(self) -> list[memoryview]:
-        """One ``memoryview`` per pending frame (see buffer rule above)."""
-        mv = memoryview(self._buf)
-        bounds = self._bounds
-        return [mv[bounds[i]:bounds[i + 1]] for i in range(len(bounds) - 1)]
 
     def take_bytes(self) -> bytes:
         """Materialise all pending frames as one ``bytes`` and reset."""
@@ -788,26 +769,22 @@ class FrameEncoder:
             self._buf = bytearray()
         else:
             del buf[:]
-        self._bounds = [0]
+        self.pending = 0
 
     def flush_to(self, writer: "StreamWriter | asyncio.WriteTransport") -> int:
-        """Vectored write of all pending frames; returns bytes written.
+        """Write all pending frames as one ``bytes``; returns its size.
 
-        ``writelines`` joins the views into the transport's buffer
-        before returning, so recycling the scratch buffer afterwards is
-        safe — no transport ever holds a view into it.
+        The copy is the point: a socket that takes a partial write keeps
+        what it was handed, and on Python 3.12+ ``writelines`` over views
+        of the scratch buffer left it exported, so recycling it raised
+        ``BufferError``.  It is also cheaper than a view per frame for
+        the one-frame flush that dominates.
         """
-        if len(self._bounds) == 1:
+        if not self.pending:
             return 0
-        views = self.views()
-        try:
-            writer.writelines(views)
-        finally:
-            for view in views:
-                view.release()
-        written = len(self._buf)
-        self.reset()
-        return written
+        data = self.take_bytes()
+        writer.write(data)
+        return len(data)
 
 
 # -- frame decoder helpers -----------------------------------------------
@@ -849,7 +826,7 @@ def encode_message(msg: Message, version: int = WIRE_VERSION,
     """One complete frame (header + body) for ``msg`` at ``version``.
 
     The convenience byte-string form of :class:`FrameEncoder` — tests
-    and one-shot callers; hot paths hold an encoder and flush vectored.
+    and one-shot callers; hot paths hold an encoder and flush it whole.
     """
     encoder = FrameEncoder(fixed=fixed)
     encoder.add(msg, version)
@@ -896,7 +873,7 @@ class FrameConnection(asyncio.Protocol):
     **Write side.**  :meth:`add` encodes into the connection's reusable
     :class:`FrameEncoder`; :meth:`poke` applies the flush policy —
     ``tick``: one ``call_soon`` flush per event-loop iteration, so every
-    frame of the tick leaves in a single vectored write at no added
+    frame of the tick leaves in a single write at no added
     latency; else ``max_bytes > 0``: Nagle-style, at the byte watermark
     or after ``delay`` seconds; else immediately.  While the transport
     is over its high-water mark (:attr:`paused`) frames stay in the
@@ -1178,7 +1155,7 @@ async def write_message(
     writer: StreamWriter, msg: Message, version: int = WIRE_VERSION,
     fixed: bool = True,
 ) -> None:
-    """Write one message vectored and flush it through the transport."""
+    """Write one message and flush it through the transport."""
     encoder = FrameEncoder(fixed=fixed)
     encoder.add(msg, version)
     encoder.flush_to(writer)

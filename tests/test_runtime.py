@@ -7,12 +7,14 @@ and run via ``pytest -m runtime`` (CI's dedicated smoke job).
 """
 
 import asyncio
+import socket
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.net.message import Message, MessageKind
+from repro.node.membership import StatusWord
 from repro.runtime import (
     LiveCluster,
     LoadGenerator,
@@ -26,6 +28,8 @@ from repro.runtime import (
     run_conformance,
 )
 from repro.runtime import LatencyHistogram
+from repro.runtime.host import NodeHost
+from repro.runtime.node import CLIENT, NodeServer
 from repro.runtime.wire import (
     FRAME_ACK,
     FRAME_GENERIC,
@@ -453,7 +457,7 @@ class TestFixedLayouts:
 # ---------------------------------------------------------------------------
 
 class TestFrameEncoder:
-    def test_views_match_per_message_encodes(self):
+    def test_buffer_matches_per_message_encodes(self):
         msgs = [
             Message(kind=MessageKind.GET, src=0, dst=i, file=f"f-{i}")
             for i in range(5)
@@ -462,11 +466,9 @@ class TestFrameEncoder:
         for m in msgs:
             enc.add(m, WIRE_VERSION_BINARY)
         assert enc.pending == 5
-        views = enc.views()
         singles = [encode_message(m, WIRE_VERSION_BINARY) for m in msgs]
-        assert [bytes(v) for v in views] == singles
-        for v in views:
-            v.release()
+        assert enc.pending_bytes == sum(map(len, singles))
+        assert enc.take_bytes() == b"".join(singles)
 
     def test_rejected_message_rolls_back_the_buffer(self):
         good = Message(kind=MessageKind.GET, src=0, dst=1, file="ok")
@@ -501,9 +503,8 @@ class _FakeTransport:
     def set_write_buffer_limits(self, high=None, low=None):
         pass
 
-    def writelines(self, chunks):
-        for chunk in chunks:
-            self.written += chunk
+    def write(self, data):
+        self.written += data
 
     def close(self):
         self.closed = True
@@ -720,6 +721,48 @@ class TestFrameConnection:
         _conn, out, errors = _feed([written])
         assert [m for m, _v in out] == msgs and errors == 0
 
+    def test_partial_socket_write_does_not_pin_the_scratch_buffer(self):
+        """A real socket with a 4 kB send buffer and a peer that is not
+        reading takes partial writes.  On Python 3.12+ the transport
+        keeps what it was handed, and when that was views of the
+        encoder's ``bytearray`` the recycling ``del buf[:]`` raised
+        ``BufferError``.  Every frame must arrive, in order."""
+        msg = Message(kind=MessageKind.INSERT, src=0, dst=1, file="f",
+                      payload=b"x" * 3000)
+
+        async def run():
+            ours, theirs = socket.socketpair()
+            ours.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+            for sock in (ours, theirs):
+                sock.setblocking(False)
+            loop = asyncio.get_running_loop()
+            _t, conn = await loop.create_connection(FrameConnection, sock=ours)
+            sent = 0
+            while not conn.paused:
+                assert sent < 1000, "the transport never paused"
+                conn.add(msg, WIRE_VERSION_BINARY)
+                conn.flush()
+                sent += 1
+            conn.add(msg, WIRE_VERSION_BINARY)
+            conn.flush()  # paused: stays in the encoder until resume
+            got = []
+            _t, peer = await loop.create_connection(
+                lambda: FrameConnection(lambda _c, frames, _e: got.extend(frames)),
+                sock=theirs,
+            )
+            try:
+                for _ in range(2000):
+                    if len(got) > sent:
+                        break
+                    await asyncio.sleep(0.001)
+            finally:
+                await conn.close()
+                await peer.close()
+            return sent + 1, got
+
+        sent, got = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+        assert [m for m, _v in got] == [msg] * sent
+
     def test_drained_wakes_with_an_error_when_the_connection_is_lost(self):
         async def run():
             conn = FrameConnection()
@@ -796,6 +839,236 @@ class TestFrameConnection:
 
         start, end = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
         assert end == start
+
+
+# ---------------------------------------------------------------------------
+# inline dispatch: frames served inside data_received, in arrival order
+# ---------------------------------------------------------------------------
+
+class _StubHost(NodeHost):
+    """A `NodeHost` with no sockets: ``send`` logs the request it was
+    asked to carry — one call per dispatched peer GET — and, for the
+    request ids in ``gates``, waits there until the test opens the gate."""
+
+    def __init__(self, m: int = 3) -> None:
+        super().__init__(RuntimeConfig(m=m, seed=3))
+        self.word = StatusWord.full(m)
+        self.order: list[int] = []
+        self.done: list[int] = []
+        self.gates: dict[int, asyncio.Event] = {}
+        self.failing: set[int] = set()
+
+    async def send(self, src, msg):
+        rid = msg.request_id
+        self.order.append(rid)
+        if rid in self.failing:
+            raise RuntimeError(f"send of {rid} blew up")
+        if rid in self.gates:
+            await self.gates[rid].wait()
+        self.done.append(rid)
+
+    def msg_enqueued(self, pid, src=CLIENT):
+        pass
+
+    def holders(self, name):
+        return set()
+
+    async def catalog_check(self, name):
+        return True
+
+    async def catalog_claim(self, name, entry, payload):
+        return True
+
+    async def catalog_advance(self, name, payload):
+        return 1
+
+    async def decide_replication(self, name, holder, seed, rates):
+        return None
+
+    async def record_removal(self, name, pid):
+        pass
+
+
+def _peer_get(rid: int, src: int = 5) -> bytes:
+    """A forwarded GET for a file nobody holds: the node routes it on
+    or faults it, and either way makes exactly one ``host.send``."""
+    return encode_message(
+        Message(kind=MessageKind.GET, src=src, dst=2, file=f"nofile-{rid}",
+                origin=6, request_id=rid),
+        WIRE_VERSION_BINARY,
+    )
+
+
+class _ClosableTransport(_FakeTransport):
+    """Reports its close to the protocol, as a socket transport does —
+    ``NodeServer.shutdown`` waits for that."""
+
+    def __init__(self, protocol):
+        super().__init__()
+        self.protocol = protocol
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.protocol.connection_lost(None)
+
+
+def _attached(node: NodeServer, count: int = 1) -> list[FrameConnection]:
+    conns = [node.attach() for _ in range(count)]
+    for conn in conns:
+        conn.connection_made(_ClosableTransport(conn))
+    return conns
+
+
+async def _settle(turns: int = 8) -> None:
+    for _ in range(turns):
+        await asyncio.sleep(0)
+
+
+class TestInlineDispatch:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            # (connection, glue onto the previous chunk, handler suspends)
+            st.tuples(st.integers(0, 2), st.booleans(), st.booleans()),
+            st.just("open-a-gate"),
+        ),
+        min_size=1, max_size=24,
+    ))
+    def test_dispatch_order_is_arrival_order(self, steps):
+        """Any interleaving of arrivals over three connections, chunks
+        of one or several frames, handlers that suspend inside
+        ``host.send`` and gates opening in between: handlers start in
+        arrival order, each runs exactly once, and the node reports
+        itself active until the last suspended one has ended."""
+
+        async def run():
+            host = _StubHost()
+            node = NodeServer(2, host)
+            node.start()
+            conns = _attached(node, 3)
+            await _settle()
+            arrived: list[int] = []
+            chunk: tuple[int, list[int]] | None = None
+
+            def land():
+                nonlocal chunk
+                if chunk is not None:
+                    index, rids = chunk
+                    conns[index].data_received(b"".join(map(_peer_get, rids)))
+                    arrived.extend(rids)
+                    chunk = None
+
+            async def observe():
+                land()
+                assert host.order == arrived[:len(host.order)]
+                if len(host.done) < len(arrived):
+                    assert node.active
+                await _settle(2)
+
+            for rid, step in enumerate(steps):
+                if step == "open-a-gate":
+                    await observe()
+                    closed = [g for g in host.gates.values() if not g.is_set()]
+                    if closed:
+                        closed[0].set()
+                    continue
+                index, glue, suspends = step
+                if suspends:
+                    host.gates[rid] = asyncio.Event()
+                if chunk is not None and glue and chunk[0] == index:
+                    chunk[1].append(rid)
+                else:
+                    await observe()
+                    chunk = (index, [rid])
+            await observe()
+            for gate in host.gates.values():
+                gate.set()
+            await _settle(4 * len(steps) + 8)
+            assert host.order == arrived
+            assert sorted(host.done) == arrived
+            assert not node.active
+            await node.shutdown()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+
+    def test_frames_before_start_queue_and_are_served_in_order(self):
+        """The worker's boot ordering: its node accepts connections
+        before ``start()`` (the book has not arrived; a forward now
+        would dial an empty book and mark a live peer dead), so early
+        frames must wait in the inbox.  Once the consumer is parked, a
+        frame is served inside the call that delivered it."""
+
+        async def run():
+            host = _StubHost()
+            node = NodeServer(2, host)
+            (conn,) = _attached(node)
+            conn.data_received(_peer_get(1) + _peer_get(2))
+            conn.data_received(_peer_get(3))
+            await _settle()
+            assert host.order == [] and node.inbox.qsize() == 3 and node.active
+            node.start()
+            await _settle()
+            assert host.order == [1, 2, 3] and not node.active
+            conn.data_received(_peer_get(4))
+            assert host.order == [1, 2, 3, 4]  # no loop iteration in between
+            assert not node.active
+            await node.shutdown()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+
+    def test_a_handler_that_raises_inline_is_counted_and_contained(self):
+        async def run():
+            host = _StubHost()
+            host.failing.add(1)
+            node = NodeServer(2, host)
+            node.start()
+            (conn,) = _attached(node)
+            await _settle()
+            conn.data_received(_peer_get(1))  # must not raise: asyncio
+            # closes the transport of a protocol whose callback does
+            assert host.counters.get("handler_errors") == 1
+            assert not conn.closed and not node.active
+            conn.data_received(_peer_get(2))
+            assert host.order == [1, 2] and host.done == [2]
+            await node.shutdown()
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+
+    def test_a_retired_node_dispatches_nothing_and_hands_back_queued_gets(self):
+        """What `LiveCluster._retire_node` relies on: with a handler
+        suspended, later arrivals are in the inbox, so
+        ``drain_lost_gets`` finds the peer GETs to bounce; after
+        ``shutdown()`` no arrival is dispatched, inline or otherwise."""
+
+        async def run():
+            host = _StubHost()
+            host.gates[1] = asyncio.Event()
+            node = NodeServer(2, host)
+            node.start()
+            (conn,) = _attached(node)
+            await _settle()
+            conn.data_received(_peer_get(1))
+            assert host.order == [1] and node.active  # parked on the gate
+            conn.data_received(_peer_get(2) + _peer_get(3, src=CLIENT))
+            node.deliver_local(Message(
+                kind=MessageKind.GET, src=4, dst=2, file="nofile-4",
+                origin=6, request_id=4,
+            ))
+            await _settle()
+            assert host.order == [1] and node.inbox.qsize() == 3
+            lost = node.drain_lost_gets()
+            assert [msg.request_id for msg in lost] == [2, 4]
+            await node.shutdown()
+            host.gates[1].set()
+            late = Message(kind=MessageKind.GET, src=5, dst=2, file="nofile-5",
+                           origin=6, request_id=5)
+            node._on_frames(conn, [(late, WIRE_VERSION_BINARY)], 0)
+            node.deliver_local(late)
+            await _settle()
+            assert host.order == [1] and host.done == []
+
+        asyncio.run(asyncio.wait_for(run(), timeout=30.0))
 
 
 # ---------------------------------------------------------------------------

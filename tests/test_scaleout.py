@@ -410,6 +410,31 @@ class TestShutdownDeadline:
 
 
 @pytest.mark.runtime
+class TestBootDeath:
+    def test_worker_dead_before_registering_ends_start_with_a_typed_error(self):
+        """A fleet one member short never becomes ready: ``start()``
+        must notice the exit, not sit out ``boot_timeout``, name the
+        dead process and leave no other worker running."""
+        supervisor = ScaleoutSupervisor(RuntimeConfig(m=2), mode="fork")
+        supervisor.launch()
+        victim = supervisor._children[2]
+        os.kill(victim, signal.SIGKILL)
+
+        async def drive() -> tuple:
+            started = time.monotonic()
+            with pytest.raises(FleetLifecycleError) as caught:
+                await supervisor.start(boot_timeout=60.0)
+            return caught.value, time.monotonic() - started
+
+        error, elapsed = asyncio.run(drive())
+        assert elapsed < 5.0
+        assert list(error.stuck) == [victim]
+        assert "exited before registering" in str(error)
+        assert str(victim) in str(error)
+        assert not any(supervisor.alive().values())
+
+
+@pytest.mark.runtime
 class TestCollectDeadline:
     def test_sigstopped_shard_ends_in_a_typed_error_inside_the_deadline(
         self, monkeypatch
