@@ -25,13 +25,14 @@ Subcommands:
   latency percentiles, and optionally verify oracle conformance.
   ``--processes`` boots a multi-process fleet for the run;
   ``--bootstrap`` dials one already serving.
-* ``profile`` — run a seeded runtime workload under cProfile and print
+* ``profile`` — sample a seeded runtime workload's stack (SIGPROF) and print
   the hottest functions (the fast-path tuning loop).
 """
 
 from __future__ import annotations
 
 import argparse
+import signal
 import sys
 from pathlib import Path
 
@@ -233,8 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser(
         "profile",
-        help="run a seeded runtime workload under cProfile and print "
-        "the hottest functions",
+        help="sample a seeded runtime workload's stack on a CPU-time "
+        "timer and print the hottest functions",
     )
     profile.add_argument("--m", type=int, default=4, help="identifier width")
     profile.add_argument("--b", type=int, default=1, help="fault-tolerance degree")
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--top", type=int, default=25,
                          help="hot functions to print")
     profile.add_argument("-o", "--output", type=Path, default=None,
-                         help="also dump raw pstats data here")
+                         help="also write the whole table here, as JSON")
 
     return parser
 
@@ -788,11 +789,69 @@ def _cmd_loadgen(args: "argparse.Namespace") -> int:
     return asyncio.run(run())
 
 
+class _StackSampler:
+    """Where the process's CPU time goes, by sampling the running stack.
+
+    ``ITIMER_PROF`` counts process CPU time and raises ``SIGPROF`` every
+    ``interval`` seconds of it; the handler walks the interrupted frame's
+    callers.  A function's *self* share is the samples that caught it
+    running, its *cumulative* share those that caught it anywhere on the
+    stack — once per sample, however deep it recurses.  Unlike a tracing
+    profiler this adds no per-call cost, so the shares are those of the
+    unprofiled program, not a ranking by call count.  Main thread only,
+    one sampler at a time (it owns the process's ``SIGPROF``).
+    """
+
+    def __init__(self, interval: float = 0.001) -> None:
+        self.interval = interval
+        self.samples = 0
+        self.self_hits: dict[tuple[str, int, str], int] = {}
+        self.cum_hits: dict[tuple[str, int, str], int] = {}
+
+    def _on_sigprof(self, _signum, frame) -> None:
+        self.samples += 1
+        self_hits, cum_hits = self.self_hits, self.cum_hits
+        seen = set()
+        running = True
+        while frame is not None:
+            code = frame.f_code
+            key = (code.co_filename, code.co_firstlineno, code.co_name)
+            if running:
+                self_hits[key] = self_hits.get(key, 0) + 1
+                running = False
+            if key not in seen:
+                seen.add(key)
+                cum_hits[key] = cum_hits.get(key, 0) + 1
+            frame = frame.f_back
+
+    def __enter__(self) -> "_StackSampler":
+        self._previous = signal.signal(signal.SIGPROF, self._on_sigprof)
+        signal.setitimer(signal.ITIMER_PROF, self.interval, self.interval)
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        signal.setitimer(signal.ITIMER_PROF, 0.0)
+        signal.signal(signal.SIGPROF, self._previous)
+
+    def table(self) -> list[dict[str, object]]:
+        """One row per function seen, largest self share first."""
+        total = self.samples or 1
+        rows = [
+            {
+                "function": key[2], "file": key[0], "line": key[1],
+                "self_share": self.self_hits.get(key, 0) / total,
+                "cum_share": hits / total,
+            }
+            for key, hits in self.cum_hits.items()
+        ]
+        rows.sort(key=lambda r: (-r["self_share"], -r["cum_share"],
+                                 r["file"], r["line"]))
+        return rows
+
+
 def _cmd_profile(args: "argparse.Namespace") -> int:
     import asyncio
-    import cProfile
-    import io
-    import pstats
+    import json
 
     from .runtime import (
         LiveCluster,
@@ -832,10 +891,8 @@ def _cmd_profile(args: "argparse.Namespace") -> int:
         finally:
             await cluster.shutdown()
 
-    profiler = cProfile.Profile()
-    profiler.enable()
-    completed, rps, stages = asyncio.run(workload())
-    profiler.disable()
+    with _StackSampler() as sampler:
+        completed, rps, stages = asyncio.run(workload())
 
     print(
         f"profile: codec={args.codec}, m={args.m}, b={args.b}, "
@@ -852,14 +909,25 @@ def _cmd_profile(args: "argparse.Namespace") -> int:
               f"{per_req:7.2f} us/request)")
     for name, seconds in sorted(stages.items()):  # any future stages
         print(f"  {name:7s} {seconds:8.4f} s")
-    stream = io.StringIO()
-    stats = pstats.Stats(profiler, stream=stream)
-    stats.sort_stats(pstats.SortKey.TIME)
-    stats.print_stats(args.top)
-    print(stream.getvalue())
+    rows = sampler.table()
+    print(
+        f"{sampler.samples} samples, one per {sampler.interval * 1e3:g} ms of "
+        f"process CPU time; top {min(args.top, len(rows))} of {len(rows)} "
+        "functions by self share:"
+    )
+    print("   self    cum  function")
+    for row in rows[:args.top]:
+        print(
+            f"  {100 * row['self_share']:5.1f}% {100 * row['cum_share']:5.1f}%  "
+            f"{row['function']}  ({row['file']}:{row['line']})"
+        )
     if args.output is not None:
-        stats.dump_stats(str(args.output))
-        print(f"pstats data written to {args.output}")
+        args.output.write_text(json.dumps(
+            {"samples": sampler.samples, "interval_s": sampler.interval,
+             "functions": rows},
+            indent=1,
+        ))
+        print(f"sample table written to {args.output}")
     return 0
 
 

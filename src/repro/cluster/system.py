@@ -38,6 +38,7 @@ from ..core.subtree import (
     check_b,
     identity_tree,
     migration_order,
+    subtree_children_list,
     subtree_of_pid,
 )
 from ..core.tree import LookupTree
@@ -132,6 +133,7 @@ class LessLogSystem:
         self.rng = random.Random(seed)
         self.replications: list[_ReplicaRecord] = []
         self._trees: dict[int, LookupTree] = {}
+        self._subtree_views: dict[int, tuple[SubtreeView, ...]] = {}
         self.now = 0.0
         self.faults: list[str] = []
 
@@ -192,9 +194,16 @@ class LessLogSystem:
         if not self.is_live(pid):
             raise NodeDownError(pid, operation)
 
-    def _views(self, r: int) -> list[SubtreeView]:
-        tree = self.tree(r)
-        return [SubtreeView(tree, self.b, sid) for sid in range(1 << self.b)]
+    def _views(self, r: int) -> tuple[SubtreeView, ...]:
+        """The (cached) ``2**b`` subtree views of the tree of ``P(r)``."""
+        views = self._subtree_views.get(r)
+        if views is None:
+            tree = self.tree(r)
+            views = tuple(
+                SubtreeView(tree, self.b, sid) for sid in range(1 << self.b)
+            )
+            self._subtree_views[r] = views
+        return views
 
     def holders_of(self, name: str) -> list[int]:
         """Every live PID currently holding a copy of ``name``."""
@@ -248,11 +257,11 @@ class LessLogSystem:
         traces, or access counting.
         """
         r = self.psi(name)
-        tree = self.tree(r)
+        views = self._views(r)
         route: list[int] = []
         tried: list[int] = []
-        for sid in migration_order(tree, self.b, entry):
-            view = SubtreeView(tree, self.b, sid)
+        for sid in migration_order(self.tree(r), self.b, entry):
+            view = views[sid]
             tried.append(sid)
             if view.contains(entry) and self.is_live(entry):
                 try:
@@ -388,6 +397,8 @@ class LessLogSystem:
         catalog_entry = self.catalog.get(name)
         if catalog_entry is None:
             raise FileNotFoundInSystemError(name)
+        tree = self.tree(catalog_entry.target)
+        b, word, stores = self.b, self.membership, self.stores
         reached: list[int] = []
         # An explicit stack, not a recursive closure: a closure that
         # names itself is a reference cycle, and a caller that runs
@@ -401,28 +412,16 @@ class LessLogSystem:
             else:
                 # §3: "the update request will bypass a dead node and be
                 # forwarded to the children list of the dead node".
-                stack = self._subtree_children_list(view, root)[::-1]
+                stack = list(subtree_children_list(tree, b, root, word)[::-1])
             while stack:
                 pid = stack.pop()
                 if not self.is_live(pid):  # pragma: no cover - defensive
                     continue
-                if name not in self.stores[pid]:
+                if name not in stores[pid]:
                     continue  # discard: no copy, no re-broadcast
                 reached.append(pid)
-                stack.extend(self._subtree_children_list(view, pid)[::-1])
+                stack.extend(subtree_children_list(tree, b, pid, word)[::-1])
         return reached
-
-    def _subtree_children_list(self, view: SubtreeView, pid: int) -> list[int]:
-        """Advanced children list of ``pid`` *within its subtree*."""
-        from ..core.children import advanced_children_list
-
-        itree = identity_tree(view)
-        sliveness = SvidLiveness(view, self.membership)
-        svid = view.tree.vid_of(pid) >> view.b
-        return [
-            view.pid_of_svid(s)
-            for s in advanced_children_list(itree, svid, sliveness)
-        ]
 
     # -- REPLICATE (§2.2 / §3, within a subtree for §4) ---------------------
 
@@ -454,8 +453,9 @@ class LessLogSystem:
             )
         policy = policy if policy is not None else LessLogPolicy()
         tree = self.tree(catalog_entry.target)
-        sid = subtree_of_pid(tree, overloaded, self.b)
-        view = SubtreeView(tree, self.b, sid)
+        view = self._views(catalog_entry.target)[
+            subtree_of_pid(tree, overloaded, self.b)
+        ]
         itree = identity_tree(view)
         sliveness = SvidLiveness(view, self.membership)
         holders_svid = {

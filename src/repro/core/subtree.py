@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 from . import vid as V
 from .bits import check_id, low_bits
+from .children import advanced_children_list
 from .errors import ConfigurationError, NoLiveNodeError
 from .liveness import LivenessView, cache_token
 from .tree import LookupTree
@@ -33,6 +34,7 @@ __all__ = [
     "SubtreeView",
     "SvidLiveness",
     "identity_tree",
+    "subtree_children_list",
     "insert_targets",
     "migration_order",
 ]
@@ -250,6 +252,49 @@ def identity_tree(view: SubtreeView) -> LookupTree:
     :meth:`SubtreeView.pid_of_svid`.
     """
     return LookupTree((1 << view.width) - 1, view.width)
+
+
+_CHILDREN_MEMO: dict[tuple, tuple[int, ...]] = {}
+_CHILDREN_MEMO_MAX = 4096
+"""Entries kept by :func:`subtree_children_list`; the oldest goes first."""
+
+
+def subtree_children_list(
+    tree: LookupTree, b: int, pid: int, liveness: LivenessView
+) -> tuple[int, ...]:
+    """§3 advanced children list of ``P(pid)`` inside its §4 subtree, as PIDs.
+
+    The targets of one top-down UPDATE broadcast step (§2.2), and of the
+    bypass of a dead ``P(pid)``: identity-map the subtree ``pid`` belongs
+    to onto a standalone width-``m - b`` tree, take
+    :func:`~repro.core.children.advanced_children_list` there, map the
+    result back.  An empty subtree gives ``()``.
+
+    Memoized on the liveness *content* (:func:`cache_token`), not on the
+    view object: the oracle and every live node own a different mutable
+    status word, equal words share one entry, and a ``register_*``
+    changes the token, so no entry is ever stale.  A view with no token
+    is walked afresh on every call.
+    """
+    token = cache_token(liveness)
+    if token is not None:
+        key = (tree.root, tree.m, b, pid, token)
+        cached = _CHILDREN_MEMO.get(key)
+        if cached is not None:
+            return cached
+    view = SubtreeView(tree, b, subtree_of_pid(tree, pid, b))
+    children = tuple(
+        view.pid_of_svid(svid)
+        for svid in advanced_children_list(
+            identity_tree(view), tree.vid_of(pid) >> b,
+            SvidLiveness(view, liveness),
+        )
+    )
+    if token is not None:
+        if len(_CHILDREN_MEMO) >= _CHILDREN_MEMO_MAX:
+            del _CHILDREN_MEMO[next(iter(_CHILDREN_MEMO))]
+        _CHILDREN_MEMO[key] = children
+    return children
 
 
 def insert_targets(tree: LookupTree, b: int, liveness: LivenessView) -> list[int]:

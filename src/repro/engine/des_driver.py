@@ -22,7 +22,13 @@ import numpy as np
 from ..baselines.base import PlacementContext, ReplicationPolicy
 from ..core.errors import ConfigurationError, NoLiveNodeError
 from ..core.routing import first_alive_ancestor, storage_node
-from ..core.subtree import SubtreeView, check_b, insert_targets, subtree_of_pid
+from ..core.subtree import (
+    SubtreeView,
+    check_b,
+    insert_targets,
+    subtree_children_list,
+    subtree_of_pid,
+)
 from ..core.tree import LookupTree
 from ..net.message import Message, MessageKind
 from ..net.reliability import RequestTracker, RetryPolicy
@@ -127,28 +133,11 @@ class _DesNode:
             return
         self.store.update(msg.file, msg.payload, msg.version)
         exp.metrics.counter("des.update_applied").inc()
-        for child in self._broadcast_children():
+        children = subtree_children_list(
+            exp.tree, exp.b, self.pid, self.membership
+        )
+        for child in children:
             exp.transport.send(msg.forwarded(self.pid, child))
-
-    def _broadcast_children(self) -> list[int]:
-        """This node's advanced children list (within its subtree)."""
-        exp = self.exp
-        from ..core.children import advanced_children_list
-
-        if exp.b == 0:
-            return advanced_children_list(exp.tree, self.pid, self.membership)
-        from ..core.subtree import SvidLiveness, identity_tree
-
-        sid = subtree_of_pid(exp.tree, self.pid, exp.b)
-        view = SubtreeView(exp.tree, exp.b, sid)
-        itree = identity_tree(view)
-        sliveness = SvidLiveness(view, self.membership)
-        return [
-            view.pid_of_svid(s)
-            for s in advanced_children_list(
-                itree, view.svid_of(self.pid), sliveness
-            )
-        ]
 
     def _handle_get(self, msg: Message) -> None:
         exp = self.exp
@@ -568,35 +557,19 @@ class DesExperiment:
         (bypassing a dead root to its children list, per §3); holders
         re-broadcast, non-holders discard.
         """
-        from ..core.children import advanced_children_list
-        from ..core.subtree import SvidLiveness, identity_tree
 
         def starts() -> list[int]:
             out: list[int] = []
             for sid in range(1 << self.b):
-                if self.b == 0:
-                    root = self.tree.root
-                    if self.membership.is_live(root):
-                        out.append(root)
-                    else:
-                        out.extend(
-                            advanced_children_list(
-                                self.tree, root, self.membership
-                            )
-                        )
-                    continue
-                view = SubtreeView(self.tree, self.b, sid)
-                root = view.root_pid
+                root = SubtreeView(self.tree, self.b, sid).root_pid
                 if self.membership.is_live(root):
                     out.append(root)
-                    continue
-                itree = identity_tree(view)
-                sliveness = SvidLiveness(view, self.membership)
-                root_svid = (1 << view.width) - 1
-                out.extend(
-                    view.pid_of_svid(s)
-                    for s in advanced_children_list(itree, root_svid, sliveness)
-                )
+                else:
+                    out.extend(
+                        subtree_children_list(
+                            self.tree, self.b, root, self.membership
+                        )
+                    )
             return out
 
         def fire() -> None:

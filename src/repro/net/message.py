@@ -12,9 +12,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any
 
-__all__ = ["MessageKind", "Message", "fast_message"]
+__all__ = ["MessageKind", "Message", "fast_message", "WIRE_BODY"]
 
 _msg_ids = itertools.count()
+
+WIRE_BODY = "_wire_body"
+"""``__dict__`` key under which a message decoded from a wire-v2
+generic-lane frame keeps that frame's body (see ``runtime/wire.py``)."""
 
 
 class MessageKind(Enum):
@@ -47,6 +51,13 @@ class Message:
     ``origin`` is the PID where a client request entered the overlay
     (``-1`` until an entry node stamps it); the live runtime routes
     replies back through it, and ``forwarded`` copies preserve it.
+
+    A message the wire decoded may carry the bytes it was decoded from
+    (:data:`WIRE_BODY`), so that forwarding it costs a copy and three
+    patched fields, not a second encode.  They are not a field: ``==``,
+    ``repr`` and ``dataclasses.replace`` do not see them, and only
+    :meth:`forwarded` — which changes nothing the patch does not cover —
+    hands them on.
     """
 
     kind: MessageKind
@@ -64,10 +75,14 @@ class Message:
         # fast_message: this runs once per overlay hop on the runtime's
         # hot path, and both dataclasses.replace and the frozen
         # __init__ cost several times a direct __dict__ seed.
-        return fast_message(
+        msg = fast_message(
             self.kind, new_src, new_dst, self.file, self.payload,
             self.version, self.hops + 1, self.origin, self.request_id,
         )
+        body = self.__dict__.get(WIRE_BODY)
+        if body is not None:
+            msg.__dict__[WIRE_BODY] = body
+        return msg
 
     def reply(self, kind: MessageKind, payload: Any = None) -> "Message":
         """A reply travelling back to this message's source."""

@@ -26,8 +26,10 @@ messages:
 * **INSERT** (§3/§4) computes one storage node per subtree and fans
   out, acking the client once every home confirmed.
 * **UPDATE** (§2.2) broadcasts top-down from each subtree root
-  (bypassing a dead root to its children list); holders re-broadcast,
-  non-holders discard.
+  (bypassing a dead root to its children list); holders re-broadcast to
+  :func:`~repro.core.subtree.subtree_children_list` of their own word,
+  non-holders discard.  Every child's frame is the one the holder
+  received, copied and re-addressed (the wire's carried body).
 * **REPLICATE** (§2.2/§3): an overloaded holder reports its seed and
   observed forwarder rates to the coordination plane, which runs
   ``LessLogSystem.replicate`` on its mirror and sends the chosen
@@ -71,7 +73,7 @@ import asyncio
 import random
 import types
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
@@ -81,6 +83,7 @@ from ..core.subtree import (
     SubtreeView,
     SvidLiveness,
     identity_tree,
+    subtree_children_list,
     subtree_of_pid,
 )
 from ..core.tree import LookupTree
@@ -94,7 +97,7 @@ from .wire import FrameConnection
 if TYPE_CHECKING:  # pragma: no cover
     from .host import NodeHost
 
-__all__ = ["CLIENT", "NodeServer", "subtree_children"]
+__all__ = ["CLIENT", "NodeServer"]
 
 CLIENT = -1
 """``src`` of a request arriving straight from a client connection."""
@@ -102,28 +105,6 @@ CLIENT = -1
 _SLO_MIN_SAMPLES = 8
 """Windowed latency samples required before the p99 SLO trigger can
 fire — a lone slow request must not cause a replication round."""
-
-
-def subtree_children(view: SubtreeView, pid: int, word) -> list[int]:
-    """Advanced children list of ``pid`` within its subtree.
-
-    The same reduction ``LessLogSystem._subtree_children_list`` runs:
-    identity-map the subtree to a standalone tree, take the §3 children
-    list there, map back to PIDs.  Served from the LRU routing-table
-    cache — the table memoizes children lists per PID, so repeated
-    broadcast steps at the same liveness cost one dict lookup.
-    """
-    itree = identity_tree(view)
-    sliveness = SvidLiveness(view, word)
-    try:
-        table = routing_table(itree, sliveness)
-    except NoLiveNodeError:
-        return []
-    svid = view.tree.vid_of(pid) >> view.b
-    return [
-        view.pid_of_svid(s)
-        for s in table.children_list(svid, itree, sliveness)
-    ]
 
 
 @types.coroutine
@@ -594,7 +575,11 @@ class NodeServer:
     async def _fault(self, msg: Message) -> None:
         self.cluster.count("get_faults")
         await self._finish(
-            msg, replace(msg.reply(MessageKind.GET_FAULT), dst=msg.origin)
+            msg,
+            fast_message(
+                MessageKind.GET_FAULT, msg.dst, msg.origin, msg.file, None,
+                msg.version, msg.hops, msg.origin, msg.request_id,
+            ),
         )
 
     async def _shed(self, msg: Message, conn: FrameConnection | None) -> None:
@@ -795,14 +780,9 @@ class NodeServer:
                 now=asyncio.get_running_loop().time(),
             )
             await self._send(
-                Message(
-                    kind=MessageKind.ACK,
-                    src=self.pid,
-                    dst=msg.origin,
-                    file=msg.file,
-                    version=msg.version,
-                    origin=msg.origin,
-                    request_id=msg.request_id,
+                fast_message(
+                    MessageKind.ACK, self.pid, msg.origin, msg.file, None,
+                    msg.version, 0, msg.origin, msg.request_id,
                 )
             )
             return
@@ -832,13 +812,10 @@ class NodeServer:
             # (possible only when the catalog is a remote service).
             await self._client_error(msg, conn, f"file {name!r} already inserted")
             return
-        reply = replace(
-            msg.reply(
-                MessageKind.ACK,
-                payload={"homes": homes, "target": r},
-            ),
-            version=1,
-            dst=CLIENT,
+        reply = fast_message(
+            MessageKind.ACK, msg.dst, CLIENT, name,
+            {"homes": homes, "target": r}, 1, msg.hops, msg.origin,
+            msg.request_id,
         )
         remote = [h for h in homes if h != self.pid]
         if self.pid in homes:
@@ -846,7 +823,10 @@ class NodeServer:
                 name, msg.payload, 1, FileOrigin.INSERTED,
                 now=asyncio.get_running_loop().time(),
             )
-        stamped = replace(msg, origin=self.pid, version=1)
+        stamped = fast_message(
+            msg.kind, msg.src, msg.dst, name, msg.payload, 1, msg.hops,
+            self.pid, msg.request_id,
+        )
         for home in remote:
             await self._send(stamped.forwarded(self.pid, home))
         if not remote:
@@ -872,52 +852,62 @@ class NodeServer:
         if conn is not None:
             await self._write_client(
                 conn,
-                replace(msg.reply(MessageKind.ERROR, payload={"reason": reason}),
-                        dst=CLIENT),
+                fast_message(
+                    MessageKind.ERROR, msg.dst, CLIENT, msg.file,
+                    {"reason": reason}, msg.version, msg.hops, msg.origin,
+                    msg.request_id,
+                ),
             )
 
     # -- UPDATE -------------------------------------------------------------
 
     async def _handle_update(self, msg: Message, conn: FrameConnection | None) -> None:
+        cluster = self.cluster
+        name = msg.file
         if msg.src != CLIENT:
             # §2.2 top-down broadcast step: refresh + re-broadcast, or discard.
-            if msg.file not in self.store:
-                self.cluster.count("update_discards")
+            if name not in self.store:
+                cluster.count("update_discards")
                 return
-            self.store.update(msg.file, msg.payload, msg.version)
-            tree = self.cluster.tree(self.cluster.psi_of(msg.file))
-            sid = subtree_of_pid(tree, self.pid, self.b)
-            view, _itree, _sliveness = self._subtree_ctx(tree, sid)
-            for child in subtree_children(view, self.pid, self.word):
+            self.store.update(name, msg.payload, msg.version)
+            children = subtree_children_list(
+                cluster.tree(cluster.psi_of(name)), self.b, self.pid, self.word
+            )
+            # ``forwarded`` hands each child's copy the body this frame
+            # arrived in: one encode (the sender's) per fan-out.
+            for child in children:
                 await self._send(msg.forwarded(self.pid, child))
             return
         # Entry node: assign the next version, start at each subtree root.
-        name = msg.file
-        version = await self.cluster.catalog_advance(name, msg.payload)
+        version = await cluster.catalog_advance(name, msg.payload)
         if version is None:
             await self._client_error(msg, conn, f"file {name!r} not inserted")
             return
-        tree = self.cluster.tree(self.cluster.psi_of(name))
-        stamped = replace(msg, origin=self.pid, version=version)
+        tree = cluster.tree(cluster.psi_of(name))
+        stamped = fast_message(
+            msg.kind, msg.src, msg.dst, name, msg.payload, version, msg.hops,
+            self.pid, msg.request_id,
+        )
         for sid in range(1 << self.b):
-            view, _itree, _sliveness = self._subtree_ctx(tree, sid)
-            root = view.root_pid
+            root = self._subtree_ctx(tree, sid)[0].root_pid
             if self.word.is_live(root):
-                targets = [root]
+                targets = (root,)
             else:
                 # §3: bypass a dead root to its children list.
-                targets = subtree_children(view, root, self.word)
+                targets = subtree_children_list(tree, self.b, root, self.word)
             for target in targets:
                 hop = stamped.forwarded(self.pid, target)
                 if target == self.pid:
-                    self.deliver_local(replace(hop, src=self.pid))
+                    self.deliver_local(hop)
                 else:
                     await self._send(hop)
         if conn is not None:
             await self._write_client(
                 conn,
-                replace(msg.reply(MessageKind.ACK, payload={}), version=version,
-                        dst=CLIENT),
+                fast_message(
+                    MessageKind.ACK, msg.dst, CLIENT, name, {}, version,
+                    msg.hops, msg.origin, msg.request_id,
+                ),
             )
 
     # -- REPLICATE ----------------------------------------------------------

@@ -77,6 +77,21 @@ as many complete frames as it holds, decoded straight off a
 never alias the buffer).  :func:`read_frame` serves the scale-out
 control link.
 
+**Carried body.**  A message decoded from a v2 *generic* frame keeps
+that frame's body (``Message.__dict__[WIRE_BODY]``, not a field), and
+``Message.forwarded`` hands it to the copy it returns.  ``src``, ``dst``
+and ``hops`` — all ``forwarded`` changes — sit at fixed offsets of the
+generic body, so :meth:`FrameEncoder.add` appends the carried bytes and
+packs those three fields over them: every child of an UPDATE fan-out
+costs a ~100-byte copy, not a walk of the payload tree.  The bytes are
+dropped, and the message encoded in full, whenever they could be wrong:
+a message built any other way (``fast_message``, ``replace``, ``reply``)
+never has them; a v1 target takes the JSON body; a message the fixed
+lane accepts takes the fixed lane; and a field ``struct`` rejects rolls
+the copy back, so the full encode raises the usual error.  Fixed-layout
+frames carry nothing: their encode is already one ``pack``, and a copy
+per frame costs what the shorter encode would save.
+
 Negotiation is per connection: each side learns the peer's codec from
 the version byte of the frames it receives (:func:`read_frame` /
 :class:`FrameConnection`) and a sender never exceeds the receiver's
@@ -106,7 +121,7 @@ from asyncio import IncompleteReadError, StreamReader, StreamWriter
 from time import perf_counter
 from typing import Any, Callable
 
-from ..net.message import Message, MessageKind, fast_message
+from ..net.message import WIRE_BODY, Message, MessageKind, fast_message
 
 __all__ = [
     "WIRE_VERSION",
@@ -270,6 +285,12 @@ _S_FIXED = struct.Struct(">B6qH")
 _S_Q = struct.Struct(">q")
 _S_D = struct.Struct(">d")
 _S_U32 = struct.Struct(">I")
+
+#: Patching a carried generic body: ``src`` and ``dst`` are adjacent, and
+#: these are their and ``hops``' offsets from the start of the *frame*.
+_S_SRC_DST = struct.Struct(">2q")
+_SRC_AT = HEADER.size + 1
+_HOPS_AT = _SRC_AT + 3 * 8
 
 #: Fixed layouts: the six int fields + name length (GET/ACK), plus one
 #: extra i64 (the serving node) for GET_REPLY, and two extra i64s
@@ -591,10 +612,12 @@ def _decode_body_v2(body) -> Message:
         raise WireDecodeError(
             f"{len(body) - pos} trailing bytes after binary payload"
         )
-    return fast_message(
+    msg = fast_message(
         _KIND_BY_CODE[code], src, dst, file, payload,
         version, hops, origin, request_id,
     )
+    msg.__dict__[WIRE_BODY] = bytes(body)
+    return msg
 
 
 def _decode_body_fixed(flags: int, body) -> Message:
@@ -725,7 +748,22 @@ class FrameEncoder:
                 if self.fixed:
                     flags = _try_encode_fixed(buf, msg)
                 if flags == FRAME_GENERIC:
-                    _encode_body_v2(buf, msg)
+                    # A forwarded message still carrying the generic body
+                    # it was decoded from differs from it in src, dst and
+                    # hops only: copy and patch instead of encoding again.
+                    body = msg.__dict__.get(WIRE_BODY)
+                    if body is not None:
+                        buf += body
+                        try:
+                            _S_SRC_DST.pack_into(
+                                buf, start + _SRC_AT, msg.src, msg.dst
+                            )
+                            _S_Q.pack_into(buf, start + _HOPS_AT, msg.hops)
+                        except struct.error:
+                            del buf[start + HEADER.size:]
+                            body = None  # the full encode names the field
+                    if body is None:
+                        _encode_body_v2(buf, msg)
             elif version == WIRE_VERSION:
                 try:
                     buf += json.dumps(

@@ -71,3 +71,51 @@ class TestCommands:
         assert "completed   36" in out
         assert "dead-letter 0" in out
         assert "retried" in out and "latency" in out
+
+
+class TestStackSampler:
+    """``lesslog profile``'s SIGPROF sampler (it replaced cProfile)."""
+
+    def test_shares_are_of_cpu_time_and_the_signal_is_handed_back(self):
+        import signal
+        import time
+
+        from repro.cli import _StackSampler
+
+        def spin(cpu_seconds):
+            end = time.process_time() + cpu_seconds
+            while time.process_time() < end:
+                pass
+
+        def workload():
+            spin(0.15)
+
+        before = signal.getsignal(signal.SIGPROF)
+        with _StackSampler(interval=0.002) as sampler:
+            workload()
+        assert signal.getsignal(signal.SIGPROF) == before
+        assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        assert sampler.samples >= 20
+        rows = {row["function"]: row for row in sampler.table()}
+        # Every sample has exactly one running function ...
+        assert sum(r["self_share"] for r in rows.values()) == pytest.approx(1.0)
+        # ... and a caller is on the stack whenever its callee runs.
+        assert rows["workload"]["cum_share"] >= rows["spin"]["cum_share"] > 0.9
+        assert rows["workload"]["self_share"] < 0.1
+        shares = [r["self_share"] for r in sampler.table()]
+        assert shares == sorted(shares, reverse=True)
+
+    @pytest.mark.runtime
+    def test_profile_command_writes_the_table_as_json(self, capsys, tmp_path):
+        import json
+
+        out_path = tmp_path / "profile.json"
+        assert main(["profile", "--rps", "300", "--duration", "0.5",
+                     "--top", "5", "-o", str(out_path)]) == 0
+        out = capsys.readouterr().out
+        assert "stage breakdown" in out and "functions by self share" in out
+        table = json.loads(out_path.read_text())
+        assert table["samples"] > 0 and table["interval_s"] == 0.001
+        assert {"function", "file", "line", "self_share", "cum_share"} == set(
+            table["functions"][0]
+        )

@@ -4,16 +4,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import subtree as subtree_module
+from repro.core.children import advanced_children_list
 from repro.core.errors import NoLiveNodeError
 from repro.core.liveness import SetLiveness
 from repro.core.subtree import (
     SubtreeView,
+    SvidLiveness,
+    identity_tree,
     insert_targets,
     migration_order,
     split_vid,
+    subtree_children_list,
     subtree_of_pid,
 )
 from repro.core.tree import LookupTree
+from repro.node.membership import StatusWord
 
 
 @st.composite
@@ -127,3 +133,122 @@ class TestMigrationOrderLaws:
             order = migration_order(tree, b, entry)
             assert sorted(order) == list(range(1 << b))
             assert order[0] == subtree_of_pid(tree, entry, b)
+
+
+def reference_children(tree, b, pid, liveness):
+    """The un-memoized statement: §3 children list over a fresh identity
+    reduction of ``pid``'s subtree, mapped back to PIDs."""
+    view = SubtreeView(tree, b, subtree_of_pid(tree, pid, b))
+    svids = advanced_children_list(
+        identity_tree(view), view.svid_of(pid), SvidLiveness(view, liveness)
+    )
+    return [view.pid_of_svid(svid) for svid in svids]
+
+
+@st.composite
+def tree_b_word(draw):
+    """``(tree, b, word)`` — the word may leave whole subtrees empty."""
+    m = draw(st.integers(min_value=2, max_value=6))
+    b = draw(st.integers(min_value=0, max_value=m - 1))
+    r = draw(st.integers(min_value=0, max_value=(1 << m) - 1))
+    live = draw(st.sets(st.integers(min_value=0, max_value=(1 << m) - 1)))
+    return LookupTree(r, m), b, StatusWord(m, live)
+
+
+class TestSubtreeChildrenList:
+    @given(tree_b_word())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_reference_for_every_pid(self, setup):
+        tree, b, word = setup
+        for pid in range(1 << tree.m):  # every sid, live and dead pids
+            got = subtree_children_list(tree, b, pid, word)
+            assert list(got) == reference_children(tree, b, pid, word)
+            assert all(
+                subtree_of_pid(tree, child, b) == subtree_of_pid(tree, pid, b)
+                for child in got
+            )
+
+    @given(tree_b_word(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_a_mutated_word_never_sees_a_stale_list(self, setup, data):
+        tree, b, word = setup
+        pids = st.integers(min_value=0, max_value=(1 << tree.m) - 1)
+        pid = data.draw(pids, label="pid")
+        for _ in range(6):
+            assert list(subtree_children_list(tree, b, pid, word)) == (
+                reference_children(tree, b, pid, word)
+            )
+            flipped = data.draw(pids, label="flipped")
+            if word.is_live(flipped):
+                word.register_dead(flipped)
+            else:
+                word.register_live(flipped)
+        assert list(subtree_children_list(tree, b, pid, word)) == (
+            reference_children(tree, b, pid, word)
+        )
+
+    @given(tree_b_word(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_words_share_a_result_by_content_not_identity(self, setup, data):
+        tree, b, word = setup
+        pid = data.draw(st.integers(0, (1 << tree.m) - 1), label="pid")
+        twin = word.copy()
+        assert twin is not word
+        first = subtree_children_list(tree, b, pid, word)
+        assert subtree_children_list(tree, b, pid, twin) is first
+        children = reference_children(tree, b, pid, word)
+        if children:
+            # Unequal content: the twin loses the first child, whose own
+            # children list is spliced in; the original must not see it.
+            twin.register_dead(children[0])
+            assert list(subtree_children_list(tree, b, pid, twin)) == (
+                reference_children(tree, b, pid, twin)
+            )
+            assert children[0] not in subtree_children_list(tree, b, pid, twin)
+            assert subtree_children_list(tree, b, pid, word) is first
+
+    @given(tree_b_liveness())
+    @settings(max_examples=30, deadline=None)
+    def test_set_liveness_views_are_served_too(self, setup):
+        tree, b, liveness = setup
+        for pid in range(1 << tree.m):
+            assert list(subtree_children_list(tree, b, pid, liveness)) == (
+                reference_children(tree, b, pid, liveness)
+            )
+
+    def test_an_empty_subtree_has_no_children_and_raises_nothing(self):
+        tree = LookupTree(5, 4)
+        view = SubtreeView(tree, 2, 1)
+        elsewhere = [p for p in range(16) if not view.contains(p)]
+        for word in (StatusWord(4, elsewhere), StatusWord(4)):
+            for pid in view.members():
+                assert subtree_children_list(tree, 2, pid, word) == ()
+
+    def test_a_view_without_a_token_is_walked_afresh(self):
+        class Bare:
+            """Liveness with no ``cache_token``: nothing to key a memo on."""
+
+            m = 3
+
+            def __init__(self):
+                self.dead = set()
+
+            def is_live(self, pid):
+                return pid not in self.dead
+
+        tree, bare = LookupTree(2, 3), Bare()
+        before = subtree_children_list(tree, 1, tree.root, bare)
+        bare.dead.add(before[0])
+        after = subtree_children_list(tree, 1, tree.root, bare)
+        assert before[0] not in after
+        assert list(after) == reference_children(tree, 1, tree.root, bare)
+
+    def test_the_memo_is_bounded(self):
+        memo, cap = subtree_module._CHILDREN_MEMO, subtree_module._CHILDREN_MEMO_MAX
+        tree = LookupTree(0, 4)
+        for bits in range(1, cap // 16 + 3):  # > cap distinct (word, pid) keys
+            word = StatusWord.from_int(4, bits)
+            for pid in range(16):
+                subtree_children_list(tree, 0, pid, word)
+            assert len(memo) <= cap
+        assert len(memo) == cap

@@ -8,12 +8,13 @@ and run via ``pytest -m runtime`` (CI's dedicated smoke job).
 
 import asyncio
 import socket
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.message import Message, MessageKind
+from repro.net.message import WIRE_BODY, Message, MessageKind, fast_message
 from repro.node.membership import StatusWord
 from repro.runtime import (
     LiveCluster,
@@ -28,6 +29,7 @@ from repro.runtime import (
     run_conformance,
 )
 from repro.runtime import LatencyHistogram
+from repro.runtime import wire as wire_module
 from repro.runtime.host import NodeHost
 from repro.runtime.node import CLIENT, NodeServer
 from repro.runtime.wire import (
@@ -845,6 +847,114 @@ class TestFrameConnection:
 # inline dispatch: frames served inside data_received, in arrival order
 # ---------------------------------------------------------------------------
 
+def _rebuilt(msg: Message) -> Message:
+    """The same nine fields on a message that never saw the wire."""
+    return fast_message(
+        msg.kind, msg.src, msg.dst, msg.file, msg.payload, msg.version,
+        msg.hops, msg.origin, msg.request_id,
+    )
+
+
+_pids = st.integers(min_value=-2, max_value=2**31 - 1)
+
+
+class TestCarriedBody:
+    """A message decoded from a v2 generic-lane frame keeps the body it
+    came in; ``forwarded`` hands it on and ``FrameEncoder.add`` copies
+    and patches it instead of encoding the message again."""
+
+    @pytest.fixture
+    def full_encodes(self, monkeypatch):
+        """Counts calls of the generic v2 body encoder."""
+        calls = []
+        encode = wire_module._encode_body_v2
+
+        def counted(buf, msg):
+            calls.append(msg)
+            encode(buf, msg)
+
+        monkeypatch.setattr(wire_module, "_encode_body_v2", counted)
+        return calls
+
+    @settings(max_examples=120)
+    @given(messages, _pids, _pids, st.integers(1, 40), st.booleans())
+    def test_forwarded_frame_is_the_fresh_encode(self, msg, src, dst, cut, fixed):
+        frame = encode_message(msg, WIRE_VERSION_BINARY, fixed=False)
+        _conn, out, _errors = _feed([frame[:cut], frame[cut:]])
+        (got, _version), = out
+        hop = got.forwarded(src, dst)
+        fresh = _rebuilt(hop)
+        assert hop == fresh and WIRE_BODY not in fresh.__dict__
+        encoder = FrameEncoder(fixed=fixed)
+        encoder.add(hop, WIRE_VERSION_BINARY)
+        patched = encoder.take_bytes()
+        assert patched == encode_message(fresh, WIRE_VERSION_BINARY, fixed=fixed)
+        assert decode_message(patched) == hop
+        # A v1 peer gets JSON, whatever the message carries.
+        assert encode_message(hop, WIRE_VERSION) == encode_message(fresh, WIRE_VERSION)
+
+    def test_the_body_is_copied_not_encoded_again(self, full_encodes):
+        update = Message(kind=MessageKind.UPDATE, src=3, dst=7, file="doc",
+                         payload={"text": "x" * 40}, version=9, origin=3)
+        got = decode_message(encode_message(update, WIRE_VERSION_BINARY))
+        assert len(full_encodes) == 1
+        encoder = FrameEncoder()
+        for child in (1, 2, 4):
+            encoder.add(got.forwarded(7, child), WIRE_VERSION_BINARY)
+        assert len(full_encodes) == 1  # three children, no further encode
+        # Any other derivation drops the bytes and is encoded in full.
+        for derived in (replace(got, dst=5), _rebuilt(got), got.reply(MessageKind.ACK)):
+            assert WIRE_BODY not in derived.__dict__
+        encoder.add(replace(got, dst=5), WIRE_VERSION_BINARY)
+        assert len(full_encodes) == 2
+        # And so is a forwarded copy bound for a v1 peer (no v2 body at all).
+        encoder.add(got.forwarded(7, 1), WIRE_VERSION)
+        assert len(full_encodes) == 2
+
+    def test_a_field_struct_rejects_falls_back_and_rolls_back(self, full_encodes):
+        update = Message(kind=MessageKind.UPDATE, src=3, dst=7, file="doc",
+                         payload=["p"], version=2)
+        got = decode_message(encode_message(update, WIRE_VERSION_BINARY))
+        last_hop = decode_message(
+            encode_message(replace(update, hops=2**63 - 1), WIRE_VERSION_BINARY)
+        )
+        encoder = FrameEncoder()
+        encoder.add(got.forwarded(7, 1), WIRE_VERSION_BINARY)
+        before = encoder.pending_bytes
+        for bad in (got.forwarded(2**70, 1), got.forwarded(7, -(2**70)),
+                    last_hop.forwarded(7, 1)):
+            assert WIRE_BODY in bad.__dict__
+            full_encodes.clear()
+            with pytest.raises(WireDecodeError):
+                encoder.add(bad, WIRE_VERSION_BINARY)
+            assert full_encodes == [bad]  # the full encode named the field
+            assert (encoder.pending, encoder.pending_bytes) == (1, before)
+        encoder.add(got.forwarded(7, 2), WIRE_VERSION_BINARY)
+        assert encoder.take_bytes() == b"".join(
+            encode_message(_rebuilt(got.forwarded(7, child)), WIRE_VERSION_BINARY)
+            for child in (1, 2)
+        )
+
+    @settings(max_examples=60)
+    @given(fixed_eligible, messages)
+    def test_fixed_lane_and_v1_frames_carry_nothing(self, eligible, msg):
+        for frame in (encode_message(eligible, WIRE_VERSION_BINARY),
+                      encode_message(msg, WIRE_VERSION)):
+            got = decode_message(frame)
+            assert WIRE_BODY not in got.__dict__
+            assert WIRE_BODY not in got.forwarded(1, 2).__dict__
+
+    @settings(max_examples=60)
+    @given(messages)
+    def test_equality_repr_and_dict_form_ignore_the_body(self, msg):
+        got = decode_message(encode_message(msg, WIRE_VERSION_BINARY, fixed=False))
+        assert WIRE_BODY in got.__dict__
+        plain = _rebuilt(got)
+        assert got == plain and plain == got
+        assert repr(got) == repr(plain)
+        assert message_to_dict(got) == message_to_dict(plain)
+
+
 class _StubHost(NodeHost):
     """A `NodeHost` with no sockets: ``send`` logs the request it was
     asked to carry — one call per dispatched peer GET — and, for the
@@ -1432,6 +1542,69 @@ def test_silent_crash_is_discovered_and_rerouted():
             assert outcome.payload == "precious"
             # The failed send taught the entry node about the death.
             assert not cluster.nodes[entry].word.is_live(hop)
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
+def test_update_broadcast_splices_a_silently_dead_child():
+    """§3 on the write path, ``b = 1``: a holder's child dies unannounced
+    between two UPDATEs.  The first broadcast's failed send marks it dead
+    in the holder's own word — and the copy below it misses that version;
+    the second broadcast takes the children list of the *changed* word,
+    which splices in the dead child's live children."""
+    from repro.core.subtree import subtree_children_list
+
+    async def run():
+        config = RuntimeConfig(m=4, b=1, seed=5)
+        cluster = await LiveCluster.start(config)
+        try:
+            client = await RuntimeClient(cluster, 0).connect()
+            insert = await client.insert("doc", "v1")
+            home = insert.payload["homes"][0]
+            tree = cluster.tree(cluster.psi("doc"))
+            # A chain of copies: home -> child -> grandchild.
+            await cluster.trigger_overload(home, "doc", seed=1)
+            await cluster.drain()
+            child = cluster.oplog[-1].target
+            await cluster.trigger_overload(child, "doc", seed=2)
+            await cluster.drain()
+            grandchild = cluster.oplog[-1].target
+            assert child in subtree_children_list(tree, 1, home, cluster.word)
+            assert grandchild in subtree_children_list(tree, 1, child, cluster.word)
+            assert len({0, home, child, grandchild}) == 4
+
+            def held(pid):
+                copy = cluster.nodes[pid].store.get("doc", count_access=False)
+                return copy.version, copy.payload
+
+            await cluster.crash(child, announce=False)
+            holder = cluster.nodes[home]
+            assert holder.word.is_live(child)  # nobody was told
+            assert (await client.update("doc", "v2")).ok
+            await cluster.drain()
+            assert not holder.word.is_live(child)  # the failed send told it
+            assert held(home) == (2, "v2")
+            assert held(grandchild) == (1, "v1")  # below the dead child: missed
+            assert (await client.update("doc", "v3")).ok
+            await cluster.drain()
+            assert grandchild in subtree_children_list(tree, 1, home, holder.word)
+            assert held(grandchild) == (3, "v3")
+
+            await cluster.announce_crash(child)
+            await cluster.drain()
+            await client.close()
+            assert cluster.counters.get("handler_errors", 0) == 0
+            versions = cluster.version_map()
+            for name, holders in cluster.placement().items():
+                for pid in holders:
+                    assert held(pid)[0] == versions[name] == 3, (name, pid)
+            system = replay_oplog(cluster.oplog, config, cluster.initial_live)
+            system.check_invariants()
+            conformance = diff_states(cluster, system)
+            assert conformance.ok, conformance.render()
         finally:
             await cluster.shutdown()
 

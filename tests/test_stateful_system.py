@@ -19,11 +19,38 @@ from hypothesis.stateful import (
 )
 
 from repro.cluster import LessLogSystem
+from repro.core.children import advanced_children_list
 from repro.core.errors import FileNotFoundInSystemError
+from repro.core.subtree import SubtreeView, SvidLiveness, identity_tree
 from repro.node.storage import FileOrigin
 
 M = 4
 N = 1 << M
+
+
+def unmemoized_reachable_holders(system: LessLogSystem, name: str) -> list[int]:
+    """The §2.2/§3 top-down broadcast, every children list walked afresh
+    over a fresh identity reduction: what ``reachable_holders`` must
+    equal whatever its memo has seen before."""
+    tree = system.tree(system.catalog[name].target)
+    reached: list[int] = []
+    for sid in range(1 << system.b):
+        view = SubtreeView(tree, system.b, sid)
+        itree = identity_tree(view)
+        sliveness = SvidLiveness(view, system.membership)
+
+        def children(pid: int) -> list[int]:
+            svids = advanced_children_list(itree, view.svid_of(pid), sliveness)
+            return [view.pid_of_svid(svid) for svid in svids]
+
+        root = view.root_pid
+        stack = [root] if system.is_live(root) else children(root)[::-1]
+        while stack:
+            pid = stack.pop()
+            if name in system.stores[pid]:
+                reached.append(pid)
+                stack.extend(children(pid)[::-1])
+    return reached
 
 
 class LessLogMachine(RuleBasedStateMachine):
@@ -125,6 +152,18 @@ class LessLogMachine(RuleBasedStateMachine):
     def system_invariants_hold(self):
         if hasattr(self, "system"):
             self.system.check_invariants()
+
+    @invariant()
+    def broadcast_reach_matches_the_unmemoized_walk(self):
+        """Checked after every step, so before and after each join,
+        leave and fail: a children list remembered for a membership that
+        has since changed would show here."""
+        if not hasattr(self, "system"):
+            return
+        for name in self.file_names():
+            assert self.system.reachable_holders(name) == (
+                unmemoized_reachable_holders(self.system, name)
+            )
 
     @invariant()
     def non_faulted_files_are_readable(self):
