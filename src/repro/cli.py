@@ -865,7 +865,6 @@ def _cmd_profile(args: "argparse.Namespace") -> int:
         config = RuntimeConfig(
             m=args.m, b=args.b, seed=args.seed,
             wire_version=2 if args.codec == "binary" else 1,
-            coalesce_bytes=4096 if args.codec == "binary" else 0,
             batch_max=16 if args.codec == "binary" else 1,
         )
         cluster = await LiveCluster.start(config)

@@ -27,19 +27,22 @@ from ..core.bits import check_id, check_width
 from ..core.errors import (
     ConfigurationError,
     FileNotFoundInSystemError,
-    NoLiveNodeError,
     NodeDownError,
     StorageError,
 )
 from ..core.hashing import Psi
+from ..core.routing import retry_entry
 from ..core.subtree import (
     SubtreeView,
     SvidLiveness,
     check_b,
+    get_next_hop,
     identity_tree,
+    insert_targets,
     migration_order,
     subtree_children_list,
     subtree_of_pid,
+    update_starts,
 )
 from ..core.tree import LookupTree
 from ..node.membership import StatusWord
@@ -231,16 +234,11 @@ class LessLogSystem:
         if name in self.catalog:
             raise StorageError(f"file {name!r} already inserted; use update()")
         r = self.psi(name)
-        homes: list[int] = []
-        for view in self._views(r):
-            try:
-                home = view.storage_node(self.membership)
-            except NoLiveNodeError:  # empty subtree: degree degrades (§4)
-                continue
-            self.stores[home].store(name, payload, 1, FileOrigin.INSERTED, self.now)
-            homes.append(home)
+        homes = insert_targets(self.tree(r), self.b, self.membership)
         if not homes:
             raise FileNotFoundInSystemError(name)
+        for home in homes:
+            self.stores[home].store(name, payload, 1, FileOrigin.INSERTED, self.now)
         self.catalog[name] = CatalogEntry(name=name, target=r, version=1)
         self.metrics.counter("system.inserts").inc()
         self.tracer.emit(self.now, "insert", file=name, target=r, homes=homes)
@@ -251,37 +249,25 @@ class LessLogSystem:
     def _locate(self, name: str, entry: int) -> tuple[list[int], list[int], int | None]:
         """The routing walk shared by :meth:`get` and :meth:`resolve`.
 
-        Returns ``(route, subtrees_tried, server)`` where ``server`` is
-        the first node on the route holding a copy, or ``None`` if the
-        walk exhausted every subtree.  Pure inspection: no metrics,
-        traces, or access counting.
+        Iterates :func:`~repro.core.subtree.get_next_hop` from the
+        (live) entry node.  Returns ``(route, subtrees_tried, server)``
+        where ``server`` is the first node on the route holding a copy,
+        or ``None`` if the walk exhausted every subtree.  Pure
+        inspection: no metrics, traces, or access counting.
         """
-        r = self.psi(name)
-        views = self._views(r)
-        route: list[int] = []
-        tried: list[int] = []
-        for sid in migration_order(self.tree(r), self.b, entry):
-            view = views[sid]
-            tried.append(sid)
-            if view.contains(entry) and self.is_live(entry):
-                try:
-                    walk = view.resolve_route(entry, self.membership)
-                except NoLiveNodeError:
-                    walk = []
-            else:
-                # Migrated subtree: the request re-enters at the node
-                # that must hold the copy (§4's identifier change).
-                try:
-                    walk = [view.storage_node(self.membership)]
-                except NoLiveNodeError:
-                    walk = []
-            for pid in walk:
-                if route and route[-1] == pid:
-                    continue
-                route.append(pid)
-                if name in self.stores[pid]:
-                    return route, tried, pid
-        return route, tried, None
+        tree = self.tree(self.psi(name))
+        order = migration_order(tree, self.b, entry)
+        route = [entry]
+        pid, carried = entry, None
+        while name not in self.stores[pid]:
+            hop = get_next_hop(tree, self.b, pid, carried, self.membership)
+            if hop is None:
+                return route, order, None
+            pid, carried = hop
+            route.append(pid)
+        # What a hop still carries is what was not yet tried before it.
+        tried = len(order) - len(carried) + 1 if carried else 1
+        return route, order[:tried], pid
 
     def resolve(self, name: str, entry: int) -> GetResult | None:
         """Side-effect-free routing probe (audit / invariant hook).
@@ -307,29 +293,12 @@ class LessLogSystem:
         )
 
     def retry_entry(self, name: str, entry: int) -> int | None:
-        """Where a retried request for ``name`` should re-enter.
-
-        The client-side dual of ``FINDLIVENODE`` (§3), used by the
-        request-reliability layer (:mod:`repro.net.reliability`): a
-        still-live entry is kept, a dead one is bypassed to its first
-        alive ancestor in the file's lookup tree (falling back to the
-        storage node), and ``None`` means no live node remains.
-        """
-        from ..core.routing import first_alive_ancestor, storage_node
-
+        """Where a retried request for ``name`` should re-enter:
+        :func:`repro.core.routing.retry_entry` in the file's lookup tree."""
         catalog_entry = self.catalog.get(name)
         if catalog_entry is None:
             raise FileNotFoundInSystemError(name)
-        if self.is_live(entry):
-            return entry
-        tree = self.tree(catalog_entry.target)
-        nxt = first_alive_ancestor(tree, entry, self.membership)
-        if nxt is not None:
-            return nxt
-        try:
-            return storage_node(tree, self.membership)
-        except NoLiveNodeError:
-            return None
+        return retry_entry(self.tree(catalog_entry.target), entry, self.membership)
 
     def get(self, name: str, entry: int) -> GetResult:
         """Resolve a request entering at ``P(entry)``.
@@ -405,22 +374,15 @@ class LessLogSystem:
         # with the cyclic GC off (the live runtime's measured windows)
         # would keep every walk's garbage.  Children are pushed
         # reversed so the walk stays depth-first in children-list order.
-        for view in self._views(catalog_entry.target):
-            root = view.root_pid
-            if self.is_live(root):
-                stack = [root]
-            else:
-                # §3: "the update request will bypass a dead node and be
-                # forwarded to the children list of the dead node".
-                stack = list(subtree_children_list(tree, b, root, word)[::-1])
-            while stack:
-                pid = stack.pop()
-                if not self.is_live(pid):  # pragma: no cover - defensive
-                    continue
-                if name not in stores[pid]:
-                    continue  # discard: no copy, no re-broadcast
-                reached.append(pid)
-                stack.extend(subtree_children_list(tree, b, pid, word)[::-1])
+        stack = update_starts(tree, b, word)[::-1]
+        while stack:
+            pid = stack.pop()
+            if not self.is_live(pid):  # pragma: no cover - defensive
+                continue
+            if name not in stores[pid]:
+                continue  # discard: no copy, no re-broadcast
+            reached.append(pid)
+            stack.extend(subtree_children_list(tree, b, pid, word)[::-1])
         return reached
 
     # -- REPLICATE (§2.2 / §3, within a subtree for §4) ---------------------

@@ -13,6 +13,9 @@ Three primitives drive every file operation:
   live PIDs a request visits from an entry node until it reaches the
   node that must hold the (inserted) file, including the final jump to
   ``FINDLIVENODE(r, r)`` when the climb tops out below it.
+
+:func:`retry_entry` composes the first two for a client whose entry
+node died.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "resolve_route",
     "iter_route",
     "route_length",
+    "retry_entry",
     "RoutingTable",
     "routing_table",
     "routing_table_cache_clear",
@@ -124,6 +128,26 @@ def resolve_route(tree: LookupTree, entry: int, liveness: LivenessView) -> list[
 def route_length(tree: LookupTree, entry: int, liveness: LivenessView) -> int:
     """Number of forwarding hops on the route from ``entry`` (≥ 0)."""
     return len(resolve_route(tree, entry, liveness)) - 1
+
+
+def retry_entry(tree: LookupTree, entry: int, liveness: LivenessView) -> int | None:
+    """Where a retried request should re-enter the tree of ``tree.root``.
+
+    The client-side dual of ``FINDLIVENODE`` (§3), used by the
+    request-reliability layer (:mod:`repro.net.reliability`): a
+    still-live entry is kept, a dead one is bypassed to its first alive
+    ancestor (falling back to the storage node), and ``None`` means no
+    live node remains.
+    """
+    if liveness.is_live(entry):
+        return entry
+    nxt = first_alive_ancestor(tree, entry, liveness)
+    if nxt is not None:
+        return nxt
+    try:
+        return storage_node(tree, liveness)
+    except NoLiveNodeError:
+        return None
 
 
 class RoutingTable:

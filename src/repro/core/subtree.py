@@ -11,12 +11,18 @@ nodes alive.
 
 :class:`SubtreeView` binds a physical tree, a ``b``, and one subtree
 identifier, exposing the usual structural/routing queries in PID space;
-module functions handle whole-file concerns (insert targets, subtree
-membership, fault migration order).
+module functions handle whole-file concerns (subtree membership, fault
+migration order) and state each routing decision of the §3/§4 protocol
+once, as a pure function of the tree, ``b``, a PID and a liveness view:
+:func:`get_next_hop` (where a GET goes next), :func:`insert_targets`
+(where a file's ``2**b`` copies live), :func:`update_starts` (where an
+UPDATE broadcast begins) and :func:`subtree_children_list` (where it
+fans out).  The oracle, the DES and the live node all call these.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from . import vid as V
@@ -36,7 +42,9 @@ __all__ = [
     "identity_tree",
     "subtree_children_list",
     "insert_targets",
+    "update_starts",
     "migration_order",
+    "get_next_hop",
 ]
 
 
@@ -259,6 +267,13 @@ _CHILDREN_MEMO_MAX = 4096
 """Entries kept by :func:`subtree_children_list`; the oldest goes first."""
 
 
+def _remember(memo: dict, cap: int, key: tuple, value) -> None:
+    """Keep ``value`` under ``key``, dropping the oldest entry at ``cap``."""
+    if len(memo) >= cap:
+        del memo[next(iter(memo))]
+    memo[key] = value
+
+
 def subtree_children_list(
     tree: LookupTree, b: int, pid: int, liveness: LivenessView
 ) -> tuple[int, ...]:
@@ -291,10 +306,16 @@ def subtree_children_list(
         )
     )
     if token is not None:
-        if len(_CHILDREN_MEMO) >= _CHILDREN_MEMO_MAX:
-            del _CHILDREN_MEMO[next(iter(_CHILDREN_MEMO))]
-        _CHILDREN_MEMO[key] = children
+        _remember(_CHILDREN_MEMO, _CHILDREN_MEMO_MAX, key, children)
     return children
+
+
+def _home(view: SubtreeView, liveness: LivenessView) -> int | None:
+    """The subtree's storage node, ``None`` when no member is live."""
+    try:
+        return view.storage_node(liveness)
+    except NoLiveNodeError:
+        return None
 
 
 def insert_targets(tree: LookupTree, b: int, liveness: LivenessView) -> list[int]:
@@ -306,14 +327,28 @@ def insert_targets(tree: LookupTree, b: int, liveness: LivenessView) -> list[int
     nodes "fail simultaneously").
     """
     check_b(b, tree.m)
-    targets: list[int] = []
+    homes = (_home(SubtreeView(tree, b, sid), liveness) for sid in range(1 << b))
+    return [home for home in homes if home is not None]
+
+
+def update_starts(tree: LookupTree, b: int, liveness: LivenessView) -> list[int]:
+    """Where a top-down UPDATE broadcast enters the tree of ``tree.root``.
+
+    §2.2/§3, per subtree: its root position when that node is live, else
+    the dead root is bypassed to its children list
+    (:func:`subtree_children_list`).  An empty subtree contributes
+    nothing.
+    """
+    check_b(b, tree.m)
+    top = ((1 << (tree.m - b)) - 1) << b  # every root: all-ones subtree VID
+    starts: list[int] = []
     for sid in range(1 << b):
-        view = SubtreeView(tree, b, sid)
-        try:
-            targets.append(view.storage_node(liveness))
-        except NoLiveNodeError:
-            continue
-    return targets
+        root = tree.pid_of(top | sid)
+        if liveness.is_live(root):
+            starts.append(root)
+        else:
+            starts.extend(subtree_children_list(tree, b, root, liveness))
+    return starts
 
 
 def migration_order(tree: LookupTree, b: int, entry: int) -> list[int]:
@@ -328,3 +363,88 @@ def migration_order(tree: LookupTree, b: int, entry: int) -> list[int]:
     own = subtree_of_pid(tree, entry, b)
     count = 1 << b
     return [(own + offset) % count for offset in range(count)]
+
+
+_HOP_MEMO: dict[tuple, tuple | None] = {}
+_HOP_MEMO_MAX = 1 << 15
+"""Entries kept by :func:`get_next_hop`; the oldest goes first.
+
+One liveness content has ``roots * pids`` keys at ``b = 0``: 1 024 at
+``m = 5``, 16 384 in an in-process ``m = 7`` cluster, which a smaller
+bound evicts just before reuse (measured: DESIGN.md §13, "The GET
+hop").  About 240 bytes an entry, so at most 8 MB."""
+
+_UNSEEN = object()
+
+
+def _carried_subtrees(remaining: Sequence[int], b: int) -> tuple[int, ...]:
+    """A GET's carried subtree list, checked: it arrives off the wire."""
+    try:
+        carried = tuple(remaining)
+    except TypeError:
+        carried = ()
+    count = 1 << b
+    if not carried or not all(type(s) is int and 0 <= s < count for s in carried):
+        raise ConfigurationError(
+            f"carried subtree list {remaining!r} is not a non-empty sequence "
+            f"of subtree ids for b={b}"
+        )
+    return carried
+
+
+def _walk_next_hop(
+    tree: LookupTree, b: int, pid: int, order: tuple[int, ...],
+    liveness: LivenessView,
+) -> tuple[int, tuple[int, ...] | None] | None:
+    """:func:`get_next_hop` by the scalar walks, for a checked ``order``."""
+    view = SubtreeView(tree, b, order[0])
+    if view.contains(pid):
+        dst = view.first_alive_ancestor(pid, liveness)
+        if dst is None:
+            dst = _home(view, liveness)
+        if dst is not None and dst != pid:
+            return dst, (order if b else None)
+    for offset in range(1, len(order)):
+        dst = _home(SubtreeView(tree, b, order[offset]), liveness)
+        if dst is not None:
+            return dst, order[offset:]
+    return None
+
+
+def get_next_hop(
+    tree: LookupTree, b: int, pid: int, remaining: Sequence[int] | None,
+    liveness: LivenessView,
+) -> tuple[int, tuple[int, ...] | None] | None:
+    """The §3/§4 forwarding decision for a GET that ``P(pid)`` cannot serve.
+
+    ``remaining`` lists the subtree identifiers the request may still
+    search, current one first; ``None`` — a request fresh from a client —
+    means :func:`migration_order` from ``pid``.  The request goes to the
+    first alive ancestor of ``pid`` inside subtree ``remaining[0]``; at
+    the top of that chain, to the subtree's storage node; and when
+    ``pid`` *is* that storage node (the file is absent from its home),
+    it migrates to the storage node of the next non-empty subtree in
+    ``remaining[1:]``.  Returns ``(dst, remaining')`` — the list to carry
+    on that hop, which stays ``None`` when there is only one subtree — or
+    ``None`` when nothing is left to try: a fault.
+
+    Memoized like :func:`subtree_children_list`, on the liveness
+    content.  ``remaining`` arrives in a GET payload, so anything but a
+    sequence of in-range subtree identifiers raises
+    :class:`ConfigurationError` before the memo is consulted.
+    """
+    if remaining is not None:
+        remaining = _carried_subtrees(remaining, b)
+        if not b:
+            remaining = None  # one subtree: nothing to carry
+    token = cache_token(liveness)
+    if token is not None:
+        key = (tree.root, tree.m, b, pid, remaining, token)
+        hop = _HOP_MEMO.get(key, _UNSEEN)
+        if hop is not _UNSEEN:
+            return hop
+    order = remaining or tuple(migration_order(tree, b, pid))
+    hop = _walk_next_hop(tree, b, pid, order, liveness)
+    if token is not None:
+        _remember(_HOP_MEMO, _HOP_MEMO_MAX, key, hop)
+    return hop

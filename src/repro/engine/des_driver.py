@@ -20,14 +20,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ..baselines.base import PlacementContext, ReplicationPolicy
-from ..core.errors import ConfigurationError, NoLiveNodeError
-from ..core.routing import first_alive_ancestor, storage_node
+from ..core.errors import ConfigurationError
+from ..core.routing import retry_entry
 from ..core.subtree import (
     SubtreeView,
     check_b,
+    get_next_hop,
     insert_targets,
     subtree_children_list,
     subtree_of_pid,
+    update_starts,
 )
 from ..core.tree import LookupTree
 from ..net.message import Message, MessageKind
@@ -153,68 +155,18 @@ class _DesNode:
                 replace(msg.reply(MessageKind.GET_REPLY), dst=CLIENT)
             )
             return
-        if exp.b == 0:
-            self._forward_whole_tree(msg)
-        else:
-            self._forward_within_subtree(msg)
-
-    def _forward_whole_tree(self, msg: Message) -> None:
-        exp = self.exp
-        nxt = first_alive_ancestor(exp.tree, self.pid, self.membership)
-        if nxt is None:
-            home = storage_node(exp.tree, self.membership)
-            if home != self.pid:
-                exp.transport.send(msg.forwarded(self.pid, home))
-                return
-            # We are the storage node and have no copy: a fault (§3).
+        hop = get_next_hop(exp.tree, exp.b, self.pid, msg.payload, self.membership)
+        if hop is None:
+            # Every subtree tried and its storage node holds no copy (§3/§4).
             self._fault(msg)
             return
-        exp.transport.send(msg.forwarded(self.pid, nxt))
-
-    def _forward_within_subtree(self, msg: Message) -> None:
-        """§4 routing: stay inside the current subtree, migrate on fault.
-
-        The message payload carries the subtree identifiers left to try
-        (``None`` on first entry from a client).
-        """
-        exp = self.exp
-        remaining = msg.payload
-        if remaining is None:
-            own = subtree_of_pid(exp.tree, self.pid, exp.b)
-            count = 1 << exp.b
-            remaining = [(own + off) % count for off in range(count)]
-        sid = remaining[0]
-        view = SubtreeView(exp.tree, exp.b, sid)
-        if view.contains(self.pid):
-            nxt = view.first_alive_ancestor(self.pid, self.membership)
-            if nxt is not None:
-                exp.transport.send(
-                    replace(msg, payload=remaining).forwarded(self.pid, nxt)
-                )
-                return
-            try:
-                home = view.storage_node(self.membership)
-            except NoLiveNodeError:
-                home = self.pid  # empty subtree: fall through to migrate
-            if home != self.pid:
-                exp.transport.send(
-                    replace(msg, payload=remaining).forwarded(self.pid, home)
-                )
-                return
-        # Fault in this subtree: migrate by changing the identifier (§4).
-        for next_sid in remaining[1:]:
-            next_view = SubtreeView(exp.tree, exp.b, next_sid)
-            try:
-                target = next_view.storage_node(self.membership)
-            except NoLiveNodeError:
-                continue
+        dst, carried = hop
+        if carried != msg.payload:
+            msg = replace(msg, payload=carried)
+        if carried and carried[0] != subtree_of_pid(exp.tree, self.pid, exp.b):
+            # Migrated by changing the subtree identifier (§4).
             exp.metrics.counter("des.migrations").inc()
-            exp.transport.send(
-                replace(msg, payload=remaining[remaining.index(next_sid):])
-                .forwarded(self.pid, target)
-            )
-            return
-        self._fault(msg)
+        exp.transport.send(msg.forwarded(self.pid, dst))
 
     def _fault(self, msg: Message) -> None:
         self.exp.metrics.counter("des.faults").inc()
@@ -410,22 +362,9 @@ class DesExperiment:
             self.engine.spawn(node.overload_check(), label=f"check:{node.pid}")
 
     def retry_entry(self, entry: int) -> int | None:
-        """Where a retried request should re-enter the overlay.
-
-        The client-side dual of the paper's ``FINDLIVENODE``: keep a
-        still-live entry, otherwise climb to its first alive ancestor,
-        falling back to the tree's storage node; ``None`` only when no
-        node is left alive (the retry expires immediately).
-        """
-        if self.membership.is_live(entry):
-            return entry
-        nxt = first_alive_ancestor(self.tree, entry, self.membership)
-        if nxt is not None:
-            return nxt
-        try:
-            return storage_node(self.tree, self.membership)
-        except NoLiveNodeError:
-            return None
+        """Where a retried request should re-enter the overlay
+        (:func:`repro.core.routing.retry_entry` on the ground truth)."""
+        return retry_entry(self.tree, entry, self.membership)
 
     def holders(self, file: str) -> set[int]:
         """Live PIDs currently holding a copy (the oracle view).
@@ -558,22 +497,8 @@ class DesExperiment:
         re-broadcast, non-holders discard.
         """
 
-        def starts() -> list[int]:
-            out: list[int] = []
-            for sid in range(1 << self.b):
-                root = SubtreeView(self.tree, self.b, sid).root_pid
-                if self.membership.is_live(root):
-                    out.append(root)
-                else:
-                    out.extend(
-                        subtree_children_list(
-                            self.tree, self.b, root, self.membership
-                        )
-                    )
-            return out
-
         def fire() -> None:
-            for start in starts():
+            for start in update_starts(self.tree, self.b, self.membership):
                 self.transport.send(
                     Message(
                         kind=MessageKind.UPDATE,

@@ -183,7 +183,7 @@ class RuntimeClient:
         """Register and transmit one request without a coroutine.
 
         The synchronous fast path: encodes into the client's reusable
-        frame buffer (tick-coalesced with every other request of this
+        frame buffer (flushed once, with every other request of this
         event-loop iteration), arms the shared deadline sweep, and
         returns the reply future — resolved with the reply
         :class:`Message`, or ``None`` on timeout.  No write
@@ -284,7 +284,7 @@ class RuntimeClient:
     async def close(self) -> None:
         conn = self._conn
         if conn is not None:
-            conn.flush()  # requests still coalescing leave before the FIN
+            conn.flush()  # requests awaiting the tick flush leave before the FIN
         self._closed = True
         if self._sweep_timer is not None:
             self._sweep_timer.cancel()

@@ -87,19 +87,6 @@ class RuntimeConfig:
     body (the pre-fast-lane interop profile)."""
     batch_max: int = 16
     """Messages a node's inbox consumer drains per scheduling tick."""
-    coalesce_bytes: int = 0
-    """Frame-coalescing watermark for peer streams, in bytes; ``0``
-    disables coalescing (every frame written immediately)."""
-    coalesce_delay: float = 0.001
-    """Latency budget (seconds) before a partial coalescing buffer is
-    flushed regardless of size."""
-    tick_coalesce: bool = True
-    """Defer frame flushes to the end of the current event-loop
-    iteration (one ``call_soon`` per stream per tick): every frame
-    produced in the same tick leaves in a single vectored write — one
-    syscall instead of one per frame — at zero added latency, because
-    the callback runs before the loop goes back to sleep.  ``False``
-    restores the write-per-frame profile."""
     idle_timeout: float = float("inf")
     """Counter-based removal: a REPLICATED copy whose access counter
     sits still this long is REMOVEd (``inf`` disables decay)."""
@@ -139,10 +126,6 @@ class RuntimeConfig:
             check_id(pid, self.m)
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be at least 1")
-        if self.coalesce_bytes < 0:
-            raise ConfigurationError("coalesce_bytes must be non-negative")
-        if self.coalesce_delay <= 0:
-            raise ConfigurationError("coalesce_delay must be positive")
         if self.idle_timeout <= 0:
             raise ConfigurationError("idle_timeout must be positive")
         if self.inbox_limit < 0:
@@ -588,7 +571,7 @@ class LiveCluster(NodeHost):
             src, dst = key
             if src == pid and dst != pid:
                 # A crashing sender loses its socket buffer: frames
-                # still coalescing in the sink were counted in-flight
+                # still buffered in the sink were counted in-flight
                 # at ``send()`` but will never reach ``dst`` — reverse
                 # the accounting or ``drain()`` waits on them forever.
                 lost = sink.encoder.pending

@@ -328,7 +328,7 @@ async def run_conformance(
     """End to end: generate, run live, replay through the oracle, diff.
 
     ``config`` overrides the cluster's runtime knobs (codec pinning,
-    batching, coalescing, ...); its ``m``/``b``/``seed`` must match the
+    batching, ...); its ``m``/``b``/``seed`` must match the
     spec's so the generated workload stays legal.
     """
     if config is None:

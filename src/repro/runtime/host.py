@@ -18,7 +18,7 @@ from ..core.tree import LookupTree
 from ..net.message import Message
 from ..node.membership import StatusWord
 from .node import CLIENT
-from .wire import WIRE_VERSION, FrameConnection
+from .wire import FrameConnection, wire_version_of
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import RuntimeConfig
@@ -100,9 +100,7 @@ class NodeHost(ABC):
 
     def wire_version_of(self, pid: int) -> int:
         """Codec ceiling of one endpoint (clients use the config's)."""
-        if pid in self.config.v1_pids:
-            return WIRE_VERSION
-        return self.config.wire_version
+        return wire_version_of(self.config, pid)
 
     def wire_version_for(self, src: int, dst: int) -> int:
         """Negotiated codec for a ``src -> dst`` stream: the min of the
@@ -115,7 +113,7 @@ class NodeHost(ABC):
     def peer_connection(self) -> FrameConnection:
         """Protocol factory for a send-only node-to-node stream (nothing
         is ever read off it)."""
-        return FrameConnection.configured(self.config, peer=True)
+        return FrameConnection.configured(self.config)
 
     @abstractmethod
     async def send(self, src: int, msg: Message) -> None:

@@ -16,17 +16,20 @@ resume when the matching ACK / GET_REPLY frame arrives, so a node can
 always make progress on its inbox: deadlock-free by construction.
 
 The node serves the paper's four flows with the *existing core
-algebra* — the same calls `LessLogSystem` makes, just spread across
-messages:
+algebra* — the same :mod:`repro.core.subtree` decisions
+`LessLogSystem` and the DES take, just spread across messages:
 
-* **GET** (§2.2/§3/§4) climbs ``first_alive_ancestor`` within the
+* **GET** (§2.2/§3/§4): a node without a copy forwards to
+  :func:`~repro.core.subtree.get_next_hop` of its own word — up the
   entry's subtree, migrating across the remaining ``2**b - 1``
   subtrees on a fault; the serving node replies toward the request's
   ``origin`` node, which relays to the client connection.
-* **INSERT** (§3/§4) computes one storage node per subtree and fans
-  out, acking the client once every home confirmed.
-* **UPDATE** (§2.2) broadcasts top-down from each subtree root
-  (bypassing a dead root to its children list); holders re-broadcast to
+* **INSERT** (§3/§4) fans out to
+  :func:`~repro.core.subtree.insert_targets`, one storage node per
+  subtree, acking the client once every home confirmed.
+* **UPDATE** (§2.2) broadcasts top-down from
+  :func:`~repro.core.subtree.update_starts` (each subtree root, a dead
+  one bypassed to its children list); holders re-broadcast to
   :func:`~repro.core.subtree.subtree_children_list` of their own word,
   non-holders discard.  Every child's frame is the one the holder
   received, copied and re-addressed (the wire's carried body).
@@ -50,15 +53,13 @@ With a finite ``slo_budget`` the sweeper also watches a windowed
 enqueue-to-serve latency p99 and replicates away load when it drifts
 past budget, before the raw hit counter trips.
 
-**Fast path.**  Routing decisions read the LRU-cached
-:class:`~repro.core.routing.RoutingTable` instead of re-deriving the
-bitwise walks per message: the node's status word fingerprints its own
-content (``cache_token``), so next-hop, FINDLIVENODE, and children
-lists are O(1) array/memo lookups, and any word mutation (a failed
-send, a REGISTER frame) changes the token and transparently
-invalidates the cache.  Subtree decisions reuse per-``(root, sid)``
-identity reductions (:func:`identity_tree` + :class:`SvidLiveness`)
-memoized on the node.  Client replies written while one decoded chunk
+**Fast path.**  The node keeps no routing state of its own beyond its
+status word.  The ``core.subtree`` decisions are memoized on the word's
+*content* (``cache_token``), so a next hop or a children list is one
+dict lookup per message, shared by every node whose word reads the
+same, and any word mutation (a failed send, a REGISTER frame) changes
+the token, so a stale answer cannot be served; a miss is the scalar
+bitwise walk.  Client replies written while one decoded chunk
 is served, or one batch of at most ``RuntimeConfig.batch_max`` queued
 messages, leave in one write per connection, and the sweeper
 optionally runs counter-based idle decay: a REPLICATED copy
@@ -77,16 +78,13 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import TYPE_CHECKING
 
-from ..core.errors import NoLiveNodeError
-from ..core.routing import routing_table
 from ..core.subtree import (
-    SubtreeView,
-    SvidLiveness,
-    identity_tree,
+    get_next_hop,
+    insert_targets,
     subtree_children_list,
     subtree_of_pid,
+    update_starts,
 )
-from ..core.tree import LookupTree
 from ..net.message import Message, MessageKind, fast_message
 from ..node.loadmon import LoadMonitor
 from ..node.storage import FileOrigin, FileStore
@@ -184,9 +182,6 @@ class NodeServer:
         self.decode_errors = 0
         self.last_replication = -float("inf")
         self._decision_count = 0
-        self._sub_ctx: dict[
-            tuple[int, int], tuple[SubtreeView, LookupTree, SvidLiveness]
-        ] = {}
         # file → last observed alternative-holder set; the (lagging)
         # knowledge _redirect_hint falls back on when the fresh holder
         # view offers no alternative.
@@ -326,9 +321,9 @@ class NodeServer:
 
         Mid-batch (``_batch_conns`` is held, inline or by the consumer)
         the flush is deferred so the batch's replies leave in one write.
-        Outside a batch the connection's own policy applies: tick
-        coalescing shares one flush per event-loop iteration among
-        replies from serve tasks whose timers expired in the same tick.
+        Outside a batch the connection's own policy applies: one flush
+        per event-loop iteration, shared among replies from serve tasks
+        whose timers expired in the same tick.
         """
         if conn.closed:
             return
@@ -456,25 +451,6 @@ class NodeServer:
         elif kind is MessageKind.REGISTER_DEAD:
             self.word.register_dead(int(msg.payload["pid"]))
 
-    # -- routing-table helpers ---------------------------------------------
-
-    def _subtree_ctx(
-        self, tree: LookupTree, sid: int
-    ) -> tuple[SubtreeView, LookupTree, SvidLiveness]:
-        """Memoized §4 identity reduction for one ``(root, sid)``.
-
-        The view/tree pair is pure structure; the ``SvidLiveness``
-        wraps this node's *mutable* word, so routing tables fetched
-        through it invalidate on any word change via the cache token.
-        """
-        key = (tree.root, sid)
-        ctx = self._sub_ctx.get(key)
-        if ctx is None:
-            view = SubtreeView(tree, self.b, sid)
-            ctx = (view, identity_tree(view), SvidLiveness(view, self.word))
-            self._sub_ctx[key] = ctx
-        return ctx
-
     # -- GET ----------------------------------------------------------------
 
     async def _handle_get(self, msg: Message, conn: FrameConnection | None) -> None:
@@ -515,10 +491,7 @@ class NodeServer:
             else:
                 await self._serve(msg, arrival=arrival)
             return
-        if self.b == 0:
-            await self._forward_whole_tree(msg)
-        else:
-            await self._forward_within_subtree(msg)
+        await self._forward(msg)
         if admission is not None:
             # Forwarded (or faulted) away: the GET's stay here is over.
             admission.finish(msg)
@@ -674,101 +647,39 @@ class NodeServer:
                 ),
             )
 
-    async def _forward_whole_tree(self, msg: Message) -> None:
-        """§3 routing on the full tree, rerouting around dead peers.
+    async def _forward(self, msg: Message) -> None:
+        """§3/§4: pass on a GET this node cannot serve, or fault it.
 
-        One cached-table lookup per attempt: ``next_hop[pid]`` is the
-        nearest live ancestor, falling back to the storage node at the
-        top of the chain; ``next_hop[pid] == pid`` means this node *is*
-        the storage node — a fault, since the file is not here.
+        :func:`~repro.core.subtree.get_next_hop` decides against this
+        node's own word, from the subtree list the GET arrived with (its
+        payload; ``None`` fresh from a client).  A failed send marks the
+        peer dead in that word (:meth:`_send`) and the decision is taken
+        again from the same list.  Sends happen outside the ``route``
+        stage window.
         """
         cluster = self.cluster
         tree = cluster.tree(cluster.psi_of(msg.file))
         stage = cluster.stage_seconds
         while True:
             t0 = perf_counter()
-            try:
-                table = routing_table(tree, self.word)
-                nxt = int(table.next_hop[self.pid])
-            except NoLiveNodeError:  # pragma: no cover - we are live
-                stage["route"] += perf_counter() - t0
+            hop = get_next_hop(tree, self.b, self.pid, msg.payload, self.word)
+            stage["route"] += perf_counter() - t0
+            if hop is None:
                 await self._fault(msg)
                 return
-            stage["route"] += perf_counter() - t0
-            if nxt == self.pid:
-                await self._fault(msg)
-                return
-            if await self._send(msg.forwarded(self.pid, nxt)):
-                return
-
-    async def _forward_within_subtree(self, msg: Message) -> None:
-        """§4 routing: stay inside the subtree, migrate on a fault.
-
-        The payload carries the subtree identifiers left to try
-        (``None`` on first entry from a client), exactly like the DES
-        driver.  Any failed send marks the peer dead and re-runs the
-        whole decision against the updated word.  Decisions are cached
-        table lookups over the per-``(root, sid)`` identity reduction.
-        """
-        cluster = self.cluster
-        tree = cluster.tree(cluster.psi_of(msg.file))
-        stage = cluster.stage_seconds
-        count = 1 << self.b
-        while True:
-            # The route window covers the whole §4 decision — remaining-
-            # list normalisation, the identity-reduction context, and
-            # the cached next-hop lookup — not just the final table
-            # read; sends happen outside it.
-            t0 = perf_counter()
-            remaining = msg.payload
-            if remaining is None:
-                own = subtree_of_pid(tree, self.pid, self.b)
-                remaining = [(own + off) % count for off in range(count)]
-            remaining = [int(s) for s in remaining]
-            sid = remaining[0]
-            view, itree, sliveness = self._subtree_ctx(tree, sid)
-            if remaining != msg.payload:
-                msg = fast_message(
-                    msg.kind, msg.src, msg.dst, msg.file, remaining,
-                    msg.version, msg.hops, msg.origin, msg.request_id,
-                )
-            if view.contains(self.pid):
-                svid = tree.vid_of(self.pid) >> self.b
-                try:
-                    nxt = int(routing_table(itree, sliveness).next_hop[svid])
-                except NoLiveNodeError:  # pragma: no cover - we are live
-                    nxt = svid
-                if nxt != svid:
-                    target = view.pid_of_svid(nxt)
-                    stage["route"] += perf_counter() - t0
-                    if await self._send(msg.forwarded(self.pid, target)):
-                        return
-                    continue
-                # next_hop maps the storage node to itself: the file is
-                # absent at its home — fall through to migrate (§4).
-            stage["route"] += perf_counter() - t0
-            send_failed = False
-            for offset, next_sid in enumerate(remaining[1:], start=1):
-                nview, nitree, nsliveness = self._subtree_ctx(tree, next_sid)
-                try:
-                    target = nview.pid_of_svid(
-                        routing_table(nitree, nsliveness).home
+            dst, carried = hop
+            out = msg
+            if carried is not None:
+                remaining = list(carried)
+                if remaining != msg.payload:
+                    out = fast_message(
+                        msg.kind, msg.src, msg.dst, msg.file, remaining,
+                        msg.version, msg.hops, msg.origin, msg.request_id,
                     )
-                except NoLiveNodeError:
-                    continue
-                cluster.count("migrations")
-                hop = fast_message(
-                    msg.kind, msg.src, msg.dst, msg.file, remaining[offset:],
-                    msg.version, msg.hops, msg.origin, msg.request_id,
-                )
-                if await self._send(hop.forwarded(self.pid, target)):
-                    return
-                send_failed = True
-                break
-            if send_failed:
-                continue
-            await self._fault(msg)
-            return
+                if carried[0] != subtree_of_pid(tree, self.pid, self.b):
+                    cluster.count("migrations")
+            if await self._send(out.forwarded(self.pid, dst)):
+                return
 
     # -- INSERT -------------------------------------------------------------
 
@@ -793,16 +704,8 @@ class NodeServer:
         if not await self.cluster.catalog_check(name):
             await self._client_error(msg, conn, f"file {name!r} already inserted")
             return
-        homes: list[int] = []
         t0 = perf_counter()
-        for sid in range(1 << self.b):
-            view, itree, sliveness = self._subtree_ctx(tree, sid)
-            try:
-                homes.append(
-                    view.pid_of_svid(routing_table(itree, sliveness).home)
-                )
-            except NoLiveNodeError:  # empty subtree: degree degrades (§4)
-                continue
+        homes = insert_targets(tree, self.b, self.word)
         self.cluster.stage_seconds["route"] += perf_counter() - t0
         if not homes:
             await self._client_error(msg, conn, f"no live storage node for {name!r}")
@@ -878,7 +781,7 @@ class NodeServer:
             for child in children:
                 await self._send(msg.forwarded(self.pid, child))
             return
-        # Entry node: assign the next version, start at each subtree root.
+        # Entry node: assign the next version, start the broadcast (§2.2/§3).
         version = await cluster.catalog_advance(name, msg.payload)
         if version is None:
             await self._client_error(msg, conn, f"file {name!r} not inserted")
@@ -888,19 +791,12 @@ class NodeServer:
             msg.kind, msg.src, msg.dst, name, msg.payload, version, msg.hops,
             self.pid, msg.request_id,
         )
-        for sid in range(1 << self.b):
-            root = self._subtree_ctx(tree, sid)[0].root_pid
-            if self.word.is_live(root):
-                targets = (root,)
+        for target in update_starts(tree, self.b, self.word):
+            hop = stamped.forwarded(self.pid, target)
+            if target == self.pid:
+                self.deliver_local(hop)
             else:
-                # §3: bypass a dead root to its children list.
-                targets = subtree_children_list(tree, self.b, root, self.word)
-            for target in targets:
-                hop = stamped.forwarded(self.pid, target)
-                if target == self.pid:
-                    self.deliver_local(hop)
-                else:
-                    await self._send(hop)
+                await self._send(hop)
         if conn is not None:
             await self._write_client(
                 conn,

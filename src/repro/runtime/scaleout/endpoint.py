@@ -24,6 +24,7 @@ import asyncio
 
 from ...core.errors import ConfigurationError
 from ..addressing import Address, dial_peer
+from ..wire import wire_version_of
 from .control import ControlLink, config_from_wire
 
 __all__ = ["ScaleoutEndpoint"]
@@ -78,11 +79,7 @@ class ScaleoutEndpoint:
     def wire_version_of(self, pid: int) -> int:
         if self.config is None:
             raise ConfigurationError("endpoint is not connected")
-        if pid in self.config.v1_pids:
-            from ..wire import WIRE_VERSION
-
-            return WIRE_VERSION
-        return self.config.wire_version
+        return wire_version_of(self.config, pid)
 
     async def open_connection(self, pid: int, factory):
         return await dial_peer(self.nodes.get(pid), pid, factory)

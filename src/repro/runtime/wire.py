@@ -139,6 +139,7 @@ __all__ = [
     "FrameEncoder",
     "FrameConnection",
     "WRITE_HIGH_WATER",
+    "wire_version_of",
     "message_to_dict",
     "message_from_dict",
     "encode_message",
@@ -886,6 +887,12 @@ def decode_message(
     return _decode_body(version, flags, body)
 
 
+def wire_version_of(config, pid: int) -> int:
+    """Codec ceiling of node ``pid`` under a ``RuntimeConfig`` (clients
+    use the config's own ``wire_version``)."""
+    return WIRE_VERSION if pid in config.v1_pids else config.wire_version
+
+
 # -- connection and stream I/O -------------------------------------------
 
 WRITE_HIGH_WATER = 1 << 16
@@ -909,11 +916,10 @@ class FrameConnection(asyncio.Protocol):
     ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
 
     **Write side.**  :meth:`add` encodes into the connection's reusable
-    :class:`FrameEncoder`; :meth:`poke` applies the flush policy —
-    ``tick``: one ``call_soon`` flush per event-loop iteration, so every
-    frame of the tick leaves in a single write at no added
-    latency; else ``max_bytes > 0``: Nagle-style, at the byte watermark
-    or after ``delay`` seconds; else immediately.  While the transport
+    :class:`FrameEncoder`; :meth:`poke` applies the flush policy: one
+    ``call_soon`` flush per event-loop iteration, so every frame of the
+    tick leaves in a single write at no added latency (the callback
+    runs before the loop goes back to sleep).  While the transport
     is over its high-water mark (:attr:`paused`) frames stay in the
     encoder and :meth:`drained` suspends until it resumes.
 
@@ -929,9 +935,6 @@ class FrameConnection(asyncio.Protocol):
         max_frame: int = MAX_FRAME,
         max_version: int = MAX_WIRE_VERSION,
         fixed: bool = True,
-        tick: bool = True,
-        max_bytes: int = 0,
-        delay: float = 0.001,
     ) -> None:
         self.encoder = FrameEncoder(fixed=fixed)
         self.transport: asyncio.Transport | None = None
@@ -948,29 +951,20 @@ class FrameConnection(asyncio.Protocol):
         self.max_version = max_version
         self._on_frames = on_frames
         self._on_lost = on_lost
-        self._tick = tick
-        self._max_bytes = max_bytes
-        self._delay = delay
         self._buf = bytearray()
         self._flush_scheduled = False
-        self._timer: asyncio.TimerHandle | None = None
         self._drain_waiters: list[asyncio.Future] = []
         self._close_waiter: asyncio.Future | None = None
 
     @classmethod
     def configured(
         cls, config, max_version: int = MAX_WIRE_VERSION, on_frames=None,
-        on_lost=None, peer: bool = False,
+        on_lost=None,
     ) -> "FrameConnection":
-        """A connection with a ``RuntimeConfig``'s framing and flush
-        settings; ``peer`` adds the Nagle watermark, which applies to
-        node-to-node streams only."""
+        """A connection with a ``RuntimeConfig``'s framing settings."""
         return cls(
             on_frames, on_lost, max_frame=config.max_frame,
             max_version=max_version, fixed=config.fixed_frames,
-            tick=config.tick_coalesce,
-            max_bytes=config.coalesce_bytes if peer else 0,
-            delay=config.coalesce_delay,
         )
 
     # -- asyncio.Protocol ---------------------------------------------------
@@ -1066,24 +1060,14 @@ class FrameConnection(asyncio.Protocol):
 
     def poke(self) -> None:
         """Apply the flush policy to whatever :meth:`add` buffered."""
-        if self._tick:
-            if self.encoder.pending_bytes >= WRITE_HIGH_WATER:
-                self.flush()
-            elif not self._flush_scheduled:
-                self._flush_scheduled = True
-                asyncio.get_running_loop().call_soon(self._flush_tick)
-        elif self.encoder.pending_bytes >= self._max_bytes:
+        if self.encoder.pending_bytes >= WRITE_HIGH_WATER:
             self.flush()
-        elif self._timer is None:
-            self._timer = asyncio.get_running_loop().call_later(
-                self._delay, self.flush
-            )
+        elif not self._flush_scheduled:
+            self._flush_scheduled = True
+            asyncio.get_running_loop().call_soon(self._flush_tick)
 
     def flush(self) -> None:
         """Write every pending frame now, unless paused or closed."""
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         if not self.closed and not self.paused:
             self.encoder.flush_to(self.transport)
 
@@ -1122,9 +1106,6 @@ class FrameConnection(asyncio.Protocol):
         if self.closed:
             return
         self.closed = True
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
         self._wake_drainers()
         if self._on_lost is not None:
             self._on_lost(self)

@@ -345,8 +345,8 @@ class ScenarioHarness:
         wire frames, replays the cluster's op log through the
         synchronous oracle, and records the conformance report for the
         ``runtime-oracle-conformance`` invariant to audit.  Parameters
-        select the codec mix and fast-path knobs, so fuzzing covers
-        mixed-version clusters and coalesced/batched configurations.
+        select the codec mix and the inbox batch depth, so fuzzing covers
+        mixed-version clusters and batched configurations.
         """
         import asyncio
 
@@ -377,7 +377,6 @@ class ScenarioHarness:
             b=b,
             seed=spec.seed,
             v1_pids=(0,) if params.get("mixed") else (),
-            coalesce_bytes=max(0, int(params.get("coalesce_bytes", 0))),
             batch_max=max(1, int(params.get("batch_max", 16))),
         )
 
@@ -1135,20 +1134,18 @@ def generate_scenario(
             params["client_shards"] = 2 if params["seed"] % 3 == 0 else 0
             events.append(ScenarioEvent("live_scaleout", params))
         else:  # live_segment — a self-contained live-runtime probe
-            events.append(
-                ScenarioEvent(
-                    "live_segment",
-                    {
-                        "m": 3,
-                        "b": rng.choice([0, 1]),
-                        "files": rng.randint(2, 4),
-                        "ops": rng.randint(6, 14),
-                        "mixed": rng.random() < 0.5,
-                        "coalesce_bytes": rng.choice([0, 4096]),
-                        "seed": rng.randrange(1 << 30),
-                    },
-                )
-            )
+            params = {
+                "m": 3,
+                "b": rng.choice([0, 1]),
+                "files": rng.randint(2, 4),
+                "ops": rng.randint(6, 14),
+                "mixed": rng.random() < 0.5,
+            }
+            # A retired parameter's draw, still taken: skipping it would
+            # shift every choice after it, like the extra draw above.
+            rng.choice([0, 4096])
+            params["seed"] = rng.randrange(1 << 30)
+            events.append(ScenarioEvent("live_segment", params))
     return Scenario(
         m=m, b=b, seed=seed, dead=dead, mutation=mutation, events=events
     )

@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 
 from repro.core import subtree as subtree_module
 from repro.core.children import advanced_children_list
-from repro.core.errors import NoLiveNodeError
+from repro.core.errors import ConfigurationError, NoLiveNodeError
 from repro.core.liveness import SetLiveness
 from repro.core.subtree import (
     SubtreeView,
     SvidLiveness,
+    get_next_hop,
     identity_tree,
     insert_targets,
     migration_order,
     split_vid,
     subtree_children_list,
     subtree_of_pid,
+    update_starts,
 )
 from repro.core.tree import LookupTree
 from repro.node.membership import StatusWord
@@ -225,18 +227,7 @@ class TestSubtreeChildrenList:
                 assert subtree_children_list(tree, 2, pid, word) == ()
 
     def test_a_view_without_a_token_is_walked_afresh(self):
-        class Bare:
-            """Liveness with no ``cache_token``: nothing to key a memo on."""
-
-            m = 3
-
-            def __init__(self):
-                self.dead = set()
-
-            def is_live(self, pid):
-                return pid not in self.dead
-
-        tree, bare = LookupTree(2, 3), Bare()
+        tree, bare = LookupTree(2, 3), Bare(3)
         before = subtree_children_list(tree, 1, tree.root, bare)
         bare.dead.add(before[0])
         after = subtree_children_list(tree, 1, tree.root, bare)
@@ -252,3 +243,207 @@ class TestSubtreeChildrenList:
                 subtree_children_list(tree, 0, pid, word)
             assert len(memo) <= cap
         assert len(memo) == cap
+
+
+class Bare:
+    """Liveness with no ``cache_token``: nothing to key a memo on."""
+
+    def __init__(self, m, dead=()):
+        self.m = m
+        self.dead = set(dead)
+
+    def is_live(self, pid):
+        return pid not in self.dead
+
+
+def reference_walk(tree, b, entry, liveness):
+    """Where a GET that finds no copy anywhere goes, by the scalar
+    primitives: the §3 walk of the entry's own subtree, then the storage
+    node of each further non-empty subtree in migration order."""
+    order = migration_order(tree, b, entry)
+    route = SubtreeView(tree, b, order[0]).resolve_route(entry, liveness)
+    for sid in order[1:]:
+        try:
+            home = SubtreeView(tree, b, sid).storage_node(liveness)
+        except NoLiveNodeError:
+            continue
+        if home != route[-1]:
+            route.append(home)
+    return route
+
+
+def reference_hop(tree, b, pid, liveness):
+    """The first step of :func:`reference_walk` from a live ``pid``."""
+    walk = reference_walk(tree, b, pid, liveness)
+    return walk[1] if len(walk) > 1 else None
+
+
+def hop_dst(hop):
+    return None if hop is None else hop[0]
+
+
+@st.composite
+def tree_b_word_entry(draw):
+    tree, b, word = draw(tree_b_word())
+    entry = draw(st.integers(min_value=0, max_value=(1 << tree.m) - 1))
+    word.register_live(entry)
+    return tree, b, word, entry
+
+
+class TestGetNextHop:
+    @given(tree_b_word_entry())
+    @settings(max_examples=150, deadline=None)
+    def test_iterating_visits_the_reference_walk_then_faults(self, setup):
+        tree, b, word, entry = setup
+        order = tuple(migration_order(tree, b, entry))
+        route, pid, carried = [entry], entry, None
+        while (hop := get_next_hop(tree, b, pid, carried, word)) is not None:
+            pid, carried = hop
+            route.append(pid)
+            assert word.is_live(pid)
+            if b == 0:
+                assert carried is None
+            else:  # what is left to search, the subtree of ``pid`` first
+                assert carried == order[len(order) - len(carried):]
+                assert carried[0] == subtree_of_pid(tree, pid, b)
+            assert len(route) <= (1 << tree.m)
+        assert route == reference_walk(tree, b, entry, word)
+
+    @given(tree_b_word_entry())
+    @settings(max_examples=60, deadline=None)
+    def test_a_carried_list_arrives_as_a_list_or_a_tuple(self, setup):
+        tree, b, word, entry = setup
+        order = migration_order(tree, b, entry)
+        assert get_next_hop(tree, b, entry, order, word) == (
+            get_next_hop(tree, b, entry, tuple(order), word)
+        ) == get_next_hop(tree, b, entry, None, word)
+
+    @given(tree_b_word_entry(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_mutated_word_never_sees_a_stale_hop(self, setup, data):
+        tree, b, word, pid = setup
+        others = st.integers(min_value=0, max_value=(1 << tree.m) - 1).filter(
+            lambda p: p != pid
+        )
+        for _ in range(6):
+            assert hop_dst(get_next_hop(tree, b, pid, None, word)) == (
+                reference_hop(tree, b, pid, word)
+            )
+            flipped = data.draw(others, label="flipped")
+            if word.is_live(flipped):
+                word.register_dead(flipped)
+            else:
+                word.register_live(flipped)
+        assert hop_dst(get_next_hop(tree, b, pid, None, word)) == (
+            reference_hop(tree, b, pid, word)
+        )
+
+    def test_a_registration_changes_the_answer(self):
+        tree, word = LookupTree(6, 4), StatusWord(4, range(16))
+        first, _ = get_next_hop(tree, 1, 0, None, word)
+        word.register_dead(first)
+        second, _ = get_next_hop(tree, 1, 0, None, word)
+        assert second != first
+        assert second == reference_hop(tree, 1, 0, word)
+        word.register_live(first)
+        assert get_next_hop(tree, 1, 0, None, word)[0] == first
+
+    @given(tree_b_word_entry())
+    @settings(max_examples=60, deadline=None)
+    def test_words_share_a_hop_by_content_not_identity(self, setup):
+        tree, b, word, pid = setup
+        twin = word.copy()
+        assert twin is not word
+        first = get_next_hop(tree, b, pid, None, word)
+        assert get_next_hop(tree, b, pid, None, twin) is first
+        if first is not None:
+            twin.register_dead(first[0])
+            assert hop_dst(get_next_hop(tree, b, pid, None, twin)) == (
+                reference_hop(tree, b, pid, twin)
+            )
+            assert get_next_hop(tree, b, pid, None, word) is first
+
+    @given(tree_b_liveness())
+    @settings(max_examples=30, deadline=None)
+    def test_set_liveness_views_are_served_too(self, setup):
+        tree, b, liveness = setup
+        for pid in liveness.live_pids():
+            assert hop_dst(get_next_hop(tree, b, pid, None, liveness)) == (
+                reference_hop(tree, b, pid, liveness)
+            )
+
+    def test_a_view_without_a_token_is_walked_afresh(self):
+        tree, bare = LookupTree(2, 3), Bare(3)
+        before = len(subtree_module._HOP_MEMO)
+        first, carried = get_next_hop(tree, 1, 0, None, bare)
+        assert carried == tuple(migration_order(tree, 1, 0))
+        bare.dead.add(first)
+        second, _ = get_next_hop(tree, 1, 0, None, bare)
+        assert second != first and second == reference_hop(tree, 1, 0, bare)
+        assert len(subtree_module._HOP_MEMO) == before
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        memo = subtree_module._HOP_MEMO
+        cap = min(len(memo) + 64, subtree_module._HOP_MEMO_MAX)
+        monkeypatch.setattr(subtree_module, "_HOP_MEMO_MAX", cap)
+        tree = LookupTree(0, 4)
+        for bits in range(1, 12):  # 176 distinct (word, pid) keys > 64
+            word = StatusWord.from_int(4, bits)
+            for pid in range(16):
+                get_next_hop(tree, 0, pid, None, word)
+            assert len(memo) <= cap
+        assert len(memo) == cap
+
+    @pytest.mark.parametrize(
+        "carried",
+        [[4], [-1], [0, 4], ["0"], [0.0], [True], [None], [[0]], [{}], [],
+         "01", 5, {0: 1.5}.values()],
+        ids=repr,
+    )
+    def test_a_malformed_carried_list_raises_and_is_not_memoized(self, carried):
+        """What a ``SubtreeView`` of a bad id raises, token or no token."""
+        tree = LookupTree(9, 4)
+        with pytest.raises(ConfigurationError):
+            SubtreeView(tree, 2, 4)
+        for liveness in (StatusWord(4, range(16)), Bare(4)):
+            for b in (0, 2):
+                before = dict(subtree_module._HOP_MEMO)
+                with pytest.raises(ConfigurationError):
+                    get_next_hop(tree, b, 3, carried, liveness)
+                assert subtree_module._HOP_MEMO == before
+
+
+def reference_starts(tree, b, liveness):
+    """The loop the oracle, the DES and the node each used to carry."""
+    starts = []
+    for sid in range(1 << b):
+        root = SubtreeView(tree, b, sid).root_pid
+        if liveness.is_live(root):
+            starts.append(root)
+        else:
+            starts.extend(reference_children(tree, b, root, liveness))
+    return starts
+
+
+class TestUpdateStarts:
+    @given(tree_b_word())
+    @settings(max_examples=100, deadline=None)
+    def test_equals_the_loops_it_replaces(self, setup):
+        tree, b, word = setup
+        starts = update_starts(tree, b, word)
+        assert starts == reference_starts(tree, b, word)
+        assert all(word.is_live(pid) for pid in starts)
+
+    def test_a_dead_root_is_bypassed_and_an_empty_subtree_skipped(self):
+        tree = LookupTree(5, 4)
+        views = [SubtreeView(tree, 2, sid) for sid in range(4)]
+        live = set(range(16)) - {views[1].root_pid} - set(views[2].members())
+        word = StatusWord(4, live)
+        assert update_starts(tree, 2, word) == (
+            [views[0].root_pid]
+            + views[1].children(views[1].root_pid)  # all live: the §2 list
+            + [views[3].root_pid]
+        )
+        assert update_starts(tree, 2, Bare(4, set(range(16)) - live)) == (
+            update_starts(tree, 2, word)
+        )

@@ -701,7 +701,7 @@ class TestFrameConnection:
             conn.connection_made(transport)
             conn.add(msgs[0], WIRE_VERSION_BINARY)
             conn.poke()
-            await asyncio.sleep(0)  # the tick-coalesced flush
+            await asyncio.sleep(0)  # the tick flush
             assert conn.encoder.pending == 0 and transport.written
             await asyncio.wait_for(conn.drained(), 1.0)  # not paused: no wait
             conn.pause_writing()
@@ -1399,14 +1399,12 @@ def test_mixed_codec_cluster_matches_oracle(seed):
 
 
 @pytest.mark.runtime
-def test_coalesced_batched_cluster_matches_oracle():
-    """Frame coalescing plus deep inbox batching change scheduling, not
-    outcomes: the oracle replay still agrees."""
+def test_deeply_batched_cluster_matches_oracle():
+    """Deep inbox batching (on top of the per-tick flush every stream
+    has) changes scheduling, not outcomes: the oracle replay still
+    agrees."""
     spec = WorkloadSpec(m=4, b=1, seed=3, files=5, ops=30)
-    config = RuntimeConfig(
-        m=4, b=1, seed=3, coalesce_bytes=4096, coalesce_delay=0.002,
-        batch_max=32,
-    )
+    config = RuntimeConfig(m=4, b=1, seed=3, batch_max=32)
     report = asyncio.run(run_conformance(spec, config=config))
     assert report.ok, report.render()
 
@@ -1542,6 +1540,52 @@ def test_silent_crash_is_discovered_and_rerouted():
             assert outcome.payload == "precious"
             # The failed send taught the entry node about the death.
             assert not cluster.nodes[entry].word.is_live(hop)
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
+def test_get_migrates_once_past_a_silently_dead_home():
+    """§4 at the message level, ``b = 2``: a subtree's home dies
+    unannounced.  A GET entering that subtree climbs to it, the failed
+    send marks it dead in the sender's own word, the decision taken
+    again finds the subtree's copy gone, and the GET migrates — once —
+    to the next subtree's home, which serves it."""
+    from repro.core.subtree import SubtreeView, subtree_of_pid
+
+    async def run():
+        config = RuntimeConfig(m=4, b=2, seed=5)
+        cluster = await LiveCluster.start(config)
+        try:
+            boot = await RuntimeClient(cluster, 0).connect()
+            insert = await boot.insert("target.dat", "precious")
+            await boot.close()
+            await cluster.drain()
+            homes = insert.payload["homes"]
+            assert len(homes) == 4
+            tree = cluster.tree(cluster.psi("target.dat"))
+            home = homes[0]
+            sid = subtree_of_pid(tree, home, 2)
+            view = SubtreeView(tree, 2, sid)
+            entry = view.members()[-1]  # subtree VID 0: two hops below
+            assert view.parent(view.parent(entry)) == home
+            await cluster.crash(home, announce=False)
+            client = await RuntimeClient(cluster, entry).connect()
+            outcome = await client.get("target.dat", timeout=5.0)
+            await client.close()
+            await cluster.drain()
+            assert outcome.ok and outcome.payload == "precious", outcome
+            # Served by the next subtree in migration order, after one
+            # migration; the node that tried the dead home learned of it.
+            assert outcome.server in homes
+            assert subtree_of_pid(tree, outcome.server, 2) == (sid + 1) % 4
+            assert cluster.counters.get("migrations", 0) == 1
+            assert not cluster.nodes[view.parent(entry)].word.is_live(home)
+            assert cluster.counters.get("handler_errors", 0) == 0
+            await cluster.announce_crash(home)
+            await cluster.drain()
         finally:
             await cluster.shutdown()
 

@@ -20,8 +20,13 @@ from hypothesis.stateful import (
 
 from repro.cluster import LessLogSystem
 from repro.core.children import advanced_children_list
-from repro.core.errors import FileNotFoundInSystemError
-from repro.core.subtree import SubtreeView, SvidLiveness, identity_tree
+from repro.core.errors import FileNotFoundInSystemError, NoLiveNodeError
+from repro.core.subtree import (
+    SubtreeView,
+    SvidLiveness,
+    identity_tree,
+    migration_order,
+)
 from repro.node.storage import FileOrigin
 
 M = 4
@@ -51,6 +56,30 @@ def unmemoized_reachable_holders(system: LessLogSystem, name: str) -> list[int]:
                 reached.append(pid)
                 stack.extend(children(pid)[::-1])
     return reached
+
+
+def reference_locate(system: LessLogSystem, name: str, entry: int):
+    """The §3/§4 GET walk by the scalar primitives — ``resolve_route`` in
+    the entry's own subtree, then each further subtree's storage node —
+    up to the first holder: ``(route, subtrees_tried, server)``."""
+    tree = system.tree(system.catalog[name].target)
+    route: list[int] = []
+    tried: list[int] = []
+    for sid in migration_order(tree, system.b, entry):
+        view = SubtreeView(tree, system.b, sid)
+        tried.append(sid)
+        try:
+            walk = (
+                view.resolve_route(entry, system.membership) if not route
+                else [view.storage_node(system.membership)]
+            )
+        except NoLiveNodeError:
+            continue
+        for pid in walk:
+            route.append(pid)
+            if name in system.stores[pid]:
+                return route, tried, pid
+    return route, tried, None
 
 
 class LessLogMachine(RuleBasedStateMachine):
@@ -164,6 +193,25 @@ class LessLogMachine(RuleBasedStateMachine):
             assert self.system.reachable_holders(name) == (
                 unmemoized_reachable_holders(self.system, name)
             )
+
+    @invariant()
+    def resolve_matches_the_reference_walk(self):
+        """From every live entry, after every step: a next hop
+        remembered for a membership that has since changed (join, leave,
+        fail) would send ``resolve`` somewhere the scalar walk does not
+        go."""
+        if not hasattr(self, "system"):
+            return
+        for name in self.file_names():
+            for entry in self.live_nodes():
+                route, tried, server = reference_locate(self.system, name, entry)
+                result = self.system.resolve(name, entry)
+                if server is None:
+                    assert result is None
+                    continue
+                assert result.server == server
+                assert result.route == tuple(route)
+                assert result.subtrees_tried == tuple(tried)
 
     @invariant()
     def non_faulted_files_are_readable(self):

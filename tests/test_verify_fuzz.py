@@ -108,8 +108,7 @@ class TestLiveSegmentOp:
         harness = ScenarioHarness(Scenario(m=4, b=1, seed=1))
         event = ScenarioEvent(
             "live_segment",
-            {"m": 3, "b": 0, "files": 2, "ops": 6, "seed": 5,
-             "mixed": True, "coalesce_bytes": 4096},
+            {"m": 3, "b": 0, "files": 2, "ops": 6, "seed": 5, "mixed": True},
         )
         assert harness.apply(event)
         assert harness.live_reports[-1].ok, harness.live_reports[-1].render()

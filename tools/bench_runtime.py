@@ -122,10 +122,8 @@ CHECK_SHAPE_RATE = 200.0
 CHECK_WARMUP, CHECK_DURATION, CHECK_FILES = 0.4, 0.5, 6
 
 PROFILES: dict[str, dict] = {
-    "json-v1": {"wire_version": 1, "batch_max": 1, "coalesce_bytes": 0,
-                "tick_coalesce": False, "fixed_frames": False},
-    "binary-v2": {"wire_version": 2, "batch_max": 16, "coalesce_bytes": 0,
-                  "tick_coalesce": True, "fixed_frames": True},
+    "json-v1": {"wire_version": 1, "batch_max": 1, "fixed_frames": False},
+    "binary-v2": {"wire_version": 2, "batch_max": 16, "fixed_frames": True},
 }
 
 #: Scale-out rate ladder — coarse on purpose: every rung runs against
