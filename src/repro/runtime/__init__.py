@@ -75,9 +75,6 @@ from .wire import (
     encode_message,
     message_from_dict,
     message_to_dict,
-    read_frame,
-    read_message,
-    write_message,
 )
 
 __all__ = [
@@ -137,12 +134,9 @@ __all__ = [
     "message_to_dict",
     "percentile",
     "policy_grid",
-    "read_frame",
-    "read_message",
     "replay_oplog",
     "run_conformance",
     "snapshot_of",
     "start_listener",
     "verify_snapshot",
-    "write_message",
 ]

@@ -399,9 +399,6 @@ class LiveCluster(NodeHost):
             finally:
                 self._undelivered -= 1
 
-    async def catalog_check(self, name: str) -> bool:
-        return name not in self.coordinator.mirror.catalog
-
     async def catalog_claim(self, name: str, entry: int, payload: Any) -> bool:
         return self.coordinator.claim(name, payload, entry)
 

@@ -131,14 +131,9 @@ class NodeHost(ABC):
     # -- coordination calls (each ends at a `Coordinator` verb) -------------
 
     @abstractmethod
-    async def catalog_check(self, name: str) -> bool:
-        """Is ``name`` still available for insertion?  Advisory: the
-        authoritative answer is :meth:`catalog_claim`."""
-
-    @abstractmethod
     async def catalog_claim(self, name: str, entry: int, payload: Any) -> bool:
-        """Register ``name`` for entry node ``entry``; ``False`` when
-        another entry won the race since :meth:`catalog_check`."""
+        """Register ``name`` for entry node ``entry``; ``False`` when the
+        name is taken, ``entry`` is dead, or no subtree has a live home."""
 
     @abstractmethod
     async def catalog_advance(self, name: str, payload: Any) -> int | None:

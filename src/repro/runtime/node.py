@@ -701,9 +701,6 @@ class NodeServer:
         name = msg.file
         r = self.cluster.psi_of(name)
         tree = self.cluster.tree(r)
-        if not await self.cluster.catalog_check(name):
-            await self._client_error(msg, conn, f"file {name!r} already inserted")
-            return
         t0 = perf_counter()
         homes = insert_targets(tree, self.b, self.word)
         self.cluster.stage_seconds["route"] += perf_counter() - t0
@@ -711,8 +708,6 @@ class NodeServer:
             await self._client_error(msg, conn, f"no live storage node for {name!r}")
             return
         if not await self.cluster.catalog_claim(name, self.pid, msg.payload):
-            # Another entry node won the race between check and claim
-            # (possible only when the catalog is a remote service).
             await self._client_error(msg, conn, f"file {name!r} already inserted")
             return
         reply = fast_message(

@@ -3,7 +3,8 @@
 The pieces, smallest to largest:
 
 * :mod:`.control` — the CONTROL-frame RPC/cast channel everything
-  coordinates over (same wire framing as the data plane);
+  coordinates over (the data plane's ``FrameConnection``, one frame
+  per body);
 * :mod:`.worker` — `WorkerRuntime` (the per-process `NodeHost` a
   `NodeServer` runs against, unchanged) and the process entrypoint;
 * :mod:`.bootstrap` — identifier assignment, the address book, and
@@ -18,13 +19,7 @@ The pieces, smallest to largest:
 """
 
 from .bootstrap import BootstrapServer, ScaleoutStats
-from .control import (
-    ControlLink,
-    config_from_wire,
-    config_to_wire,
-    decode_batch,
-    encode_batch,
-)
+from .control import ControlLink, config_from_wire, config_to_wire
 from .endpoint import ScaleoutEndpoint
 from .loadshard import ShardedLoadDriver
 from .supervisor import FleetLifecycleError, ScaleoutSupervisor
@@ -36,8 +31,6 @@ __all__ = [
     "ControlLink",
     "config_from_wire",
     "config_to_wire",
-    "encode_batch",
-    "decode_batch",
     "ScaleoutEndpoint",
     "ShardedLoadDriver",
     "FleetLifecycleError",

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 from ...core.errors import ConfigurationError, MembershipError
@@ -51,6 +52,7 @@ from ..cluster import RuntimeConfig
 from ..conformance import ClusterStateSnapshot
 from ..coordinator import ADMIN, Coordinator
 from ..node import CLIENT
+from ..wire import FrameConnection
 from .control import ControlLink, config_to_wire, message_to_wire
 
 __all__ = ["BootstrapServer", "ScaleoutStats"]
@@ -113,10 +115,10 @@ class BootstrapServer:
     async def serve(self, sock: Any = None, host: str = "127.0.0.1",
                     port: int = 0) -> Address:
         """Start accepting control connections; returns the address."""
-        if sock is not None:
-            self._server = await asyncio.start_server(self._on_connect, sock=sock)
-        else:
-            self._server = await asyncio.start_server(self._on_connect, host, port)
+        where = {"sock": sock} if sock is not None else {"host": host, "port": port}
+        self._server = await asyncio.get_running_loop().create_server(
+            self._accept, **where
+        )
         name = self._server.sockets[0].getsockname()
         return (name[0], name[1])
 
@@ -130,16 +132,11 @@ class BootstrapServer:
         self._workers.clear()
         self._clients.clear()
 
-    def _on_connect(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
+    def _accept(self) -> FrameConnection:
+        """Protocol factory: one control link per accepted connection."""
         peer = _Peer(link=None)  # type: ignore[arg-type]
-
-        async def handle(op: str, body: dict) -> dict | None:
-            return await self._handle(peer, op, body)
-
-        peer.link = ControlLink(reader, writer, handle, label="bootstrap")
-        peer.link.start()
+        peer.link = ControlLink(partial(self._handle, peer), label="bootstrap")
+        return peer.link.conn
 
     # -- the control protocol ----------------------------------------------
 
@@ -152,8 +149,6 @@ class BootstrapServer:
             return self._op_client_hello(peer, body)
         if op == "ping":
             return {"ok": True}
-        if op == "catalog_check":
-            return {"ok": body.get("name", "") not in self.mirror.catalog}
         # The four mutating ops are synchronous — verb, then frames
         # cast — and the control link starts handlers in arrival order,
         # so they apply in the order workers issued them.

@@ -1,35 +1,34 @@
 """The scale-out control channel: CONTROL frames over the wire protocol.
 
 Bootstrap, workers, and client endpoints coordinate over the same
-length-prefixed framing the data plane uses — a ``CONTROL`` message
-whose payload is a small dict — pinned to the JSON-v1 codec, whose
-generic body carries arbitrary (JSON-safe) dict payloads.  One
-:class:`ControlLink` wraps one stream and is fully symmetric: either
-side can issue ``call`` (request/response, matched by ``rid``/``re``)
-or ``cast`` (fire and forget), and both sides answer the peer through
-a handler coroutine.
+:class:`~repro.runtime.wire.FrameConnection` the data plane runs — a
+``CONTROL`` message whose payload is a small dict — pinned to the
+JSON-v1 codec, whose generic body carries arbitrary (JSON-safe) dict
+payloads.  One :class:`ControlLink` owns one connection and is fully
+symmetric: either side can issue ``call`` (request/response, matched
+by ``rid``/``re``) or ``cast`` (fire and forget), and both sides
+answer the peer through a handler coroutine.
 
-Dispatch discipline: replies (``re``) are resolved inline by the read
-loop, while requests and casts are queued in arrival order and each
-dispatched as its own task.  FIFO still holds where it matters: tasks
-are created in arrival order and run in creation order up to their
-first ``await``, so a handler whose effect precedes its first await
-(every worker-side admin handler) lands before any later frame — a
-REGISTER_DEAD cast and the ping that confirms it cannot reorder — and
-handlers that serialize on a lock (every mutating bootstrap op)
-acquire it in arrival order because ``asyncio.Lock`` wakes waiters
-FIFO.  What pipelining buys: a handler that blocks — a ``decide``
-waiting out a recovery, a catalog RPC — no longer convoys every
-frame behind it, so concurrent in-flight calls from many workers
-overlap instead of queueing one round-trip at a time.
+Dispatch discipline: replies (``re``) resolve their waiter inside the
+``data_received`` that decoded them, while every other body becomes
+its own task, created in arrival order.  FIFO still holds where it
+matters: tasks run in creation order up to their first ``await``, so a
+handler whose effect precedes its first await (every worker-side admin
+handler) lands before any later frame — a REGISTER_DEAD cast and the
+ping that confirms it cannot reorder — and handlers that serialize on
+a lock (every mutating bootstrap op) acquire it in arrival order
+because ``asyncio.Lock`` wakes waiters FIFO.  What pipelining buys: a
+handler that blocks — a ``decide`` waiting out a recovery, a catalog
+RPC — does not convoy every frame behind it, so concurrent in-flight
+calls from many workers overlap instead of queueing one round trip at
+a time.  Admin frames therefore travel inside ``deliver`` control
+bodies, never as bare frames: those would run inline, ahead of the
+tasks of earlier bodies in the same chunk.
 
-Write discipline: bodies are coalesced per event-loop tick.  ``cast``
-and replies enqueue and flush at the end of the current iteration
-(one ``call_soon``); ``call`` flushes immediately, carrying any
-pending casts first.  Multiple bodies in one flush leave as a single
-``batch`` frame — one length-prefixed message, one syscall — which
-the peer's read loop expands back into individual bodies in order,
-so batching is invisible to FIFO semantics.
+Write discipline: each body is one frame.  ``cast`` and replies use
+the connection's one tick flush (every frame queued in an event-loop
+iteration leaves in a single write); ``call`` flushes at once, behind
+any casts already queued, so FIFO holds on the wire too.
 
 Payload constraint: everything that rides the control channel must be
 JSON-safe (the v1 profile).  Admin frames delivered through ``deliver``
@@ -48,19 +47,13 @@ from ...net.message import Message, MessageKind, fast_message
 from ..cluster import ADMIN, RuntimeConfig
 from ..wire import (
     WIRE_VERSION,
-    FrameEncoder,
-    FrameError,
-    WireError,
+    FrameConnection,
     message_from_dict,
     message_to_dict,
-    read_frame,
 )
 
 __all__ = [
     "ControlLink",
-    "BATCH_OP",
-    "encode_batch",
-    "decode_batch",
     "config_to_wire",
     "config_from_wire",
     "message_to_wire",
@@ -71,35 +64,6 @@ Handler = Callable[[str, dict], Awaitable[dict | None]]
 
 _INF = "inf"
 """JSON has no Infinity; ``float('inf')`` config fields ship as this."""
-
-BATCH_OP = "batch"
-"""Reserved op name for a coalesced control frame.  No coordination op
-may use it — the read loop unconditionally expands it."""
-
-
-def encode_batch(bodies: list[dict]) -> dict[str, Any]:
-    """Wrap several control bodies into one batch frame.
-
-    The wrapper is itself a plain JSON-safe control body, so it rides
-    the existing CONTROL/JSON-v1 framing unchanged; order inside
-    ``ops`` is wire order.
-    """
-    return {"op": BATCH_OP, "ops": list(bodies)}
-
-
-def decode_batch(body: dict) -> list[dict]:
-    """Expand a control body into its constituent bodies, in order.
-
-    A non-batch body decodes to itself, so callers can pipe every
-    received frame through this unconditionally; malformed batch
-    members (non-dicts) are dropped rather than poisoning the link.
-    """
-    if body.get("op") != BATCH_OP:
-        return [body]
-    ops = body.get("ops")
-    if not isinstance(ops, list):
-        return []
-    return [op for op in ops if isinstance(op, dict)]
 
 
 def config_to_wire(config: RuntimeConfig) -> dict[str, Any]:
@@ -141,64 +105,42 @@ def message_from_wire(data: dict[str, Any]) -> Message:
 
 
 class ControlLink:
-    """One symmetric control connection (bootstrap <-> worker/client)."""
+    """One symmetric control connection (bootstrap <-> worker/client).
 
-    def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        handler: Handler,
-        label: str = "",
-    ) -> None:
-        self.reader = reader
-        self.writer = writer
+    :attr:`conn` is the protocol to hand ``create_connection`` /
+    ``create_server``.  Once the link is down, :attr:`closed` is set
+    and :attr:`reason` says why: the connection's ``FrameError``, an
+    undecodable control body, the peer closing, or :meth:`close`.
+    """
+
+    def __init__(self, handler: Handler, label: str = "") -> None:
         self.handler = handler
         self.label = label
+        self.conn = FrameConnection(self._on_frames, self._on_lost, fixed=False)
         self.closed = asyncio.Event()
+        self.reason = ""
         self._rid = itertools.count(1)
         self._waiters: dict[int, asyncio.Future] = {}
-        self._inbox: asyncio.Queue[dict] = asyncio.Queue()
-        self._encoder = FrameEncoder(fixed=False)
-        self._tasks: list[asyncio.Task] = []
-        self._pending: list[dict] = []
-        self._flush_scheduled = False
         self._inflight: set[asyncio.Task] = set()
 
-    def start(self) -> None:
-        loop = asyncio.get_running_loop()
-        self._tasks.append(
-            loop.create_task(self._read_loop(), name=f"ctl-read:{self.label}")
-        )
-        self._tasks.append(
-            loop.create_task(self._dispatch_loop(), name=f"ctl-disp:{self.label}")
-        )
+    # -- read side ------------------------------------------------------------
 
-    async def _read_loop(self) -> None:
-        try:
-            while True:
-                msg, _version = await read_frame(self.reader)
-                frame = msg.payload if isinstance(msg.payload, dict) else {}
-                for body in decode_batch(frame):
-                    re = body.get("re")
-                    if re is not None:
-                        waiter = self._waiters.pop(re, None)
-                        if waiter is not None and not waiter.done():
-                            waiter.set_result(body)
-                        continue
-                    self._inbox.put_nowait(body)
-        except (EOFError, FrameError, WireError, ConnectionError, OSError):
-            pass
-        finally:
-            self._fail_waiters()
-            self.closed.set()
-
-    async def _dispatch_loop(self) -> None:
-        # Pipelined: one task per inbound body, created in arrival
-        # order.  See the module docstring for why FIFO effects and
-        # FIFO lock acquisition survive this.
+    def _on_frames(self, conn: FrameConnection, frames: list, errors: int) -> None:
+        bodies = [msg.payload for msg, _version in frames]
+        if errors or not all(isinstance(body, dict) for body in bodies):
+            # Nothing in a damaged chunk runs: the link is broken.
+            self._fail("undecodable control body")
+            return
         loop = asyncio.get_running_loop()
-        while True:
-            body = await self._inbox.get()
+        for body in bodies:
+            re = body.get("re")
+            if re is not None:
+                waiter = self._waiters.pop(re, None)
+                if waiter is not None and not waiter.done():
+                    waiter.set_result(body)
+                continue
+            # One task per body, created in arrival order: see the
+            # module docstring for why FIFO effects survive this.
             task = loop.create_task(self._dispatch_one(body))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
@@ -213,105 +155,89 @@ class ControlLink:
         except Exception as exc:
             result = {"error": f"{type(exc).__name__}: {exc}"}
         if rid is not None:
-            try:
-                self._write({"re": rid, **(result or {})})
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            self._post({"re": rid, **(result or {})})
 
-    def _write(self, body: dict) -> None:
-        """Queue one body; bytes leave in the tick's batch flush."""
-        if self.writer.is_closing():
-            raise ConnectionError("control peer is closing")
-        self._pending.append(body)
-        if not self._flush_scheduled:
-            self._flush_scheduled = True
-            try:
-                asyncio.get_running_loop().call_soon(self._tick_flush)
-            except RuntimeError:  # no loop: teardown path, flush now
-                self._flush_scheduled = False
-                self._flush()
+    def _fail(self, reason: str) -> None:
+        """Close the link from inside a callback (nothing to await)."""
+        if not self.reason:
+            self.reason = reason
+        self.conn.close()
 
-    def _tick_flush(self) -> None:
-        self._flush_scheduled = False
+    def _on_lost(self, conn: FrameConnection) -> None:
+        if not self.reason:
+            self.reason = (
+                f"FrameError: {conn.error}" if conn.error is not None
+                else "peer closed the connection"
+            )
+        for waiter in self._waiters.values():
+            if not waiter.done():
+                waiter.set_exception(self._down())
+        self._waiters.clear()
+        self.closed.set()
+
+    def _down(self) -> ConnectionError:
+        return ConnectionError(
+            f"control link closed ({self.label}): {self.reason}"
+        )
+
+    # -- write side -----------------------------------------------------------
+
+    def _add(self, body: dict) -> None:
+        """Encode one body as one frame; no flush."""
+        if self.conn.closed:
+            raise self._down()
+        self.conn.add(
+            fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body), WIRE_VERSION
+        )
+
+    def _post(self, body: dict) -> None:
+        """Queue one body for the tick flush; dropped on a dead link
+        (the peer is gone — its death is handled elsewhere)."""
         try:
-            self._flush()
-        except (ConnectionError, OSError):
-            pass  # link died under the buffer; the read loop notices
-
-    def _flush(self) -> None:
-        """Write everything queued this tick as one frame.
-
-        One pending body goes out bare (the pre-batching wire form);
-        several leave as a single ``batch`` frame — coalescing is an
-        encoding detail the peer's read loop reverses, never a
-        semantic one.
-        """
-        if not self._pending:
+            self._add(body)
+        except ConnectionError:
             return
-        pending, self._pending = self._pending, []
-        if self.writer.is_closing():
-            raise ConnectionError("control peer is closing")
-        body = pending[0] if len(pending) == 1 else encode_batch(pending)
-        msg = fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body)
-        self._encoder.add(msg, WIRE_VERSION)
-        self._encoder.flush_to(self.writer)
+        self.conn.poke()
 
     async def call(self, op: str, **fields: Any) -> dict:
-        """One request/response round trip; raises on a dead link."""
+        """One request/response round trip; ``ConnectionError`` naming
+        :attr:`reason` on a dead link."""
         rid = next(self._rid)
         waiter = asyncio.get_running_loop().create_future()
         self._waiters[rid] = waiter
         try:
-            # A call should not sit out the tick: flush immediately,
-            # carrying any casts queued before it (FIFO preserved —
-            # they ride ahead of the request in the same batch frame).
-            self._write({"op": op, "rid": rid, **fields})
-            self._flush()
-        except (ConnectionError, OSError):
+            self._add({"op": op, "rid": rid, **fields})
+            self.conn.flush()  # now, behind any casts already queued
+            reply = await waiter
+        finally:
             self._waiters.pop(rid, None)
-            raise ConnectionError(f"control link down ({self.label})") from None
-        reply = await waiter
         if "error" in reply:
             raise RuntimeError(f"control {op!r} failed: {reply['error']}")
         return reply
 
     def cast(self, op: str, **fields: Any) -> None:
-        """Fire-and-forget; silently dropped on a dead link (the peer
-        is gone — its death is handled elsewhere)."""
-        try:
-            self._write({"op": op, **fields})
-        except (ConnectionError, OSError):
-            pass
-
-    def _fail_waiters(self) -> None:
-        for waiter in self._waiters.values():
-            if not waiter.done():
-                waiter.set_exception(
-                    ConnectionError(f"control link closed ({self.label})")
-                )
-        self._waiters.clear()
+        """Fire-and-forget; silently dropped on a dead link."""
+        self._post({"op": op, **fields})
 
     async def close(self) -> None:
-        # Ship anything still queued for the tick flush first — a
-        # shard endpoint's final ``client_sent`` cast must reach the
-        # quiescence ledger or drain wedges waiting on it.  The
-        # transport flushes its own buffer before closing, so a
-        # successful _flush is on the wire.
-        try:
-            self._flush()
-        except (ConnectionError, OSError):
-            pass
-        for task in (*self._tasks, *self._inflight):
+        # ``FrameConnection.close`` drops pending frames, so write them
+        # first — past the high-water mark, too: a shard endpoint's
+        # final ``client_sent`` cast must reach the quiescence ledger
+        # or drain wedges waiting on it.  The transport flushes its own
+        # buffer before closing, so a written frame is on the wire.
+        conn = self.conn
+        if not conn.closed and conn.transport is not None:
+            conn.encoder.flush_to(conn.transport)
+        if not self.reason:
+            self.reason = "closed by this side"
+        closing = conn.close()  # fails waiters and sets ``closed``
+        tasks = tuple(self._inflight)
+        for task in tasks:
             task.cancel()
-        for task in (*self._tasks, *tuple(self._inflight)):
+        for task in tasks:
             try:
                 await task
             except (asyncio.CancelledError, Exception):  # pragma: no cover
                 pass
-        self._tasks.clear()
         self._inflight.clear()
-        try:
-            self.writer.close()
-        except (ConnectionError, OSError):  # pragma: no cover
-            pass
-        self.closed.set()
+        await closing

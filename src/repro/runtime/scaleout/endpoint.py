@@ -52,10 +52,11 @@ class ScaleoutEndpoint:
     @classmethod
     async def connect(cls, host: str, port: int) -> "ScaleoutEndpoint":
         self = cls()
-        reader, writer = await asyncio.open_connection(host, port)
-        self.link = ControlLink(reader, writer, self._handle, label="endpoint")
-        self.link.start()
-        hello = await self.link.call("client_hello")
+        link = self.link = ControlLink(self._handle, label="endpoint")
+        await asyncio.get_running_loop().create_connection(
+            lambda: link.conn, host, port
+        )
+        hello = await link.call("client_hello")
         self.config = config_from_wire(hello["config"])
         self._apply_book(hello.get("book") or {}, int(hello.get("epoch", 0)))
         return self

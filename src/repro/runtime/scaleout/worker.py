@@ -159,13 +159,6 @@ class WorkerRuntime(NodeHost):
 
     # -- coordination RPCs ---------------------------------------------------
 
-    async def catalog_check(self, name: str) -> bool:
-        try:
-            reply = await self.link.call("catalog_check", name=name)
-        except ConnectionError:
-            return False
-        return bool(reply.get("ok"))
-
     async def catalog_claim(self, name: str, entry: int, payload: Any) -> bool:
         try:
             reply = await self.link.call(
@@ -310,9 +303,8 @@ class WorkerProcess:
         return {"error": f"unknown worker op {op!r}"}
 
     async def run(self, host: str, port: int) -> None:
-        reader, writer = await _connect_retry(host, port)
-        link = ControlLink(reader, writer, self._handle, label="worker")
-        link.start()
+        link = ControlLink(self._handle, label="worker")
+        await _connect_retry(host, port, link)
         hello = await link.call("hello", ospid=os.getpid())
         config = config_from_wire(hello["config"])
         pid = int(hello["pid"])
@@ -379,14 +371,15 @@ def _book_from_wire(book: dict[str, list]) -> dict[int, Address]:
 
 
 async def _connect_retry(
-    host: str, port: int, timeout: float = 15.0
-) -> tuple[asyncio.StreamReader, asyncio.StreamWriter]:
+    host: str, port: int, link: ControlLink, timeout: float = 15.0
+) -> None:
     """Dial the bootstrap, retrying while the fleet boots."""
-    loop = asyncio.get_event_loop()
+    loop = asyncio.get_running_loop()
     deadline = loop.time() + timeout
     while True:
         try:
-            return await asyncio.open_connection(host, port)
+            await loop.create_connection(lambda: link.conn, host, port)
+            return
         except (ConnectionError, OSError):
             if loop.time() >= deadline:
                 raise

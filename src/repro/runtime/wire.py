@@ -70,12 +70,11 @@ connection.
 concatenation) and handed to the transport as one ``bytes`` per flush
 — the single copy, taken before the buffer is recycled, so the
 transport never holds a view into it.  :class:`FrameConnection` — the
-protocol every data-plane connection runs — is the decode dual: the
-chunk one ``recv()`` returned is sliced, inside ``data_received``, into
-as many complete frames as it holds, decoded straight off a
-``memoryview`` (leaf strings/bytes are copied out, so decoded messages
-never alias the buffer).  :func:`read_frame` serves the scale-out
-control link.
+protocol every connection runs, data plane and scale-out control link
+alike — is the decode dual: the chunk one ``recv()`` returned is
+sliced, inside ``data_received``, into as many complete frames as it
+holds, decoded straight off a ``memoryview`` (leaf strings/bytes are
+copied out, so decoded messages never alias the buffer).
 
 **Carried body.**  A message decoded from a v2 *generic* frame keeps
 that frame's body (``Message.__dict__[WIRE_BODY]``, not a field), and
@@ -93,11 +92,11 @@ frames carry nothing: their encode is already one ``pack``, and a copy
 per frame costs what the shorter encode would save.
 
 Negotiation is per connection: each side learns the peer's codec from
-the version byte of the frames it receives (:func:`read_frame` /
-:class:`FrameConnection`) and a sender never exceeds the receiver's
-advertised maximum — the cluster computes ``min(sender, receiver)``
-per link, so a v1 node in a v2 cluster keeps working and never sees a
-v2 frame.
+the version byte of the frames it receives
+(:attr:`FrameConnection.wire_version`) and a sender never exceeds the
+receiver's advertised maximum — the cluster computes ``min(sender,
+receiver)`` per link, so a v1 node in a v2 cluster keeps working and
+never sees a v2 frame.
 
 Decoding is hardened: bad magic, unknown wire version, unknown flags,
 oversized or truncated frames, malformed bodies, unknown message kinds
@@ -117,7 +116,6 @@ import binascii
 import json
 import math
 import struct
-from asyncio import IncompleteReadError, StreamReader, StreamWriter
 from time import perf_counter
 from typing import Any, Callable
 
@@ -144,9 +142,6 @@ __all__ = [
     "message_from_dict",
     "encode_message",
     "decode_message",
-    "read_frame",
-    "read_message",
-    "write_message",
 ]
 
 MAGIC = b"LL"
@@ -810,7 +805,7 @@ class FrameEncoder:
             del buf[:]
         self.pending = 0
 
-    def flush_to(self, writer: "StreamWriter | asyncio.WriteTransport") -> int:
+    def flush_to(self, writer: asyncio.WriteTransport) -> int:
         """Write all pending frames as one ``bytes``; returns its size.
 
         The copy is the point: a socket that takes a partial write keeps
@@ -893,7 +888,7 @@ def wire_version_of(config, pid: int) -> int:
     return WIRE_VERSION if pid in config.v1_pids else config.wire_version
 
 
-# -- connection and stream I/O -------------------------------------------
+# -- connection ----------------------------------------------------------
 
 WRITE_HIGH_WATER = 1 << 16
 """The one write watermark (64 KiB): a transport buffered beyond it
@@ -902,7 +897,7 @@ is flushed without waiting for the end of the tick."""
 
 
 class FrameConnection(asyncio.Protocol):
-    """One data-plane connection: frames decoded where the bytes land.
+    """One framed connection: frames decoded where the bytes land.
 
     **Read side.**  ``data_received`` slices every complete frame out of
     the chunk the transport hands it — straight off the chunk when no
@@ -1125,57 +1120,3 @@ class FrameConnection(asyncio.Protocol):
                 self.transport.close()
         return self._close_waiter
 
-
-async def read_frame(
-    reader: StreamReader,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> tuple[Message, int]:
-    """Read one message off a stream; return it with its wire version.
-
-    The version is how receivers learn a peer's codec: replies on the
-    same connection should not exceed it.  ``max_version`` is this
-    side's own ceiling — a v1-only node rejects v2 frames at the
-    framing layer.
-
-    Raises :class:`EOFError` on a clean end-of-stream at a frame
-    boundary, :class:`FrameError` on mid-frame truncation or a broken
-    header, :class:`WireDecodeError` on a bad body.
-    """
-    try:
-        header = await reader.readexactly(HEADER.size)
-    except IncompleteReadError as exc:
-        if not exc.partial:
-            raise EOFError("connection closed") from None
-        raise FrameError(
-            f"connection closed mid-header ({len(exc.partial)} bytes)"
-        ) from None
-    version, flags, length = _check_header(header, 0, max_frame, max_version)
-    try:
-        body = await reader.readexactly(length)
-    except IncompleteReadError as exc:
-        raise FrameError(
-            f"connection closed mid-body ({len(exc.partial)}/{length} bytes)"
-        ) from None
-    return _decode_body(version, flags, body), version
-
-
-async def read_message(
-    reader: StreamReader,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> Message:
-    """Read exactly one message off a stream (see :func:`read_frame`)."""
-    msg, _version = await read_frame(reader, max_frame, max_version)
-    return msg
-
-
-async def write_message(
-    writer: StreamWriter, msg: Message, version: int = WIRE_VERSION,
-    fixed: bool = True,
-) -> None:
-    """Write one message and flush it through the transport."""
-    encoder = FrameEncoder(fixed=fixed)
-    encoder.add(msg, version)
-    encoder.flush_to(writer)
-    await writer.drain()

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.net.message import WIRE_BODY, Message, MessageKind, fast_message
 from repro.node.membership import StatusWord
 from repro.runtime import (
+    ClientError,
     LiveCluster,
     LoadGenerator,
     RuntimeClient,
@@ -51,8 +52,6 @@ from repro.runtime.wire import (
     encode_message,
     message_from_dict,
     message_to_dict,
-    read_frame,
-    read_message,
 )
 
 # ---------------------------------------------------------------------------
@@ -123,17 +122,6 @@ class TestWireRoundTrip:
                       payload={"data": blob})
         assert decode_message(encode_message(msg)).payload == {"data": blob}
 
-    @settings(max_examples=60)
-    @given(messages)
-    def test_stream_read_matches_direct_decode(self, msg):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_message(msg))
-            reader.feed_eof()
-            return await read_message(reader)
-
-        assert asyncio.run(run()) == msg
-
 
 # ---------------------------------------------------------------------------
 # binary codec (v2): equivalence with v1 and negotiation
@@ -182,20 +170,6 @@ class TestBinaryCodec:
                       payload={"big": 1 << 200, "neg": -(1 << 200)})
         assert decode_message(encode_message(msg, WIRE_VERSION_BINARY)) == msg
 
-    def test_read_frame_reports_the_sender_version(self):
-        msg = Message(kind=MessageKind.ACK, src=0, dst=1)
-
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_message(msg, WIRE_VERSION_BINARY))
-            reader.feed_data(encode_message(msg, WIRE_VERSION))
-            reader.feed_eof()
-            return await read_frame(reader), await read_frame(reader)
-
-        (m1, v1), (m2, v2) = asyncio.run(run())
-        assert (m1, v1) == (msg, WIRE_VERSION_BINARY)
-        assert (m2, v2) == (msg, WIRE_VERSION)
-
 
 class TestBinaryHardening:
     def _v2_frame(self, **kwargs):
@@ -215,14 +189,9 @@ class TestBinaryHardening:
             decode_message(self._v2_frame(), max_version=WIRE_VERSION)
 
     def test_v1_only_stream_reader_rejects_v2_frames(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(self._v2_frame())
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="version"):
-                await read_frame(reader, max_version=WIRE_VERSION)
-
-        asyncio.run(run())
+        conn, out, _errors = _feed([self._v2_frame()], max_version=WIRE_VERSION)
+        assert out == [] and isinstance(conn.error, FrameError)
+        assert "version" in str(conn.error) and conn.closed
 
     def test_unknown_kind_code_is_a_decode_error(self):
         body = bytearray(self._v2_frame()[HEADER.size:])
@@ -967,6 +936,7 @@ class _StubHost(NodeHost):
         self.done: list[int] = []
         self.gates: dict[int, asyncio.Event] = {}
         self.failing: set[int] = set()
+        self.claim_ok = True
 
     async def send(self, src, msg):
         rid = msg.request_id
@@ -983,11 +953,8 @@ class _StubHost(NodeHost):
     def holders(self, name):
         return set()
 
-    async def catalog_check(self, name):
-        return True
-
     async def catalog_claim(self, name, entry, payload):
-        return True
+        return self.claim_ok
 
     async def catalog_advance(self, name, payload):
         return 1
@@ -1180,6 +1147,34 @@ class TestInlineDispatch:
 
         asyncio.run(asyncio.wait_for(run(), timeout=30.0))
 
+    def test_a_refused_claim_is_the_already_inserted_error(self):
+        """An INSERT asks the coordinator once: a claim it refuses is
+        the client's ERROR, and no copy is stored or sent."""
+
+        async def run():
+            host = _StubHost()
+            host.claim_ok = False
+            node = NodeServer(2, host)
+            node.start()
+            (conn,) = _attached(node)
+            await _settle()
+            conn.data_received(encode_message(
+                Message(kind=MessageKind.INSERT, src=CLIENT, dst=2, file="dup",
+                        payload="p", request_id=9),
+                WIRE_VERSION_BINARY,
+            ))
+            await _settle()
+            written = bytes(conn.transport.written)
+            await node.shutdown()
+            return written, node, host
+
+        written, node, host = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+        _conn, out, _errors = _feed([written])
+        [(reply, _version)] = out
+        assert reply.kind is MessageKind.ERROR and reply.request_id == 9
+        assert "already inserted" in reply.payload["reason"]
+        assert "dup" not in node.store and host.order == []
+
 
 # ---------------------------------------------------------------------------
 # latency histograms and shape distance
@@ -1299,25 +1294,6 @@ class TestWireHardening:
             decode_message(blob)
         except (FrameError, WireDecodeError):
             pass  # precise rejection is the contract; crashing is not
-
-    def test_mid_frame_eof_on_stream_is_a_frame_error(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_data(self._frame()[:-2])
-            reader.feed_eof()
-            with pytest.raises(FrameError, match="mid-body"):
-                await read_message(reader)
-
-        asyncio.run(run())
-
-    def test_clean_eof_on_stream_is_eoferror(self):
-        async def run():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            with pytest.raises(EOFError):
-                await read_message(reader)
-
-        asyncio.run(run())
 
 
 def test_percentile_interpolates():
@@ -1704,6 +1680,30 @@ def test_tcp_loopback_serves_the_same_protocol():
                 cluster.oplog, cluster.config, cluster.initial_live
             )
             assert diff_states(cluster, system).ok
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
+def test_duplicate_insert_is_refused_by_the_claim():
+    """A second INSERT of a name, through another entry node, is the
+    client's ``already inserted`` error; the oplog holds one insert."""
+
+    async def run():
+        cluster = await LiveCluster.start(RuntimeConfig(m=3, b=1, seed=4))
+        try:
+            first = await RuntimeClient(cluster, 0).connect()
+            second = await RuntimeClient(cluster, 5).connect()
+            await first.insert("once.dat", "v1")
+            with pytest.raises(ClientError, match="already inserted"):
+                await second.insert("once.dat", "v2")
+            assert (await second.get("once.dat")).payload == "v1"
+            await first.close()
+            await second.close()
+            await cluster.drain()
+            assert [rec.kind for rec in cluster.oplog].count("insert") == 1
         finally:
             await cluster.shutdown()
 

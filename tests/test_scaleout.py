@@ -3,10 +3,11 @@
 worker processes, the kill -9 crash supervisor, and the sharded load
 driver with its exactly-merging measurement ledgers.
 
-The deterministic pieces — wire codecs for the control plane, batch
-frames, address resolution, supervisor validation, the merge algebra
-of ``LoadReport``/``LatencyHistogram``, and the worker holder-hint
-cache — run in tier-1.  Everything that forks real worker OS processes
+The deterministic pieces — wire codecs for the control plane, the
+control link over socketpairs and socket-free transports, address
+resolution, supervisor validation, the merge algebra of
+``LoadReport``/``LatencyHistogram``, and the worker holder-hint cache —
+run in tier-1.  Everything that forks real worker OS processes
 and drives them over loopback TCP carries the ``runtime`` marker and
 runs in CI's scaleout-smoke job.
 
@@ -20,6 +21,7 @@ import asyncio
 import json
 import os
 import signal
+import socket
 import time
 
 import pytest
@@ -27,7 +29,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.errors import ConfigurationError, MembershipError
+from repro.net.message import Message, MessageKind
 from repro.runtime import (
+    ADMIN,
+    ClientError,
     LoadGenerator,
     PeerUnreachableError,
     RuntimeClient,
@@ -38,17 +43,22 @@ from repro.runtime.addressing import dial_peer
 from repro.runtime.client import LatencyHistogram, LoadReport
 from repro.runtime.node import NodeServer
 from repro.runtime.scaleout import (
+    ControlLink,
     FleetLifecycleError,
     ScaleoutEndpoint,
     ScaleoutSupervisor,
     ShardedLoadDriver,
     config_from_wire,
     config_to_wire,
-    decode_batch,
-    encode_batch,
 )
-from repro.runtime.wire import FrameConnection
 from repro.runtime.scaleout.worker import WorkerRuntime, _BoundedCache, _book_from_wire
+from repro.runtime.wire import (
+    HEADER,
+    MAGIC,
+    WIRE_VERSION,
+    FrameConnection,
+    encode_message,
+)
 
 # ---------------------------------------------------------------------------
 # control-plane codecs and validation (deterministic, tier-1)
@@ -78,26 +88,197 @@ class TestControlCodecs:
         assert book == {0: ("127.0.0.1", 4000), 7: ("::1", 4001)}
 
 
-class TestBatchFrames:
-    def test_batch_round_trips_bodies_in_order(self):
-        bodies = [
-            {"op": "served", "n": 3},
-            {"op": "client_sent", "sent": {"0": 2}},
-            {"op": "ping"},
-        ]
-        frame = encode_batch(bodies)
-        assert frame == json.loads(json.dumps(frame))
-        assert decode_batch(frame) == bodies
+class _Transport:
+    """A socket-free transport: keeps each write, and reports its close
+    to the protocol as a socket transport does."""
 
-    def test_non_batch_body_decodes_to_singleton(self):
-        body = {"op": "decide", "name": "f"}
-        assert decode_batch(body) == [body]
+    def __init__(self, protocol):
+        self.writes: list[bytes] = []
+        self.closed = False
+        self.protocol = protocol
+        protocol.connection_made(self)
 
-    def test_malformed_batch_members_are_dropped(self):
-        assert decode_batch({"op": "batch", "ops": "nope"}) == []
-        assert decode_batch({"op": "batch"}) == []
-        mixed = {"op": "batch", "ops": [{"op": "a"}, 7, None, {"op": "b"}]}
-        assert decode_batch(mixed) == [{"op": "a"}, {"op": "b"}]
+    def set_write_buffer_limits(self, high=None, low=None):
+        pass
+
+    def write(self, data):
+        self.writes.append(bytes(data))
+
+    def close(self):
+        if not self.closed:
+            self.closed = True
+            self.protocol.connection_lost(None)
+
+
+def _control_frame(body) -> bytes:
+    return encode_message(
+        Message(kind=MessageKind.CONTROL, src=ADMIN, dst=ADMIN, payload=body)
+    )
+
+
+def _recording(ops: list, gates: dict | None = None):
+    """A control handler that logs each op, waits at its gate, if any,
+    and answers with the op and its ``n``."""
+
+    async def handle(op, body):
+        ops.append(op)
+        if gates and op in gates:
+            await gates[op].wait()
+        return {"op": op, "n": body.get("n")}
+
+    return handle
+
+
+async def _pair(handler_a, handler_b) -> tuple[ControlLink, ControlLink]:
+    """Two control links joined by a socketpair."""
+    loop = asyncio.get_running_loop()
+    links = (ControlLink(handler_a, "a"), ControlLink(handler_b, "b"))
+    for link, sock in zip(links, socket.socketpair()):
+        sock.setblocking(False)
+        await loop.create_connection(lambda link=link: link.conn, sock=sock)
+    return links
+
+
+async def _until(predicate, timeout: float = 5.0) -> None:
+    deadline = asyncio.get_running_loop().time() + timeout
+    while not predicate():
+        assert asyncio.get_running_loop().time() < deadline, "timed out"
+        await asyncio.sleep(0.001)
+
+
+def _run(coro):
+    return asyncio.run(asyncio.wait_for(coro, timeout=30.0))
+
+
+class TestControlLink:
+    def test_replies_are_matched_by_rid_in_any_order(self):
+        async def run():
+            link = ControlLink(_recording([]), "a")
+            transport = _Transport(link.conn)
+            calls = [asyncio.ensure_future(link.call("echo", n=n)) for n in range(3)]
+            await _until(lambda: len(transport.writes) == 3)
+            requests = []
+            probe = FrameConnection(
+                lambda _c, frames, _e: requests.extend(m.payload for m, _v in frames)
+            )
+            _Transport(probe)
+            probe.data_received(b"".join(transport.writes))
+            for body in reversed(requests):
+                link.conn.data_received(
+                    _control_frame({"re": body["rid"], "n": body["n"] * 10})
+                )
+            replies = await asyncio.gather(*calls)
+            await link.close()
+            return [reply["n"] for reply in replies]
+
+        assert _run(run()) == [0, 10, 20]
+
+    def test_casts_then_a_call_leave_in_one_write_and_run_in_order(self):
+        async def run():
+            ops: list[str] = []
+            a = ControlLink(_recording([]), "a")
+            b = ControlLink(_recording(ops), "b")
+            ta, tb = _Transport(a.conn), _Transport(b.conn)
+
+            async def carry():  # the wire: one write each way
+                await _until(lambda: ta.writes)
+                b.conn.data_received(ta.writes[0])
+                await _until(lambda: tb.writes)
+                a.conn.data_received(tb.writes[0])
+
+            carrier = asyncio.ensure_future(carry())
+            a.cast("first", n=1)
+            a.cast("second", n=2)
+            reply = await a.call("third", n=3)
+            await carrier
+            await asyncio.sleep(0)  # the casts' tick flush finds nothing left
+            writes = list(ta.writes)
+            await a.close()
+            await b.close()
+            return writes, ops, reply
+
+        writes, ops, reply = _run(run())
+        assert len(writes) == 1
+        assert ops == ["first", "second", "third"]
+        assert reply["op"] == "third" and reply["n"] == 3
+
+    def test_a_blocked_handler_does_not_hold_up_a_later_call(self):
+        async def run():
+            gate = asyncio.Event()
+            a, b = await _pair(_recording([]), _recording([], {"block": gate}))
+            blocked = asyncio.ensure_future(a.call("block", n=1))
+            pong = await asyncio.wait_for(a.call("ping", n=2), 5.0)
+            overtaken = not blocked.done()
+            gate.set()
+            late = await asyncio.wait_for(blocked, 5.0)
+            await a.close()
+            await b.close()
+            return pong, overtaken, late
+
+        pong, overtaken, late = _run(run())
+        assert pong["n"] == 2 and overtaken and late["n"] == 1
+
+    @pytest.mark.parametrize("paused", [False, True])
+    def test_close_delivers_casts_still_queued(self, paused):
+        async def run():
+            ops: list[str] = []
+            a, b = await _pair(_recording([]), _recording(ops))
+            if paused:
+                a.conn.pause_writing()
+                a.cast("x")
+                a.cast("y")
+                await asyncio.sleep(0)  # the tick flush holds them back
+                assert a.conn.encoder.pending == 2
+            else:
+                a.cast("x")
+                a.cast("y")
+            await a.close()
+            await asyncio.wait_for(b.closed.wait(), 5.0)
+            await _until(lambda: len(ops) == 2)
+            await b.close()
+            return ops
+
+        assert _run(run()) == ["x", "y"]
+
+    def test_peer_eof_fails_pending_calls_and_sets_closed(self):
+        async def run():
+            seen: list[str] = []
+            gate = asyncio.Event()
+            a, b = await _pair(_recording([]), _recording(seen, {"block": gate}))
+            pending = asyncio.ensure_future(a.call("block"))
+            await _until(lambda: seen)
+            await b.close()
+            with pytest.raises(ConnectionError, match="peer closed the connection"):
+                await asyncio.wait_for(pending, 5.0)
+            assert a.closed.is_set() and a.reason == "peer closed the connection"
+            with pytest.raises(ConnectionError, match="peer closed"):
+                await a.call("ping")
+            a.cast("dropped")  # the peer is gone: no error
+            await a.close()
+
+        _run(run())
+
+    @pytest.mark.parametrize("blob, reason", [
+        (HEADER.pack(MAGIC, WIRE_VERSION, 0, 5) + b"{nope",
+         "undecodable control body"),
+        (_control_frame("not a dict"), "undecodable control body"),
+        (b"XX" + bytes(6), "FrameError: bad magic"),
+    ])
+    def test_a_broken_frame_closes_the_link_and_says_why(self, blob, reason):
+        async def run():
+            ops: list[str] = []
+            link = ControlLink(_recording(ops), "a")
+            transport = _Transport(link.conn)
+            pending = asyncio.ensure_future(link.call("ping"))
+            await asyncio.sleep(0)
+            link.conn.data_received(blob)
+            with pytest.raises(ConnectionError, match=reason):
+                await asyncio.wait_for(pending, 5.0)
+            assert link.closed.is_set() and link.reason.startswith(reason)
+            assert transport.closed and ops == []
+            await link.close()
+
+        _run(run())
 
 
 # ---------------------------------------------------------------------------
@@ -376,6 +557,39 @@ class TestWorkerLifecycle:
         got = asyncio.run(drive())
         assert got.payload == "p"
         assert sorted(supervisor.bootstrap.goodbyes) == list(range(6))
+
+
+@pytest.mark.runtime
+class TestFleetInsert:
+    def test_duplicate_insert_is_refused_by_the_claim(self):
+        """A second INSERT of a name, through another worker, is the
+        client's ``already inserted`` error: the bootstrap's one claim
+        refuses it, and the oplog holds one insert."""
+        supervisor = ScaleoutSupervisor(RuntimeConfig(m=2, tcp=True), mode="fork")
+        host, port = supervisor.launch()
+
+        async def drive() -> tuple:
+            await supervisor.start(boot_timeout=60.0)
+            endpoint = await ScaleoutEndpoint.connect(host, port)
+            first = await RuntimeClient(endpoint, 0).connect()
+            second = await RuntimeClient(endpoint, 3).connect()
+            await first.insert("once", payload="v1")
+            with pytest.raises(ClientError, match="already inserted"):
+                await second.insert("once", payload="v2")
+            got = await second.get("once")
+            await first.close()
+            await second.close()
+            await endpoint.quiesce()
+            snapshot, _stats = await supervisor.bootstrap.collect_snapshot()
+            await endpoint.close()
+            await supervisor.shutdown()
+            return got, snapshot
+
+        got, snapshot = asyncio.run(drive())
+        assert got.payload == "v1"
+        assert [rec.kind for rec in snapshot.oplog].count("insert") == 1
+        conformance = verify_snapshot(snapshot)
+        assert conformance.ok, conformance.mismatches
 
 
 @pytest.mark.runtime
