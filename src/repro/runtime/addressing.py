@@ -52,7 +52,8 @@ async def dial_node(
     Returns the protocol ``factory`` built, connected.  ``address``
     dials TCP; ``None`` requires ``attach`` — the node's own protocol
     factory — and builds the in-process socketpair equivalent, handing
-    the node the server end the way its TCP listener would.
+    the node the server end the way its TCP listener would.  A dial
+    that fails or is cancelled halfway closes both ends.
     """
     loop = asyncio.get_running_loop()
     if address is not None:
@@ -61,10 +62,20 @@ async def dial_node(
     if attach is None:
         raise ValueError("socketpair mode needs an attach factory")
     ours, theirs = socket.socketpair()
-    ours.setblocking(False)
-    theirs.setblocking(False)
-    await loop.create_connection(attach, sock=theirs)
-    _transport, conn = await loop.create_connection(factory, sock=ours)
+    server_side = None
+    try:
+        ours.setblocking(False)
+        theirs.setblocking(False)
+        server_side, _node_conn = await loop.create_connection(attach, sock=theirs)
+        _transport, conn = await loop.create_connection(factory, sock=ours)
+    except BaseException:
+        # A transport asyncio made and failed closes its own socket;
+        # closing a socket twice is harmless, leaking one is not.
+        if server_side is not None:
+            server_side.close()
+        theirs.close()
+        ours.close()
+        raise
     return conn
 
 

@@ -182,11 +182,11 @@ class RuntimeClient:
     def request_future(self, msg: Message, timeout: float) -> asyncio.Future:
         """Register and transmit one request without a coroutine.
 
-        The synchronous fast path: encodes into the client's reusable
-        frame buffer (flushed once, with every other request of this
-        event-loop iteration), arms the shared deadline sweep, and
-        returns the reply future — resolved with the reply
-        :class:`Message`, or ``None`` on timeout.  No write
+        The synchronous fast path: encodes the request and writes it
+        before returning (write-through; a paused connection keeps it
+        in the encoder until the transport drains), arms the shared
+        deadline sweep, and returns the reply future — resolved with
+        the reply :class:`Message`, or ``None`` on timeout.  No write
         backpressure is applied here; callers that may queue faster
         than the transport drains should check the write buffer first.
         """
@@ -199,11 +199,8 @@ class RuntimeClient:
         future: asyncio.Future = loop.create_future()
         self._futures[msg.request_id] = future
         self.cluster.count_client_send(self.pid)
-        # Requests issued in the same event-loop iteration (e.g. a burst
-        # of load-generator fires waking from one sleep) ride a single
-        # vectored write, scheduled once per tick.
         conn.add(msg, self.wire_version)
-        conn.poke()
+        conn.flush()
         # Per-request deadlines go through the shared sweep timer: one
         # heap entry per client per sweep period instead of a
         # call_later handle (and its heap churn) per request.
@@ -283,8 +280,6 @@ class RuntimeClient:
 
     async def close(self) -> None:
         conn = self._conn
-        if conn is not None:
-            conn.flush()  # requests awaiting the tick flush leave before the FIN
         self._closed = True
         if self._sweep_timer is not None:
             self._sweep_timer.cancel()

@@ -86,7 +86,9 @@ class RuntimeConfig:
     connections; ``False`` pins every v2 frame to the generic tagged
     body (the pre-fast-lane interop profile)."""
     batch_max: int = 16
-    """Messages a node's inbox consumer drains per scheduling tick."""
+    """``> 1`` pipelines ``service_time``: a node's served GETs wait
+    out their service latency together on one due-time queue instead
+    of one after another in the consumer (``1`` serializes them)."""
     idle_timeout: float = float("inf")
     """Counter-based removal: a REPLICATED copy whose access counter
     sits still this long is REMOVEd (``inf`` disables decay)."""
@@ -267,7 +269,7 @@ class LiveCluster(NodeHost):
                 sink.add(msg, version)
             finally:
                 self.stage_seconds["encode"] += perf_counter() - t0
-            sink.poke()
+            sink.flush()
             if sink.paused:
                 await sink.drained()
         except WireError:
@@ -568,7 +570,8 @@ class LiveCluster(NodeHost):
             src, dst = key
             if src == pid and dst != pid:
                 # A crashing sender loses its socket buffer: frames
-                # still buffered in the sink were counted in-flight
+                # still buffered in the sink (only a paused sink holds
+                # any) were counted in-flight
                 # at ``send()`` but will never reach ``dst`` — reverse
                 # the accounting or ``drain()`` waits on them forever.
                 lost = sink.encoder.pending

@@ -59,9 +59,9 @@ status word.  The ``core.subtree`` decisions are memoized on the word's
 dict lookup per message, shared by every node whose word reads the
 same, and any word mutation (a failed send, a REGISTER frame) changes
 the token, so a stale answer cannot be served; a miss is the scalar
-bitwise walk.  Client replies written while one decoded chunk
-is served, or one batch of at most ``RuntimeConfig.batch_max`` queued
-messages, leave in one write per connection, and the sweeper
+bitwise walk.  Every frame a handler makes — a forwarded hop, a
+client reply — is written before the handler moves on (write-through;
+only a paused connection holds frames back).  The sweeper
 optionally runs counter-based idle decay: a REPLICATED copy
 whose access counter has not moved for ``idle_timeout`` seconds is
 reported to the coordination plane, which records the removal and
@@ -187,8 +187,6 @@ class NodeServer:
         # view offers no alternative.
         self._hint_cache: dict[str, tuple[int, ...]] = {}
         self._access_marks: dict[str, tuple[int, float]] = {}
-        self._reply_conns: set[FrameConnection] = set()
-        self._batch_conns: set[FrameConnection] | None = None
         self._conns: set[FrameConnection] = set()
         self._tasks: set[asyncio.Task] = set()
         self._serve_queue: deque[tuple[float, Message, float | None]] = deque()
@@ -226,8 +224,7 @@ class NodeServer:
         skipped by the connection (framing stays aligned).  Shed
         replies leave in arrival order, before the next arrival is
         looked at.  An admitted frame is dispatched here and now when
-        nothing is ahead of it (see :meth:`_inline`), else it queues;
-        client replies the batch wrote leave in one flush at its end.
+        nothing is ahead of it (see :meth:`_inline`), else it queues.
         """
         cluster = self.cluster
         pid = self.pid
@@ -235,10 +232,6 @@ class NodeServer:
             self.decode_errors += errors
             for _ in range(errors):
                 cluster.note_decode_error(pid)
-        replies = self._reply_conns
-        inline = self._wake is not None
-        if inline:
-            self._batch_conns = replies
         enqueued = cluster.msg_enqueued
         admission = self.admission
         track = self._track_latency
@@ -262,15 +255,6 @@ class NodeServer:
                 self._inline(self._dispatch(msg, conn))
             else:
                 self.inbox.append((msg, conn))
-        if inline:
-            self._batch_conns = None
-            if replies and self._wake is not None:
-                self._inline(self._flush_batch_conns(replies))
-            else:
-                # This batch woke the consumer, whose turn ends with the
-                # same flush over the same set and waits out a paused one.
-                for reply_conn in replies:
-                    reply_conn.flush()
         cluster.stage_seconds["decode"] += conn.decode_seconds
         conn.decode_seconds = 0.0
 
@@ -319,38 +303,21 @@ class NodeServer:
     async def _write_client(self, conn: FrameConnection, msg: Message) -> None:
         """Best-effort reply to a client connection, at its codec.
 
-        Mid-batch (``_batch_conns`` is held, inline or by the consumer)
-        the flush is deferred so the batch's replies leave in one write.
-        Outside a batch the connection's own policy applies: one flush
-        per event-loop iteration, shared among replies from serve tasks
-        whose timers expired in the same tick.
+        Written before this returns, like every frame; on a paused
+        connection it waits in the encoder, and the handler waits for
+        the transport to drain.
         """
         if conn.closed:
             return
         t0 = perf_counter()
         conn.add(msg, conn.wire_version)
         self.cluster.stage_seconds["encode"] += perf_counter() - t0
-        if self._batch_conns is not None:
-            self._batch_conns.add(conn)
-            return
-        conn.poke()
+        conn.flush()
         if conn.paused:
-            await self._await_drained(conn)
-
-    @staticmethod
-    async def _await_drained(conn: FrameConnection) -> None:
-        try:
-            await conn.drained()
-        except ConnectionError:
-            pass  # the client died; its connection is already closed
-
-    async def _flush_batch_conns(self, conns: set[FrameConnection]) -> None:
-        """Flush each connection a batch wrote to; wait out a paused one."""
-        while conns:
-            conn = conns.pop()
-            conn.flush()
-            if conn.paused:
-                await self._await_drained(conn)
+            try:
+                await conn.drained()
+            except ConnectionError:
+                pass  # the client died; its connection is already closed
 
     async def _send(self, msg: Message) -> bool:
         """Send toward a peer; a dead peer is marked in our own word.
@@ -374,12 +341,9 @@ class NodeServer:
         Parked on ``_wake`` while there is nothing to do — the state in
         which :meth:`_on_frames` dispatches inline.  Woken, it finishes
         the handler that suspended inline, if any, then drains the
-        inbox; ``batch_max`` bounds how many queued messages share one
-        end-of-batch flush of the replies :meth:`_write_client` buffered.
+        inbox.
         """
         inbox = self.inbox
-        batch_max = self.cluster.config.batch_max
-        batch_conns = self._reply_conns
         loop = asyncio.get_running_loop()
         while self._running:
             if self._parked is None and not inbox:
@@ -391,19 +355,11 @@ class NodeServer:
                     self._wake = None
                 continue
             self.busy = True
-            self._batch_conns = batch_conns
-            try:
-                parked, self._parked = self._parked, None
-                if parked is not None:
-                    await self._guarded(_resume(*parked))
-                drained = 0
-                while inbox and drained < batch_max:
-                    drained += 1
-                    await self._guarded(self._dispatch(*inbox.popleft()))
-            finally:
-                self._batch_conns = None
-                if batch_conns:
-                    await self._flush_batch_conns(batch_conns)
+            parked, self._parked = self._parked, None
+            if parked is not None:
+                await self._guarded(_resume(*parked))
+            while inbox:
+                await self._guarded(self._dispatch(*inbox.popleft()))
 
     async def _guarded(self, handler) -> None:
         """Await one handler; its failure is counted, not propagated."""

@@ -25,10 +25,10 @@ a time.  Admin frames therefore travel inside ``deliver`` control
 bodies, never as bare frames: those would run inline, ahead of the
 tasks of earlier bodies in the same chunk.
 
-Write discipline: each body is one frame.  ``cast`` and replies use
-the connection's one tick flush (every frame queued in an event-loop
-iteration leaves in a single write); ``call`` flushes at once, behind
-any casts already queued, so FIFO holds on the wire too.
+Write discipline: each body is one frame and one write, made in the
+call that produced it — ``cast``, ``call`` and a handler's reply alike
+— so FIFO holds on the wire too.  Only a paused connection holds
+frames back, in order, until the transport drains.
 
 Payload constraint: everything that rides the control channel must be
 JSON-safe (the v1 profile).  Admin frames delivered through ``deliver``
@@ -182,22 +182,23 @@ class ControlLink:
 
     # -- write side -----------------------------------------------------------
 
-    def _add(self, body: dict) -> None:
-        """Encode one body as one frame; no flush."""
-        if self.conn.closed:
+    def _write(self, body: dict) -> None:
+        """Encode one body as one frame and write it."""
+        conn = self.conn
+        if conn.closed:
             raise self._down()
-        self.conn.add(
+        conn.add(
             fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body), WIRE_VERSION
         )
+        conn.flush()
 
     def _post(self, body: dict) -> None:
-        """Queue one body for the tick flush; dropped on a dead link
-        (the peer is gone — its death is handled elsewhere)."""
+        """Write one body; dropped on a dead link (the peer is gone —
+        its death is handled elsewhere)."""
         try:
-            self._add(body)
+            self._write(body)
         except ConnectionError:
             return
-        self.conn.poke()
 
     async def call(self, op: str, **fields: Any) -> dict:
         """One request/response round trip; ``ConnectionError`` naming
@@ -206,8 +207,7 @@ class ControlLink:
         waiter = asyncio.get_running_loop().create_future()
         self._waiters[rid] = waiter
         try:
-            self._add({"op": op, "rid": rid, **fields})
-            self.conn.flush()  # now, behind any casts already queued
+            self._write({"op": op, "rid": rid, **fields})
             reply = await waiter
         finally:
             self._waiters.pop(rid, None)

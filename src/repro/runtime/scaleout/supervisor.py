@@ -253,8 +253,9 @@ class ScaleoutSupervisor:
         ):
             await asyncio.sleep(0.01)
         # A worker exits only after it has read the reply to its
-        # goodbye, and that reply leaves on the control link's next
-        # tick flush: the loop has to keep running while children exit.
+        # goodbye.  The handler writes that reply in the step that
+        # records the goodbye, but a paused link holds it until this
+        # loop drains it: keep the loop running while children exit.
         deadline = max(deadline, loop.time() + _EXIT_GRACE)
         while any(self.alive().values()) and loop.time() < deadline:
             await asyncio.sleep(0.01)

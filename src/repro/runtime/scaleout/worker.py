@@ -139,7 +139,7 @@ class WorkerRuntime(NodeHost):
         version = self.wire_version_for(src, dst)
         try:
             sink.add(msg, version)
-            sink.poke()
+            sink.flush()
             if sink.paused:
                 await sink.drained()
         except (ConnectionError, OSError):

@@ -69,7 +69,9 @@ connection.
 ``pack_into`` after the body lands, no per-frame ``bytes``
 concatenation) and handed to the transport as one ``bytes`` per flush
 — the single copy, taken before the buffer is recycled, so the
-transport never holds a view into it.  :class:`FrameConnection` — the
+transport never holds a view into it.  A connection flushes in the
+call that added the frame (write-through); only a paused transport
+lets frames accumulate.  :class:`FrameConnection` — the
 protocol every connection runs, data plane and scale-out control link
 alike — is the decode dual: the chunk one ``recv()`` returned is
 sliced, inside ``data_received``, into as many complete frames as it
@@ -892,8 +894,7 @@ def wire_version_of(config, pid: int) -> int:
 
 WRITE_HIGH_WATER = 1 << 16
 """The one write watermark (64 KiB): a transport buffered beyond it
-pauses its :class:`FrameConnection`, and an encoder holding this much
-is flushed without waiting for the end of the tick."""
+pauses its :class:`FrameConnection` until it drains below it."""
 
 
 class FrameConnection(asyncio.Protocol):
@@ -910,13 +911,12 @@ class FrameConnection(asyncio.Protocol):
     to the :class:`FrameError` and closes the connection.  With no
     ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
 
-    **Write side.**  :meth:`add` encodes into the connection's reusable
-    :class:`FrameEncoder`; :meth:`poke` applies the flush policy: one
-    ``call_soon`` flush per event-loop iteration, so every frame of the
-    tick leaves in a single write at no added latency (the callback
-    runs before the loop goes back to sleep).  While the transport
-    is over its high-water mark (:attr:`paused`) frames stay in the
-    encoder and :meth:`drained` suspends until it resumes.
+    **Write side.**  Write-through: :meth:`add` encodes into the
+    connection's reusable :class:`FrameEncoder` and :meth:`flush`, which
+    the caller makes next, writes it — one write per frame, in the call
+    that made it.  While the transport is over its high-water mark
+    (:attr:`paused`) frames stay in the encoder, :meth:`drained`
+    suspends, and ``resume_writing`` writes them all at once.
 
     ``on_lost(conn)`` fires once, when the connection stops being
     usable: peer EOF, a framing or socket error, or :meth:`close`.
@@ -947,7 +947,6 @@ class FrameConnection(asyncio.Protocol):
         self._on_frames = on_frames
         self._on_lost = on_lost
         self._buf = bytearray()
-        self._flush_scheduled = False
         self._drain_waiters: list[asyncio.Future] = []
         self._close_waiter: asyncio.Future | None = None
 
@@ -1041,34 +1040,22 @@ class FrameConnection(asyncio.Protocol):
     # -- write side ---------------------------------------------------------
 
     def add(self, msg: Message, version: int) -> None:
-        """Encode one frame into the buffer (no flush; see :meth:`poke`).
+        """Encode one frame into the buffer; :meth:`flush` writes it.
 
         Raises :class:`WireError` on an unencodable message (the buffer
         is rolled back, the connection stays usable) and
-        ``ConnectionError`` on a closed connection.  Encoding and the
-        flush policy are split so the bench's ``encode`` stage never
-        absorbs a write syscall.
+        ``ConnectionError`` on a closed connection.  Encoding and
+        writing are split so the bench's ``encode`` stage never absorbs
+        a write syscall.
         """
         if self.closed:
             raise ConnectionError("connection is closed")
         self.encoder.add(msg, version)
 
-    def poke(self) -> None:
-        """Apply the flush policy to whatever :meth:`add` buffered."""
-        if self.encoder.pending_bytes >= WRITE_HIGH_WATER:
-            self.flush()
-        elif not self._flush_scheduled:
-            self._flush_scheduled = True
-            asyncio.get_running_loop().call_soon(self._flush_tick)
-
     def flush(self) -> None:
         """Write every pending frame now, unless paused or closed."""
         if not self.closed and not self.paused:
             self.encoder.flush_to(self.transport)
-
-    def _flush_tick(self) -> None:
-        self._flush_scheduled = False
-        self.flush()
 
     async def drained(self) -> None:
         """Return once the transport is below its high-water mark;

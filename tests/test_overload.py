@@ -18,6 +18,7 @@ from repro.runtime import (
     AdmissionController,
     LiveCluster,
     LoadGenerator,
+    LoadReport,
     OverloadPolicy,
     RuntimeClient,
     RuntimeConfig,
@@ -251,8 +252,23 @@ class TestLatencyTracker:
 # ---------------------------------------------------------------------------
 
 
+class _ShedCohort(LoadGenerator):
+    """A load generator that also counts the requests shed at least
+    once that went on to complete at a redirect target (``rescued``)."""
+
+    rescued = 0
+
+    async def _follow_redirects(self, outcome, name, report, start, loop):
+        # Its own report: requests completing meanwhile do not count.
+        mine = LoadReport()
+        await super()._follow_redirects(outcome, name, mine, start, loop)
+        self.rescued += mine.completed
+        report.merge(mine)
+
+
 async def _flood(config: RuntimeConfig, rps: float = 600.0,
-                 duration: float = 0.3, files: int = 2, seed: int = 7):
+                 duration: float = 0.3, files: int = 2, seed: int = 7,
+                 generator: type[LoadGenerator] = LoadGenerator):
     """Boot, insert a hot file set, flood, quiesce, replay the oracle."""
     cluster = await LiveCluster.start(config)
     try:
@@ -262,8 +278,8 @@ async def _flood(config: RuntimeConfig, rps: float = 600.0,
             await boot.insert(name, f"payload of {name}")
         await boot.close()
         await cluster.drain()
-        gen = LoadGenerator(cluster, names, WorkloadShape(kind="zipf", s=2.0),
-                            seed=seed, timeout=2.0)
+        gen = generator(cluster, names, WorkloadShape(kind="zipf", s=2.0),
+                        seed=seed, timeout=2.0)
         report = await gen.run_open_loop(rps=rps, duration=duration)
         await gen.close()
         await cluster.quiesce()
@@ -271,7 +287,7 @@ async def _flood(config: RuntimeConfig, rps: float = 600.0,
         system.check_invariants()
         conformance = diff_states(cluster, system)
         shed_total = sum(n.shed_total for n in cluster.nodes.values())
-        return report, conformance, shed_total
+        return report, conformance, shed_total, gen
     finally:
         await cluster.shutdown()
 
@@ -288,7 +304,7 @@ def _overload_config(policy: OverloadPolicy, **kwargs) -> RuntimeConfig:
 @pytest.mark.parametrize("policy", policy_grid(),
                         ids=lambda p: p.cell.replace("/", "-"))
 def test_flash_crowd_conserves_in_every_cell(policy):
-    report, conformance, shed_total = asyncio.run(
+    report, conformance, shed_total, _ = asyncio.run(
         _flood(_overload_config(policy))
     )
     assert report.requests > 50
@@ -302,18 +318,24 @@ def test_flash_crowd_conserves_in_every_cell(policy):
 @pytest.mark.runtime
 def test_overload_replies_redirect_to_live_replicas():
     policy = OverloadPolicy()  # conservative/fcfs/lifo
-    report, conformance, _ = asyncio.run(_flood(_overload_config(policy)))
+    report, conformance, _, cohort = asyncio.run(
+        _flood(_overload_config(policy), generator=_ShedCohort)
+    )
     assert report.conserved and conformance.ok
-    # Redirect hints resolve: most refused requests retried somewhere
-    # live and completed instead of dying shed.
+    # Redirect hints resolve: each names a live node, and requests
+    # refused at first complete at the node it names.  How many do is
+    # not asserted: under a slower loop (``python -X dev``) the
+    # open-loop fires bunch, the holders the hints name shed too, and
+    # completions can fall below sheds with the redirect path intact.
     assert report.redirected > 0
-    assert report.completed > report.shed
+    assert report.stale_sheds == 0 and report.rerouted == 0
+    assert cohort.rescued > 0
 
 
 @pytest.mark.runtime
 def test_unbounded_inbox_never_sheds():
     config = _overload_config(OverloadPolicy(), inbox_limit=0)
-    report, conformance, shed_total = asyncio.run(_flood(config))
+    report, conformance, shed_total, _ = asyncio.run(_flood(config))
     assert shed_total == 0 and report.overloads == 0 and report.shed == 0
     assert report.conserved and conformance.ok
 

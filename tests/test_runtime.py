@@ -7,7 +7,9 @@ and run via ``pytest -m runtime`` (CI's dedicated smoke job).
 """
 
 import asyncio
+import gc
 import socket
+import warnings
 from dataclasses import replace
 
 import pytest
@@ -31,8 +33,10 @@ from repro.runtime import (
 )
 from repro.runtime import LatencyHistogram
 from repro.runtime import wire as wire_module
+from repro.runtime.addressing import dial_node
 from repro.runtime.host import NodeHost
 from repro.runtime.node import CLIENT, NodeServer
+from repro.runtime.scaleout.control import ControlLink
 from repro.runtime.wire import (
     FRAME_ACK,
     FRAME_GENERIC,
@@ -669,14 +673,13 @@ class TestFrameConnection:
             transport = _FakeTransport()
             conn.connection_made(transport)
             conn.add(msgs[0], WIRE_VERSION_BINARY)
-            conn.poke()
-            await asyncio.sleep(0)  # the tick flush
+            conn.flush()  # not paused: written now
             assert conn.encoder.pending == 0 and transport.written
             await asyncio.wait_for(conn.drained(), 1.0)  # not paused: no wait
             conn.pause_writing()
             for msg in msgs[1:]:
                 conn.add(msg, WIRE_VERSION_BINARY)
-                conn.poke()
+                conn.flush()
             waiter = asyncio.ensure_future(conn.drained())
             await asyncio.sleep(0.01)
             assert conn.encoder.pending == 4 and not waiter.done()
@@ -810,6 +813,112 @@ class TestFrameConnection:
 
         start, end = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
         assert end == start
+
+
+def _peek(conn: FrameConnection) -> bytes:
+    """The bytes waiting unread in ``conn``'s socket, left for its owner
+    (read through a duplicate descriptor with ``MSG_PEEK``)."""
+    fd = conn.transport.get_extra_info("socket").fileno()
+    with socket.fromfd(fd, socket.AF_UNIX, socket.SOCK_STREAM) as sock:
+        try:
+            return sock.recv(1 << 16, socket.MSG_PEEK | socket.MSG_DONTWAIT)
+        except BlockingIOError:
+            return b""
+
+
+class TestWriteThrough:
+    """Every sender writes a frame in the call that made it: when the
+    call returns on an unpaused connection its encoder is empty and the
+    frame already waits in the far socket, with no loop iteration in
+    between."""
+
+    def test_cluster_send(self):
+        msg = Message(kind=MessageKind.ACK, src=0, dst=1, file="f", request_id=7)
+
+        async def run():
+            cluster = await LiveCluster.start(RuntimeConfig(m=2, seed=5))
+            try:
+                await cluster.send(0, msg)
+                sink = cluster._peer_conns[(0, 1)]
+                (far,) = cluster.nodes[1]._conns
+                return sink.paused, sink.encoder.pending, _peek(far)
+            finally:
+                await cluster.shutdown()
+
+        paused, pending, waiting = asyncio.run(asyncio.wait_for(run(), 30.0))
+        assert not paused and pending == 0
+        assert decode_message(waiting) == msg
+
+    def test_client_request_future(self):
+        msg = fast_message(MessageKind.GET, CLIENT, 1, "absent.dat", request_id=9)
+
+        async def run():
+            cluster = await LiveCluster.start(RuntimeConfig(m=2, seed=5))
+            try:
+                client = await RuntimeClient(cluster, 1).connect()
+                (far,) = cluster.nodes[1]._conns
+                future = client.request_future(msg, 5.0)
+                conn = client._conn
+                state = conn.paused, conn.encoder.pending, _peek(far)
+                reply = await future
+                await client.close()
+                return state, reply
+            finally:
+                await cluster.shutdown()
+
+        (paused, pending, waiting), reply = asyncio.run(asyncio.wait_for(run(), 30.0))
+        assert not paused and pending == 0
+        assert decode_message(waiting) == msg
+        assert reply.kind is MessageKind.GET_FAULT  # and it was served
+
+    def test_control_link_cast(self):
+        async def handle(op, body):
+            return None
+
+        async def run():
+            loop = asyncio.get_running_loop()
+            a, b = ControlLink(handle, "a"), ControlLink(handle, "b")
+            for link, sock in zip((a, b), socket.socketpair()):
+                sock.setblocking(False)
+                await loop.create_connection(lambda link=link: link.conn, sock=sock)
+            a.cast("note", n=1)
+            state = a.conn.paused, a.conn.encoder.pending, _peek(b.conn)
+            await a.close()
+            await b.close()
+            return state
+
+        paused, pending, waiting = asyncio.run(asyncio.wait_for(run(), 30.0))
+        assert not paused and pending == 0
+        assert decode_message(waiting).payload == {"op": "note", "n": 1}
+
+
+class TestDialNode:
+    def test_a_cancelled_socketpair_dial_leaks_no_socket(self):
+        """Cancelled at any of its suspensions (a node shutting down
+        cancels a handler that was dialling a peer), an in-process dial
+        closes both ends of its socketpair."""
+
+        async def run():
+            for steps in range(1, 8):
+                dial = asyncio.ensure_future(
+                    dial_node(None, FrameConnection, attach=FrameConnection)
+                )
+                for _ in range(steps):
+                    await asyncio.sleep(0)
+                if dial.done():
+                    await dial.result().close()
+                    continue
+                dial.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await dial
+            await asyncio.sleep(0.01)  # closing transports finish closing
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            asyncio.run(run())
+            gc.collect()
+        leaks = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaks, [str(w.message) for w in leaks]
 
 
 # ---------------------------------------------------------------------------
@@ -1375,12 +1484,12 @@ def test_mixed_codec_cluster_matches_oracle(seed):
 
 
 @pytest.mark.runtime
-def test_deeply_batched_cluster_matches_oracle():
-    """Deep inbox batching (on top of the per-tick flush every stream
-    has) changes scheduling, not outcomes: the oracle replay still
-    agrees."""
+def test_pipelined_service_matches_oracle():
+    """Pipelined service (``batch_max > 1`` with a ``service_time``:
+    served GETs wait out their latency together on the due-time queue)
+    changes scheduling, not outcomes: the oracle replay still agrees."""
     spec = WorkloadSpec(m=4, b=1, seed=3, files=5, ops=30)
-    config = RuntimeConfig(m=4, b=1, seed=3, batch_max=32)
+    config = RuntimeConfig(m=4, b=1, seed=3, batch_max=32, service_time=0.001)
     report = asyncio.run(run_conformance(spec, config=config))
     assert report.ok, report.render()
 

@@ -173,32 +173,33 @@ class TestControlLink:
 
         assert _run(run()) == [0, 10, 20]
 
-    def test_casts_then_a_call_leave_in_one_write_and_run_in_order(self):
+    def test_casts_then_a_call_arrive_and_run_in_order(self):
         async def run():
             ops: list[str] = []
             a = ControlLink(_recording([]), "a")
             b = ControlLink(_recording(ops), "b")
             ta, tb = _Transport(a.conn), _Transport(b.conn)
 
-            async def carry():  # the wire: one write each way
-                await _until(lambda: ta.writes)
-                b.conn.data_received(ta.writes[0])
+            async def carry():  # the wire: every write, in order, each way
+                await _until(lambda: len(ta.writes) == 3)
+                for chunk in ta.writes:
+                    b.conn.data_received(chunk)
                 await _until(lambda: tb.writes)
                 a.conn.data_received(tb.writes[0])
 
             carrier = asyncio.ensure_future(carry())
             a.cast("first", n=1)
             a.cast("second", n=2)
+            after_casts = len(ta.writes)
             reply = await a.call("third", n=3)
             await carrier
-            await asyncio.sleep(0)  # the casts' tick flush finds nothing left
             writes = list(ta.writes)
             await a.close()
             await b.close()
-            return writes, ops, reply
+            return after_casts, writes, ops, reply
 
-        writes, ops, reply = _run(run())
-        assert len(writes) == 1
+        after_casts, writes, ops, reply = _run(run())
+        assert after_casts == 2 and len(writes) == 3  # one write per body
         assert ops == ["first", "second", "third"]
         assert reply["op"] == "third" and reply["n"] == 3
 
@@ -227,7 +228,7 @@ class TestControlLink:
                 a.conn.pause_writing()
                 a.cast("x")
                 a.cast("y")
-                await asyncio.sleep(0)  # the tick flush holds them back
+                await asyncio.sleep(0)  # paused: nothing is written
                 assert a.conn.encoder.pending == 2
             else:
                 a.cast("x")
