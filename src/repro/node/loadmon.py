@@ -30,14 +30,21 @@ class WindowedRate:
     def record(self, now: float) -> None:
         """Record one event at time ``now`` (non-decreasing).
 
-        Expiry is deferred to the read side (:meth:`rate` /
-        :meth:`count`): record sits on the runtime's per-served-request
-        path, and popping stale entries there buys nothing until
-        someone actually asks for the rate.
+        Events that have left the window are dropped here as well as on
+        read: a window nobody reads (the per-file and per-source splits
+        of a node that never overloads) would otherwise keep every
+        sample for the life of the process.  One head test per event,
+        each event popped once: amortised O(1).  The new event is
+        appended first, and it is inside its own window, so the loop
+        stops at it at the latest.
         """
-        if self._times and now < self._times[-1]:
+        times = self._times
+        if times and now < times[-1]:
             raise ValueError(f"events must be recorded in order ({now})")
-        self._times.append(now)
+        times.append(now)
+        cutoff = now - self.window
+        while times[0] <= cutoff:
+            times.popleft()
         self.total += 1
 
     def rate(self, now: float) -> float:

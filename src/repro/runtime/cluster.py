@@ -53,6 +53,10 @@ __all__ = [
     "LiveCluster",
 ]
 
+_NEVER_SATURATED = 10**9
+"""The default ``inflight_limit``: an inbox depth no run reaches."""
+
+
 @dataclass(frozen=True)
 class RuntimeConfig:
     """Knobs for a live cluster."""
@@ -68,7 +72,7 @@ class RuntimeConfig:
     window: float = 1.0
     check_interval: float = 0.02
     cooldown: float = 0.1
-    inflight_limit: int = 10**9
+    inflight_limit: int = _NEVER_SATURATED
     """Inbox depth at which the in-flight window counts as saturated."""
     service_time: float = 0.0
     """Simulated per-GET service latency (seconds); lets small bursts
@@ -138,6 +142,19 @@ class RuntimeConfig:
             self.overload_policy()
         except ValueError as exc:
             raise ConfigurationError(str(exc)) from None
+
+    @property
+    def needs_sweeper(self) -> bool:
+        """Whether a node's load sweeper can ever act: a finite
+        ``capacity``, ``slo_budget`` or ``idle_timeout``, or an
+        ``inflight_limit`` an inbox can reach.  Otherwise its tick could
+        only find nothing to do, so no node starts one."""
+        inf = float("inf")
+        return (
+            self.capacity != inf or self.slo_budget != inf
+            or self.idle_timeout != inf
+            or self.inflight_limit < _NEVER_SATURATED
+        )
 
     def overload_policy(self) -> OverloadPolicy:
         """The validated shed × queue × victim cell this config names."""

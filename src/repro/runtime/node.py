@@ -9,11 +9,12 @@ stream, a ``service_time`` sleep, a control RPC) is handed, half-run, to
 the consumer, and later arrivals queue in the inbox behind it, so a
 node still handles one message at a time, in arrival order.  One
 housekeeping task (the load monitor / overload sweeper) runs beside
-the consumer.  No handler blocks on a reply — multi-message flows (an
-INSERT fanning out to its ``2**b`` homes, a GET climbing the lookup
-tree) park their state in a pending table keyed by ``request_id`` and
-resume when the matching ACK / GET_REPLY frame arrives, so a node can
-always make progress on its inbox: deadlock-free by construction.
+the consumer when the config gives it a trigger to watch.  No handler
+blocks on a reply — multi-message flows (an INSERT fanning out to its
+``2**b`` homes, a GET climbing the lookup tree) park their state in a
+pending table keyed by ``request_id`` and resume when the matching
+ACK / GET_REPLY frame arrives, so a node can always make progress on
+its inbox: deadlock-free by construction.
 
 The node serves the paper's four flows with the *existing core
 algebra* — the same :mod:`repro.core.subtree` decisions
@@ -196,11 +197,15 @@ class NodeServer:
         self._running = True
 
     def start(self) -> None:
-        """Spawn the consumer, sweeper, and serve-worker tasks."""
+        """Spawn the consumer task, the sweeper when the config gives it
+        something to trip on (``RuntimeConfig.needs_sweeper``), and the
+        serve worker when GETs have a service time to pipeline."""
         loop = asyncio.get_running_loop()
+        config = self.cluster.config
         self._tasks.add(loop.create_task(self._consume(), name=f"node:{self.pid}"))
-        self._tasks.add(loop.create_task(self._sweep(), name=f"sweep:{self.pid}"))
-        if self._pipelined and self.cluster.config.service_time > 0:
+        if config.needs_sweeper:
+            self._tasks.add(loop.create_task(self._sweep(), name=f"sweep:{self.pid}"))
+        if self._pipelined and config.service_time > 0:
             self._tasks.add(
                 loop.create_task(self._serve_worker(), name=f"serve:{self.pid}")
             )

@@ -64,32 +64,34 @@ v2-generic and v2-fixed endpoints interoperate frame by frame —
 ineligible messages simply fall back to ``flags == 0`` on the same
 connection.
 
-**Zero-copy fast lane.**  :class:`FrameEncoder` owns a reusable
-``bytearray``: frames are appended in place (header packed via
-``pack_into`` after the body lands, no per-frame ``bytes``
-concatenation) and handed to the transport as one ``bytes`` per flush
-— the single copy, taken before the buffer is recycled, so the
-transport never holds a view into it.  A connection flushes in the
-call that added the frame (write-through); only a paused transport
-lets frames accumulate.  :class:`FrameConnection` — the
-protocol every connection runs, data plane and scale-out control link
-alike — is the decode dual: the chunk one ``recv()`` returned is
-sliced, inside ``data_received``, into as many complete frames as it
-holds, decoded straight off a ``memoryview`` (leaf strings/bytes are
-copied out, so decoded messages never alias the buffer).
+**One ``bytes`` per frame.**  :meth:`FrameEncoder.add` builds each
+frame once, as the immutable ``bytes`` the transport is handed: a
+fixed-layout frame is one ``struct.pack`` over the header and every
+fixed field, followed by the name and the trailer or value bytes; any
+other frame is its body prefixed with a packed header.  A connection
+writes in the call that added the frame (write-through), so a lone
+frame goes to the transport as the object ``add`` built, with no copy;
+only a paused transport lets frames accumulate, and they are joined in
+order on resume.  :class:`FrameConnection` — the protocol every
+connection runs, data plane and scale-out control link alike — is the
+decode dual: the chunk one ``recv()`` returned is sliced, inside
+``data_received``, into as many complete frames as it holds, each
+header checked inline and each body decoded in one pass straight off a
+``memoryview`` (leaf strings/bytes are copied out, so decoded messages
+never alias the buffer).
 
 **Carried body.**  A message decoded from a v2 *generic* frame keeps
 that frame's body (``Message.__dict__[WIRE_BODY]``, not a field), and
 ``Message.forwarded`` hands it to the copy it returns.  ``src``, ``dst``
 and ``hops`` — all ``forwarded`` changes — sit at fixed offsets of the
-generic body, so :meth:`FrameEncoder.add` appends the carried bytes and
+generic body, so :meth:`FrameEncoder.add` copies the carried bytes and
 packs those three fields over them: every child of an UPDATE fan-out
 costs a ~100-byte copy, not a walk of the payload tree.  The bytes are
 dropped, and the message encoded in full, whenever they could be wrong:
 a message built any other way (``fast_message``, ``replace``, ``reply``)
 never has them; a v1 target takes the JSON body; a message the fixed
-lane accepts takes the fixed lane; and a field ``struct`` rejects rolls
-the copy back, so the full encode raises the usual error.  Fixed-layout
+lane accepts takes the fixed lane; and a field ``struct`` rejects drops
+the copy, so the full encode raises the usual error.  Fixed-layout
 frames carry nothing: their encode is already one ``pack``, and a copy
 per frame costs what the shorter encode would save.
 
@@ -166,9 +168,6 @@ FRAME_GET_REPLY = 3
 """Flags value: fixed-layout GET_REPLY, v2 only."""
 FRAME_OVERLOAD = 4
 """Flags value: fixed-layout OVERLOAD shed reply, v2 only."""
-
-_HEADER_PAD = bytes(HEADER.size)
-
 
 class WireError(Exception):
     """Base class for everything the wire layer can reject."""
@@ -285,17 +284,33 @@ _S_D = struct.Struct(">d")
 _S_U32 = struct.Struct(">I")
 
 #: Patching a carried generic body: ``src`` and ``dst`` are adjacent, and
-#: these are their and ``hops``' offsets from the start of the *frame*.
+#: these are their and ``hops``' offsets from the start of the body.
 _S_SRC_DST = struct.Struct(">2q")
-_SRC_AT = HEADER.size + 1
+_SRC_AT = 1
 _HOPS_AT = _SRC_AT + 3 * 8
 
 #: Fixed layouts: the six int fields + name length (GET/ACK), plus one
 #: extra i64 (the serving node) for GET_REPLY, and two extra i64s
-#: (shedding node + redirect hint) for OVERLOAD.
+#: (shedding node + redirect hint) for OVERLOAD.  The ``_F_*`` twins
+#: put the frame header in front, so one ``pack`` builds both.
 _S_FL_COMMON = struct.Struct(">6qH")
 _S_FL_REPLY = struct.Struct(">7qH")
 _S_FL_OVERLOAD = struct.Struct(">8qH")
+_F_COMMON = struct.Struct(">2sBBI6qH")
+_F_REPLY = struct.Struct(">2sBBI7qH")
+_F_OVERLOAD = struct.Struct(">2sBBI8qH")
+_S_REPLY_VALUE = struct.Struct(">BI")
+
+#: Enum members by module global: on Python 3.11 ``MessageKind.GET``
+#: goes through the enum's class-attribute machinery, several times the
+#: cost of a global load, and the fixed lane tests the kind per frame.
+_GET, _ACK = MessageKind.GET, MessageKind.ACK
+_GET_REPLY, _OVERLOAD = MessageKind.GET_REPLY, MessageKind.OVERLOAD
+#: ``(kind, body layout)`` by fixed-layout flags value.
+_FIXED_BY_FLAGS = (
+    None, (_GET, _S_FL_COMMON), (_ACK, _S_FL_COMMON),
+    (_GET_REPLY, _S_FL_REPLY), (_OVERLOAD, _S_FL_OVERLOAD),
+)
 
 _T_NONE, _T_TRUE, _T_FALSE, _T_INT, _T_FLOAT = 0, 1, 2, 3, 4
 _T_STR, _T_BYTES, _T_LIST, _T_DICT, _T_BIGINT = 5, 6, 7, 8, 9
@@ -466,132 +481,91 @@ def _encode_body_v2(buf: bytearray, msg: Message) -> None:
         raise WireDecodeError(f"message is not wire-encodable: {exc}") from None
 
 
-def _try_encode_fixed(buf: bytearray, msg: Message) -> int:
-    """Append a fixed-layout body when ``msg`` qualifies.
+def _fixed_frame(msg: Message) -> bytes | None:
+    """The whole fixed-layout frame for ``msg``, header included.
 
-    Returns the flags value used, or ``FRAME_GENERIC`` (nothing
-    appended) when the message does not fit any fixed layout — the
-    caller falls back to the generic body on the same connection.
+    ``None`` when the message fits no fixed layout — the caller falls
+    back to the generic body on the same connection.  One ``pack``
+    covers the header and every fixed field; a field ``struct`` rejects
+    (an int outside i64) is a fallback too.
     """
     kind = msg.kind
-    if kind is MessageKind.GET:
-        sids = msg.payload
-        trailer = None
-        if sids is not None:
-            if type(sids) is not list or not 0 < len(sids) <= 255:
-                return FRAME_GENERIC
+    tail = b""
+    if kind is _GET or kind is _ACK:
+        # The six int fields plus the file name, nothing else — except
+        # a GET's optional u8 count + remaining-subtree ids trailer.
+        payload = msg.payload
+        if payload is not None:
+            if (kind is _ACK or type(payload) is not list
+                    or not 0 < len(payload) <= 255):
+                return None
             try:
                 # bytes() validates every element at C speed (bools
                 # coerce to their int value, which compares equal).
-                trailer = bytes(sids)
+                tail = bytes((len(payload), *payload))
             except (TypeError, ValueError):
-                return FRAME_GENERIC
-        flags = FRAME_GET
-    elif kind is MessageKind.ACK:
-        if msg.payload is not None:
-            return FRAME_GENERIC
-        flags = FRAME_ACK
-    elif kind is MessageKind.GET_REPLY:
+                return None
+    elif kind is _GET_REPLY or kind is _OVERLOAD:
         payload = msg.payload
         if type(payload) is not dict or len(payload) != 2:
-            return FRAME_GENERIC
+            return None
         try:
-            server = payload["server"]
-            data = payload["payload"]
+            if kind is _GET_REPLY:
+                first, data = payload["server"], payload["payload"]
+                second = 0
+            else:
+                first, second = payload["shed_by"], payload["redirect"]
         except KeyError:
-            return FRAME_GENERIC
+            return None
         # type-is checks: exact int excludes bool, and an int subclass
         # falling back to the generic codec is always still correct.
-        if type(server) is not int or not _I64_MIN <= server <= _I64_MAX:
-            return FRAME_GENERIC
-        if data is None:
-            value_kind, raw = _FLP_NONE, b""
-        elif type(data) is str:
-            try:
-                value_kind, raw = _FLP_STR, data.encode("utf-8")
-            except UnicodeEncodeError:
-                return FRAME_GENERIC
-        elif type(data) is bytes:
-            value_kind, raw = _FLP_BYTES, data
-        else:
-            return FRAME_GENERIC
-        try:
-            name = msg.file.encode("utf-8")
-        except UnicodeEncodeError:
-            return FRAME_GENERIC
-        if len(name) > 0xFFFF:
-            return FRAME_GENERIC
-        try:
-            buf += _S_FL_REPLY.pack(
-                msg.src, msg.dst, msg.version, msg.hops, msg.origin,
-                msg.request_id, server, len(name),
-            )
-        except struct.error:
-            return FRAME_GENERIC
-        buf += name
-        buf.append(value_kind)
-        buf += _S_U32.pack(len(raw))
-        buf += raw
-        return FRAME_GET_REPLY
-    elif kind is MessageKind.OVERLOAD:
-        payload = msg.payload
-        if type(payload) is not dict or len(payload) != 2:
-            return FRAME_GENERIC
-        try:
-            shed_by = payload["shed_by"]
-            redirect = payload["redirect"]
-        except KeyError:
-            return FRAME_GENERIC
-        if type(shed_by) is not int or not _I64_MIN <= shed_by <= _I64_MAX:
-            return FRAME_GENERIC
-        if type(redirect) is not int or not _I64_MIN <= redirect <= _I64_MAX:
-            return FRAME_GENERIC
-        try:
-            name = msg.file.encode("utf-8")
-        except UnicodeEncodeError:
-            return FRAME_GENERIC
-        if len(name) > 0xFFFF:
-            return FRAME_GENERIC
-        try:
-            buf += _S_FL_OVERLOAD.pack(
-                msg.src, msg.dst, msg.version, msg.hops, msg.origin,
-                msg.request_id, shed_by, redirect, len(name),
-            )
-        except struct.error:
-            return FRAME_GENERIC
-        buf += name
-        return FRAME_OVERLOAD
+        if type(first) is not int or type(second) is not int:
+            return None
+        if kind is _GET_REPLY:
+            if data is None:
+                value_kind, raw = _FLP_NONE, b""
+            elif type(data) is str:
+                try:
+                    value_kind, raw = _FLP_STR, data.encode()
+                except UnicodeEncodeError:
+                    return None
+            elif type(data) is bytes:
+                value_kind, raw = _FLP_BYTES, data
+            else:
+                return None
+            tail = _S_REPLY_VALUE.pack(value_kind, len(raw)) + raw
     else:
-        return FRAME_GENERIC
-    # GET / ACK: the six int fields plus the file name, nothing else —
-    # except a GET's optional u8 remaining-subtree trailer.
+        return None
     try:
-        name = msg.file.encode("utf-8")
+        name = msg.file.encode()
     except UnicodeEncodeError:
-        return FRAME_GENERIC
-    if len(name) > 0xFFFF:
-        return FRAME_GENERIC
+        return None
+    size = len(name)
+    if size > 0xFFFF:
+        return None
     try:
-        buf += _S_FL_COMMON.pack(
-            msg.src, msg.dst, msg.version, msg.hops, msg.origin,
-            msg.request_id, len(name),
-        )
+        if kind is _GET_REPLY:
+            head = _F_REPLY.pack(
+                MAGIC, WIRE_VERSION_BINARY, FRAME_GET_REPLY,
+                _S_FL_REPLY.size + size + len(tail), msg.src, msg.dst,
+                msg.version, msg.hops, msg.origin, msg.request_id, first, size,
+            )
+        elif kind is _OVERLOAD:
+            head = _F_OVERLOAD.pack(
+                MAGIC, WIRE_VERSION_BINARY, FRAME_OVERLOAD,
+                _S_FL_OVERLOAD.size + size, msg.src, msg.dst, msg.version,
+                msg.hops, msg.origin, msg.request_id, first, second, size,
+            )
+        else:
+            head = _F_COMMON.pack(
+                MAGIC, WIRE_VERSION_BINARY,
+                FRAME_GET if kind is _GET else FRAME_ACK,
+                _S_FL_COMMON.size + size + len(tail), msg.src, msg.dst,
+                msg.version, msg.hops, msg.origin, msg.request_id, size,
+            )
     except struct.error:
-        return FRAME_GENERIC
-    buf += name
-    if flags == FRAME_GET and trailer is not None:
-        buf.append(len(trailer))
-        buf += trailer
-    return flags
-
-
-def _dec_file_name(body, pos: int, name_len: int) -> tuple[str, int]:
-    _need(body, pos, name_len)
-    try:
-        file = bytes(body[pos:pos + name_len]).decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise WireDecodeError(f"bad UTF-8 file name: {exc}") from None
-    return file, pos + name_len
+        return None
+    return head + name + tail
 
 
 def _decode_body_v2(body) -> Message:
@@ -604,7 +578,12 @@ def _decode_body_v2(body) -> Message:
     )
     if code >= len(_KIND_BY_CODE):
         raise WireDecodeError(f"unknown message kind code {code}")
-    file, pos = _dec_file_name(body, _S_FIXED.size, name_len)
+    _need(body, _S_FIXED.size, name_len)
+    pos = _S_FIXED.size + name_len
+    try:
+        file = str(body[_S_FIXED.size:pos], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireDecodeError(f"bad UTF-8 file name: {exc}") from None
     payload, pos = _dec_value(body, pos)
     if pos != len(body):
         raise WireDecodeError(
@@ -619,204 +598,166 @@ def _decode_body_v2(body) -> Message:
 
 
 def _decode_body_fixed(flags: int, body) -> Message:
-    """Decode one fixed-layout v2 body (flags 1..4)."""
-    if flags == FRAME_OVERLOAD:
-        if len(body) < _S_FL_OVERLOAD.size:
-            raise WireDecodeError(
-                f"fixed OVERLOAD body of {len(body)} bytes is too short"
-            )
-        src, dst, version, hops, origin, request_id, shed_by, redirect, name_len = (
-            _S_FL_OVERLOAD.unpack_from(body, 0)
+    """Decode one fixed-layout v2 body (flags 1..4) in a single pass."""
+    size = len(body)
+    kind, layout = _FIXED_BY_FLAGS[flags]
+    start = layout.size
+    if size < start:
+        raise WireDecodeError(
+            f"fixed {kind.name} body of {size} bytes is too short"
         )
-        file, pos = _dec_file_name(body, _S_FL_OVERLOAD.size, name_len)
-        if pos != len(body):
-            raise WireDecodeError(
-                f"{len(body) - pos} trailing bytes after fixed OVERLOAD body"
-            )
-        return fast_message(
-            MessageKind.OVERLOAD, src, dst, file,
-            {"shed_by": shed_by, "redirect": redirect}, version,
-            hops, origin, request_id,
+    fields = layout.unpack_from(body, 0)
+    pos = start + fields[-1]
+    if pos > size:
+        raise WireDecodeError(
+            f"truncated fixed {kind.name} file name: need {fields[-1]} "
+            f"bytes, have {size - start}"
         )
+    try:
+        file = str(body[start:pos], "utf-8")
+    except UnicodeDecodeError as exc:
+        raise WireDecodeError(f"bad UTF-8 file name: {exc}") from None
+    payload: Any = None
     if flags == FRAME_GET_REPLY:
-        if len(body) < _S_FL_REPLY.size:
-            raise WireDecodeError(
-                f"fixed GET_REPLY body of {len(body)} bytes is too short"
-            )
-        src, dst, version, hops, origin, request_id, server, name_len = (
-            _S_FL_REPLY.unpack_from(body, 0)
-        )
-        file, pos = _dec_file_name(body, _S_FL_REPLY.size, name_len)
-        _need(body, pos, 5)
-        value_kind = body[pos]
-        (length,) = _S_U32.unpack_from(body, pos + 1)
+        if pos + 5 > size:
+            raise WireDecodeError("truncated fixed GET_REPLY payload header")
+        value_kind, length = _S_REPLY_VALUE.unpack_from(body, pos)
         pos += 5
-        _need(body, pos, length)
-        if value_kind == _FLP_NONE:
-            if length:
-                raise WireDecodeError("fixed GET_REPLY None payload carries bytes")
-            data: Any = None
-        elif value_kind == _FLP_STR:
+        end = pos + length
+        if end > size:
+            raise WireDecodeError(
+                f"truncated fixed GET_REPLY payload: need {length} bytes, "
+                f"have {size - pos}"
+            )
+        if value_kind == _FLP_STR:
             try:
-                data = bytes(body[pos:pos + length]).decode("utf-8")
+                data: Any = str(body[pos:end], "utf-8")
             except UnicodeDecodeError as exc:
                 raise WireDecodeError(
                     f"bad UTF-8 in fixed GET_REPLY payload: {exc}"
                 ) from None
         elif value_kind == _FLP_BYTES:
-            data = bytes(body[pos:pos + length])
-        else:
+            data = bytes(body[pos:end])
+        elif value_kind != _FLP_NONE:
             raise WireDecodeError(
                 f"unknown fixed GET_REPLY payload kind {value_kind}"
             )
-        pos += length
-        if pos != len(body):
-            raise WireDecodeError(
-                f"{len(body) - pos} trailing bytes after fixed GET_REPLY body"
-            )
-        return fast_message(
-            MessageKind.GET_REPLY, src, dst, file,
-            {"payload": data, "server": server}, version,
-            hops, origin, request_id,
-        )
-    kind = MessageKind.GET if flags == FRAME_GET else MessageKind.ACK
-    if len(body) < _S_FL_COMMON.size:
-        raise WireDecodeError(
-            f"fixed {kind.value} body of {len(body)} bytes is too short"
-        )
-    src, dst, version, hops, origin, request_id, name_len = (
-        _S_FL_COMMON.unpack_from(body, 0)
-    )
-    file, pos = _dec_file_name(body, _S_FL_COMMON.size, name_len)
-    payload = None
-    if pos != len(body):
-        if flags != FRAME_GET:
-            raise WireDecodeError(
-                f"{len(body) - pos} trailing bytes after fixed {kind.value} body"
-            )
+        elif length:
+            raise WireDecodeError("fixed GET_REPLY None payload carries bytes")
+        else:
+            data = None
+        payload = {"payload": data, "server": fields[6]}
+        pos = end
+    elif flags == FRAME_OVERLOAD:
+        payload = {"shed_by": fields[6], "redirect": fields[7]}
+    elif pos != size and flags == FRAME_GET:
         count = body[pos]
         pos += 1
-        if count == 0 or pos + count != len(body):
+        if count == 0 or pos + count != size:
             raise WireDecodeError(
                 f"bad fixed GET subtree trailer ({count} ids, "
-                f"{len(body) - pos} bytes)"
+                f"{size - pos} bytes)"
             )
-        payload = list(body[pos:pos + count])
+        payload = list(body[pos:size])
+        pos = size
+    if pos != size:
+        raise WireDecodeError(
+            f"{size - pos} trailing bytes after fixed {kind.name} body"
+        )
+    src, dst, version, hops, origin, request_id = fields[:6]
     return fast_message(
         kind, src, dst, file, payload, version, hops, origin, request_id,
     )
 
 
-# -- frame encoder (zero-copy fast lane, write side) ---------------------
+# -- frame encoder (write side) ------------------------------------------
 
 class FrameEncoder:
-    """Reusable frame builder: append frames, flush them in one write.
+    """Frame builder: each frame is built once, as the ``bytes`` written.
 
-    One encoder owns one ``bytearray`` scratch buffer.  :meth:`add`
-    appends a complete frame in place — eight placeholder bytes, the
-    body, then the header packed *into* the reserved slot — so building
-    a frame performs no ``bytes`` materialisation at all.
-    :meth:`flush_to` hands the transport one ``bytes`` copy of the
-    buffer and recycles it.
+    :meth:`add` builds a complete frame — one ``pack`` over header and
+    fields on the fixed lane, header + body otherwise — and queues it.
+    :meth:`flush_to` hands the transport a lone frame as the very object
+    :meth:`add` built, and joins several (only a paused connection
+    queues more than one) in order.  Frames are immutable, so the
+    transport never holds a view of a buffer that gets reused, and a
+    rejected message raises before anything is queued.
 
     ``fixed=False`` pins the encoder to generic bodies (the v2-generic
     interop profile / the pre-fast-lane wire format).
     """
 
-    __slots__ = ("fixed", "pending", "_buf")
+    __slots__ = ("fixed", "_frames")
 
     def __init__(self, fixed: bool = True) -> None:
         self.fixed = fixed
-        self.pending = 0
-        """Frames added since the last reset/flush."""
-        self._buf = bytearray()
+        self._frames: list[bytes] = []
 
     def add(self, msg: Message, version: int = WIRE_VERSION) -> int:
-        """Append one frame; returns its size in bytes.
+        """Build and queue one frame; returns its size in bytes."""
+        frame = None
+        if version == WIRE_VERSION_BINARY:
+            if self.fixed:
+                frame = _fixed_frame(msg)
+            if frame is None:
+                # A forwarded message still carrying the generic body it
+                # was decoded from differs from it in src, dst and hops
+                # only: copy and patch instead of encoding again.
+                body = msg.__dict__.get(WIRE_BODY)
+                if body is not None:
+                    body = bytearray(body)
+                    try:
+                        _S_SRC_DST.pack_into(body, _SRC_AT, msg.src, msg.dst)
+                        _S_Q.pack_into(body, _HOPS_AT, msg.hops)
+                    except struct.error:
+                        body = None  # the full encode names the field
+                if body is None:
+                    body = bytearray()
+                    _encode_body_v2(body, msg)
+        elif version == WIRE_VERSION:
+            try:
+                body = json.dumps(
+                    message_to_dict(msg), separators=(",", ":"),
+                    allow_nan=False,
+                ).encode("utf-8")
+            except (TypeError, ValueError) as exc:
+                raise WireDecodeError(
+                    f"message is not wire-encodable: {exc}"
+                ) from None
+        else:
+            raise FrameError(f"unsupported wire version {version}")
+        if frame is None:
+            frame = HEADER.pack(MAGIC, version, FRAME_GENERIC, len(body)) + body
+        if len(frame) - HEADER.size > MAX_FRAME:
+            raise FrameError(
+                f"frame body of {len(frame) - HEADER.size} bytes exceeds {MAX_FRAME}"
+            )
+        self._frames.append(frame)
+        return len(frame)
 
-        On a rejected message the buffer is rolled back to the previous
-        frame boundary, so a shared encoder survives encode errors.
-        """
-        buf = self._buf
-        start = len(buf)
-        buf += _HEADER_PAD
-        flags = FRAME_GENERIC
-        try:
-            if version == WIRE_VERSION_BINARY:
-                if self.fixed:
-                    flags = _try_encode_fixed(buf, msg)
-                if flags == FRAME_GENERIC:
-                    # A forwarded message still carrying the generic body
-                    # it was decoded from differs from it in src, dst and
-                    # hops only: copy and patch instead of encoding again.
-                    body = msg.__dict__.get(WIRE_BODY)
-                    if body is not None:
-                        buf += body
-                        try:
-                            _S_SRC_DST.pack_into(
-                                buf, start + _SRC_AT, msg.src, msg.dst
-                            )
-                            _S_Q.pack_into(buf, start + _HOPS_AT, msg.hops)
-                        except struct.error:
-                            del buf[start + HEADER.size:]
-                            body = None  # the full encode names the field
-                    if body is None:
-                        _encode_body_v2(buf, msg)
-            elif version == WIRE_VERSION:
-                try:
-                    buf += json.dumps(
-                        message_to_dict(msg), separators=(",", ":"),
-                        allow_nan=False,
-                    ).encode("utf-8")
-                except (TypeError, ValueError) as exc:
-                    raise WireDecodeError(
-                        f"message is not wire-encodable: {exc}"
-                    ) from None
-            else:
-                raise FrameError(f"unsupported wire version {version}")
-            length = len(buf) - start - HEADER.size
-            if length > MAX_FRAME:
-                raise FrameError(
-                    f"frame body of {length} bytes exceeds {MAX_FRAME}"
-                )
-        except WireError:
-            del buf[start:]
-            raise
-        HEADER.pack_into(buf, start, MAGIC, version, flags, length)
-        self.pending += 1
-        return len(buf) - start
+    @property
+    def pending(self) -> int:
+        """Frames added since the last reset/flush."""
+        return len(self._frames)
 
     @property
     def pending_bytes(self) -> int:
-        """Bytes buffered since the last reset/flush."""
-        return len(self._buf)
+        """Bytes queued since the last reset/flush."""
+        return sum(map(len, self._frames))
 
     def take_bytes(self) -> bytes:
-        """Materialise all pending frames as one ``bytes`` and reset."""
-        out = bytes(self._buf)
-        self.reset()
-        return out
+        """All pending frames as one ``bytes`` (a lone frame as built)."""
+        frames = self._frames
+        data = frames[0] if len(frames) == 1 else b"".join(frames)
+        frames.clear()
+        return data
 
     def reset(self) -> None:
-        buf = self._buf
-        if len(buf) > (1 << 18):
-            # A jumbo frame passed through: drop the oversized scratch
-            # buffer instead of pinning its high-water mark forever.
-            self._buf = bytearray()
-        else:
-            del buf[:]
-        self.pending = 0
+        self._frames.clear()
 
     def flush_to(self, writer: asyncio.WriteTransport) -> int:
-        """Write all pending frames as one ``bytes``; returns its size.
-
-        The copy is the point: a socket that takes a partial write keeps
-        what it was handed, and on Python 3.12+ ``writelines`` over views
-        of the scratch buffer left it exported, so recycling it raised
-        ``BufferError``.  It is also cheaper than a view per frame for
-        the one-frame flush that dominates.
-        """
-        if not self.pending:
+        """Write all pending frames in one call; returns the byte count."""
+        if not self._frames:
             return 0
         data = self.take_bytes()
         writer.write(data)
@@ -903,20 +844,23 @@ class FrameConnection(asyncio.Protocol):
     **Read side.**  ``data_received`` slices every complete frame out of
     the chunk the transport hands it — straight off the chunk when no
     partial frame is buffered, so only a trailing fragment is ever
-    copied — and passes the batch to ``on_frames(conn, frames,
-    errors)``: ``frames`` pairs each message with its frame's wire
-    version, ``errors`` counts well-framed bodies that failed to decode
-    (skipped; framing stays aligned).  Decoded messages never alias the
-    buffer.  Broken framing, or EOF inside a frame, sets :attr:`error`
-    to the :class:`FrameError` and closes the connection.  With no
-    ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
+    copied — checking each header inline and handing fixed-layout
+    bodies straight to their one-pass decoder, and passes the batch to
+    ``on_frames(conn, frames, errors)``: ``frames`` pairs each message
+    with its frame's wire version, ``errors`` counts well-framed bodies
+    that failed to decode (skipped; framing stays aligned).  Decoded
+    messages never alias the buffer.  Broken framing, or EOF inside a
+    frame, sets :attr:`error` to the :class:`FrameError` and closes the
+    connection.  With no ``on_frames`` (a send-only peer stream) inbound
+    bytes are dropped.
 
-    **Write side.**  Write-through: :meth:`add` encodes into the
-    connection's reusable :class:`FrameEncoder` and :meth:`flush`, which
-    the caller makes next, writes it — one write per frame, in the call
-    that made it.  While the transport is over its high-water mark
-    (:attr:`paused`) frames stay in the encoder, :meth:`drained`
-    suspends, and ``resume_writing`` writes them all at once.
+    **Write side.**  Write-through: :meth:`add` builds the frame in the
+    connection's :class:`FrameEncoder` and :meth:`flush`, which the
+    caller makes next, hands that very ``bytes`` to the transport — one
+    write per frame, in the call that made it.  While the transport is
+    over its high-water mark (:attr:`paused`) frames stay in the
+    encoder, :meth:`drained` suspends, and ``resume_writing`` writes
+    them all, joined in order, at once.
 
     ``on_lost(conn)`` fires once, when the connection stops being
     usable: peer EOF, a framing or socket error, or :meth:`close`.
@@ -977,6 +921,9 @@ class FrameConnection(asyncio.Protocol):
             buf += data
             data = buf
         header_size = HEADER.size
+        unpack_header = HEADER.unpack_from
+        max_frame = self.max_frame
+        max_version = self.max_version
         size = len(data)
         frames: list[tuple[Message, int]] = []
         errors = 0
@@ -985,17 +932,25 @@ class FrameConnection(asyncio.Protocol):
         mv = memoryview(data)
         try:
             while size - pos >= header_size:
-                version, flags, length = _check_header(
-                    mv, pos, self.max_frame, self.max_version
-                )
-                end = pos + header_size + length
+                magic, version, flags, length = unpack_header(mv, pos)
+                if (magic != MAGIC or not WIRE_VERSION <= version <= max_version
+                        or flags > FRAME_OVERLOAD or length > max_frame):
+                    _check_header(mv, pos, max_frame, max_version)  # raises
+                start = pos + header_size
+                end = start + length
                 if end > size:
                     break
+                # The body slice goes straight into the call: a view bound
+                # to a local would still be exported at ``mv.release()``.
                 try:
-                    frames.append(
-                        (_decode_body(version, flags, mv[pos + header_size:end]),
-                         version)
-                    )
+                    if flags and version == WIRE_VERSION_BINARY:
+                        frames.append(
+                            (_decode_body_fixed(flags, mv[start:end]), version)
+                        )
+                    else:
+                        frames.append(
+                            (_decode_body(version, flags, mv[start:end]), version)
+                        )
                 except WireDecodeError:
                     errors += 1
                 pos = end
@@ -1040,10 +995,10 @@ class FrameConnection(asyncio.Protocol):
     # -- write side ---------------------------------------------------------
 
     def add(self, msg: Message, version: int) -> None:
-        """Encode one frame into the buffer; :meth:`flush` writes it.
+        """Build one frame into the encoder; :meth:`flush` writes it.
 
-        Raises :class:`WireError` on an unencodable message (the buffer
-        is rolled back, the connection stays usable) and
+        Raises :class:`WireError` on an unencodable message (nothing is
+        queued, the connection stays usable) and
         ``ConnectionError`` on a closed connection.  Encoding and
         writing are split so the bench's ``encode`` stage never absorbs
         a write syscall.

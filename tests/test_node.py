@@ -1,5 +1,7 @@
 """Unit tests for the node layer: storage, load monitor, membership."""
 
+import random
+
 import pytest
 
 from repro.core.errors import MembershipError, StorageError
@@ -139,6 +141,39 @@ class TestLoadMonitor:
     def test_bad_capacity_rejected(self):
         with pytest.raises(ValueError):
             LoadMonitor(capacity=0.0)
+
+    def test_unread_windows_keep_only_the_last_window(self):
+        """A node that never overloads never reads its per-file and
+        per-source windows.  Over 100 windows of serves with no read,
+        every window still holds only events from the last window before
+        its newest one, and rates read afterwards are those of a run
+        that read after every serve."""
+        rng = random.Random(5)
+        window = 0.5
+        unread = LoadMonitor(capacity=1.0, window=window)
+        read = LoadMonitor(capacity=1.0, window=window)
+        files, sources = ("a", "b", "c", "d"), (-1, 3, 7)
+        now = 0.0
+        while now < 100 * window:
+            now += rng.choice((0.0, 0.001, 0.004, 0.03, 0.7))
+            name, source = rng.choice(files), rng.choice(sources)
+            unread.record_served(name, source, now)
+            read.record_served(name, source, now)
+            read.is_overloaded(now)
+            read.source_rates(read.hottest_file(now), now)
+        rates = [unread._total] + [
+            rate for load in unread._loads.values()
+            for rate in (load.served, *load.by_source.values())
+        ]
+        for rate in rates:
+            times = rate._times
+            assert times and times[0] > times[-1] - window
+        for at in (now, now + window / 3, now + window):
+            assert unread.total_rate(at) == read.total_rate(at)
+            assert unread.hottest_file(at) == read.hottest_file(at)
+            for name in files:
+                assert unread.file_rate(name, at) == read.file_rate(name, at)
+                assert unread.source_rates(name, at) == read.source_rates(name, at)
 
 
 class TestStatusWord:

@@ -9,6 +9,7 @@ and run via ``pytest -m runtime`` (CI's dedicated smoke job).
 import asyncio
 import gc
 import socket
+import struct
 import warnings
 from dataclasses import replace
 
@@ -45,6 +46,7 @@ from repro.runtime.wire import (
     FRAME_OVERLOAD,
     HEADER,
     MAGIC,
+    MAX_FRAME,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
     FrameConnection,
@@ -468,6 +470,301 @@ class TestFrameEncoder:
         assert enc.take_bytes() == first
 
 
+# The pack-into encoder the one-pack frames replaced (a scratch
+# ``bytearray``: header placeholder, body appended field by field, header
+# packed into the placeholder last).  It is the reference the frames
+# ``FrameEncoder.add`` builds must match byte for byte.
+_REF_COMMON = struct.Struct(">6qH")
+_REF_REPLY = struct.Struct(">7qH")
+_REF_OVERLOAD = struct.Struct(">8qH")
+_REF_I64 = (-(1 << 63), (1 << 63) - 1)
+
+
+def _reference_fixed(buf: bytearray, msg: Message) -> int:
+    kind = msg.kind
+    low, high = _REF_I64
+    if kind is MessageKind.GET:
+        sids = msg.payload
+        trailer = None
+        if sids is not None:
+            if type(sids) is not list or not 0 < len(sids) <= 255:
+                return FRAME_GENERIC
+            try:
+                trailer = bytes(sids)
+            except (TypeError, ValueError):
+                return FRAME_GENERIC
+        layout, extra, flags = _REF_COMMON, (), FRAME_GET
+    elif kind is MessageKind.ACK:
+        if msg.payload is not None:
+            return FRAME_GENERIC
+        layout, extra, flags = _REF_COMMON, (), FRAME_ACK
+    elif kind in (MessageKind.GET_REPLY, MessageKind.OVERLOAD):
+        payload = msg.payload
+        if type(payload) is not dict or len(payload) != 2:
+            return FRAME_GENERIC
+        keys = (("server",) if kind is MessageKind.GET_REPLY
+                else ("shed_by", "redirect"))
+        try:
+            extra = tuple(payload[key] for key in keys)
+            data = payload["payload"] if kind is MessageKind.GET_REPLY else None
+        except KeyError:
+            return FRAME_GENERIC
+        if any(type(v) is not int or not low <= v <= high for v in extra):
+            return FRAME_GENERIC
+        if kind is MessageKind.GET_REPLY:
+            if data is None:
+                value_kind, raw = 0, b""
+            elif type(data) is str:
+                try:
+                    value_kind, raw = 1, data.encode("utf-8")
+                except UnicodeEncodeError:
+                    return FRAME_GENERIC
+            elif type(data) is bytes:
+                value_kind, raw = 2, data
+            else:
+                return FRAME_GENERIC
+            layout, flags = _REF_REPLY, FRAME_GET_REPLY
+        else:
+            layout, flags = _REF_OVERLOAD, FRAME_OVERLOAD
+    else:
+        return FRAME_GENERIC
+    try:
+        name = msg.file.encode("utf-8")
+    except UnicodeEncodeError:
+        return FRAME_GENERIC
+    if len(name) > 0xFFFF:
+        return FRAME_GENERIC
+    try:
+        buf += layout.pack(
+            msg.src, msg.dst, msg.version, msg.hops, msg.origin,
+            msg.request_id, *extra, len(name),
+        )
+    except struct.error:
+        return FRAME_GENERIC
+    buf += name
+    if flags == FRAME_GET and trailer is not None:
+        buf.append(len(trailer))
+        buf += trailer
+    elif flags == FRAME_GET_REPLY:
+        buf.append(value_kind)
+        buf += struct.pack(">I", len(raw))
+        buf += raw
+    return flags
+
+
+def _reference_frame(msg: Message, fixed: bool) -> bytes:
+    """One v2 frame, built the pack-into way; raises what ``add`` raises."""
+    buf = bytearray(HEADER.size)
+    flags = _reference_fixed(buf, msg) if fixed else FRAME_GENERIC
+    if flags == FRAME_GENERIC:
+        body = msg.__dict__.get(WIRE_BODY)
+        if body is not None:
+            buf += body
+            try:
+                struct.pack_into(">2q", buf, HEADER.size + 1, msg.src, msg.dst)
+                struct.pack_into(">q", buf, HEADER.size + 25, msg.hops)
+            except struct.error:
+                del buf[HEADER.size:]
+                body = None
+        if body is None:
+            wire_module._encode_body_v2(buf, msg)
+    HEADER.pack_into(buf, 0, MAGIC, WIRE_VERSION_BINARY, flags,
+                     len(buf) - HEADER.size)
+    return bytes(buf)
+
+
+def _outcome(build):
+    """What ``build()`` returns, or the class of the wire error it raises."""
+    try:
+        return build()
+    except WireError as exc:
+        return type(exc)
+
+
+# One past either i64 bound makes ``struct`` reject a field: the fixed
+# lane falls back, and the generic body raises.
+_edge_i64 = st.integers(min_value=-(2**63) - 1, max_value=2**63)
+_edge_names = st.one_of(
+    st.text(max_size=12),
+    st.sampled_from(["", "n" * 0xFFFF, "n" * 0x10000, "é" * 0x8000, "x\ud800"]),
+)
+_sid = st.integers(min_value=0, max_value=255)
+_get_payloads = st.one_of(
+    st.none(),
+    st.lists(_sid, min_size=1, max_size=4),
+    st.lists(st.one_of(_sid, st.booleans(), st.sampled_from([256, -1, "a", 1.0])),
+             min_size=1, max_size=3),
+    st.tuples(_sid), st.just({"x": 1}),
+)
+_reply_values = st.one_of(
+    st.none(), st.text(max_size=8), st.binary(max_size=8),
+    st.sampled_from(["x\ud800", 7, 1.5, [1], {"k": None}]),
+)
+_odd_ints = st.one_of(_edge_i64, st.sampled_from([True, "n3", 2.0]))
+_reply_payloads = st.one_of(
+    st.fixed_dictionaries({"payload": _reply_values, "server": _odd_ints}),
+    st.fixed_dictionaries({"payload": _reply_values}),
+    st.fixed_dictionaries({"payload": _reply_values, "server": _edge_i64,
+                           "extra": st.none()}),
+    st.none(), st.just([1, 2]),
+)
+_overload_payloads = st.one_of(
+    st.fixed_dictionaries({"shed_by": _odd_ints, "redirect": _odd_ints}),
+    st.fixed_dictionaries({"shed_by": _edge_i64}),
+    st.none(), st.just({}),
+)
+
+
+def _lane_messages(kind, payloads):
+    return st.builds(
+        Message, kind=st.just(kind), src=_edge_i64, dst=_edge_i64,
+        file=_edge_names, payload=payloads, version=_edge_i64,
+        hops=_edge_i64, origin=_edge_i64, request_id=_edge_i64,
+    )
+
+
+lane_messages = st.one_of(
+    fixed_eligible,
+    _lane_messages(MessageKind.GET, _get_payloads),
+    _lane_messages(MessageKind.ACK, st.one_of(st.none(), st.just([1]))),
+    _lane_messages(MessageKind.GET_REPLY, _reply_payloads),
+    _lane_messages(MessageKind.OVERLOAD, _overload_payloads),
+    messages,
+)
+
+
+def _lane_edges():
+    """The named edges, one field at a time on otherwise valid frames."""
+    base = dict(src=3, dst=7, file="f", version=1, hops=2, origin=3,
+                request_id=9)
+    payloads = {
+        MessageKind.GET: None,
+        MessageKind.ACK: None,
+        MessageKind.GET_REPLY: {"payload": "v", "server": 5},
+        MessageKind.OVERLOAD: {"shed_by": 2, "redirect": 4},
+    }
+    bounds = (-(2**63), 2**63 - 1, -(2**63) - 1, 2**63)
+    for kind, payload in payloads.items():
+        for field in ("src", "dst", "version", "hops", "origin", "request_id"):
+            for value in bounds:
+                yield Message(kind=kind, payload=payload, **{**base, field: value})
+        for name in ("", "n" * 0xFFFF, "n" * 0x10000, "é" * 0x8000, "x\ud800"):
+            yield Message(kind=kind, payload=payload, **{**base, "file": name})
+    for count in (0, 1, 255, 256):
+        yield Message(kind=MessageKind.GET, payload=[7] * count, **base)
+    for value in (None, "text", "x\ud800", b"\x00\xff", 7, 1.5, [1]):
+        yield Message(kind=MessageKind.GET_REPLY, **base,
+                      payload={"payload": value, "server": 5})
+    for value in (*bounds, True):
+        yield Message(kind=MessageKind.GET_REPLY, **base,
+                      payload={"payload": None, "server": value})
+        yield Message(kind=MessageKind.OVERLOAD, **base,
+                      payload={"shed_by": value, "redirect": 4})
+        yield Message(kind=MessageKind.OVERLOAD, **base,
+                      payload={"shed_by": 2, "redirect": value})
+
+
+class TestOnePackFrames:
+    """``FrameEncoder.add`` emits exactly the reference encoder's bytes,
+    and rejects exactly what it rejects, on every lane."""
+
+    @staticmethod
+    def _built(msg: Message, fixed: bool) -> bytes:
+        encoder = FrameEncoder(fixed=fixed)
+        size = encoder.add(msg, WIRE_VERSION_BINARY)
+        frame = encoder.take_bytes()
+        assert size == len(frame) and encoder.pending == 0
+        return frame
+
+    def _check(self, msg: Message, fixed: bool):
+        """Assert both encoders agree; return the reference's outcome."""
+        want = _outcome(lambda: _reference_frame(msg, fixed))
+        assert _outcome(lambda: self._built(msg, fixed)) == want, (msg, fixed)
+        return want
+
+    @pytest.mark.parametrize("fixed", [True, False])
+    def test_named_edges_match_the_pack_into_reference(self, fixed):
+        lanes = set()
+        for msg in _lane_edges():
+            frame = self._check(msg, fixed)
+            lanes.add(frame if isinstance(frame, type) else frame[3])
+        # Every fixed lane, the generic lane and a rejection were hit.
+        expected = {FRAME_GENERIC, WireDecodeError}
+        if fixed:
+            expected |= {FRAME_GET, FRAME_ACK, FRAME_GET_REPLY, FRAME_OVERLOAD}
+        assert lanes == expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(lane_messages, st.booleans())
+    def test_frames_match_the_pack_into_reference(self, msg, fixed):
+        self._check(msg, fixed)
+
+    @settings(max_examples=150, deadline=None)
+    @given(messages, _edge_i64, _edge_i64, st.sampled_from([0, 2**63 - 1]),
+           st.booleans())
+    def test_carried_frames_match_the_reference(self, msg, src, dst, hops, fixed):
+        got = decode_message(
+            encode_message(replace(msg, hops=hops), WIRE_VERSION_BINARY, fixed=False)
+        )
+        hop = got.forwarded(src, dst)
+        assert WIRE_BODY in hop.__dict__
+        self._check(hop, fixed)
+
+
+def _fixed_frame(flags: int, ints: int, name: bytes = b"f", tail: bytes = b"",
+                 name_len: int | None = None) -> bytes:
+    """A hand-built fixed-layout frame: ``ints`` i64 fields, the u16 name
+    length (``name_len`` overrides it), the name and ``tail``."""
+    body = struct.pack(
+        f">{ints}qH", *range(ints), len(name) if name_len is None else name_len
+    ) + name + tail
+    return HEADER.pack(MAGIC, WIRE_VERSION_BINARY, flags, len(body)) + body
+
+
+class TestMalformedFixedBodies:
+    @pytest.mark.parametrize("frame", [
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_GET, 8)
+                     + bytes(8), id="short-get"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 6), id="short-reply"),
+        pytest.param(_fixed_frame(FRAME_OVERLOAD, 7), id="short-overload"),
+        pytest.param(_fixed_frame(FRAME_ACK, 6, b"abc", name_len=10),
+                     id="truncated-name"),
+        pytest.param(_fixed_frame(FRAME_GET, 6, b"\xff\xfe"), id="bad-utf8-name"),
+        pytest.param(_fixed_frame(FRAME_ACK, 6, tail=b"\x00"), id="ack-trailing"),
+        pytest.param(_fixed_frame(FRAME_OVERLOAD, 8, tail=b"\x00"),
+                     id="overload-trailing"),
+        pytest.param(_fixed_frame(FRAME_GET, 6, tail=b"\x00"), id="zero-trailer"),
+        pytest.param(_fixed_frame(FRAME_GET, 6, tail=b"\x09\x01\x02"),
+                     id="overlong-trailer"),
+        pytest.param(_fixed_frame(FRAME_GET, 6, tail=b"\x01\x01\x02"),
+                     id="bytes-after-trailer"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=b"\x01\x00"),
+                     id="truncated-value-header"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=b"\x02\x00\x00\x00\x05ab"),
+                     id="truncated-value"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=b"\x01\x00\x00\x00\x02\xff\xfe"),
+                     id="bad-utf8-value"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=b"\x00\x00\x00\x00\x01x"),
+                     id="none-payload-carries-bytes"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=b"\x4d\x00\x00\x00\x00"),
+                     id="unknown-value-kind"),
+        pytest.param(_fixed_frame(FRAME_GET_REPLY, 7, tail=bytes(6)),
+                     id="reply-trailing"),
+    ])
+    def test_is_counted_and_the_connection_goes_on(self, frame):
+        with pytest.raises(WireDecodeError):
+            decode_message(frame)
+        before = Message(kind=MessageKind.GET, src=0, dst=1, file="a")
+        after = Message(kind=MessageKind.GET_REPLY, src=1, dst=0, file="b",
+                        payload={"payload": "v", "server": 1})
+        blob = (encode_message(before, WIRE_VERSION_BINARY) + frame
+                + encode_message(after, WIRE_VERSION_BINARY))
+        for chunks in ([blob], [blob[i:i + 5] for i in range(0, len(blob), 5)]):
+            conn, out, errors = _feed(chunks)
+            assert conn.error is None
+            assert [m for m, _v in out] == [before, after] and errors == 1
+
+
 class _FakeTransport:
     """What a `FrameConnection` touches on its transport, no socket."""
 
@@ -694,6 +991,60 @@ class TestFrameConnection:
         written = asyncio.run(run())
         _conn, out, errors = _feed([written])
         assert [m for m, _v in out] == msgs and errors == 0
+
+    @pytest.mark.parametrize("header", [
+        pytest.param(HEADER.pack(b"XX", WIRE_VERSION_BINARY, FRAME_GENERIC, 0),
+                     id="magic"),
+        pytest.param(HEADER.pack(MAGIC, 0, FRAME_GENERIC, 0), id="version-0"),
+        pytest.param(HEADER.pack(MAGIC, 3, FRAME_GENERIC, 0), id="version-3"),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_OVERLOAD + 1, 0),
+                     id="flags-5"),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, 255, 0), id="flags-255"),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_GET,
+                                 MAX_FRAME + 1), id="oversized"),
+    ])
+    def test_a_bad_header_fails_as_decode_message_does(self, header):
+        """The inline header check of ``data_received`` raises the very
+        ``FrameError`` ``decode_message`` does, after the frames before."""
+        good = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
+        frame = encode_message(good, WIRE_VERSION_BINARY)
+        with pytest.raises(FrameError) as raised:
+            decode_message(header)
+        conn, out, errors = _feed([frame + header + frame])
+        assert [m for m, _v in out] == [good] and errors == 0
+        assert str(conn.error) == str(raised.value) and conn.closed
+
+    def test_a_lone_frame_is_written_as_built_and_a_backlog_in_one_write(self):
+        """Unpaused, ``flush()`` hands the transport the very ``bytes``
+        ``add`` built, on every lane.  Frames added while paused leave
+        on ``resume_writing`` in one write, in order."""
+        writes = []
+        transport = _FakeTransport()
+        transport.write = writes.append
+        conn = FrameConnection()
+        conn.connection_made(transport)
+        lanes = [
+            (Message(kind=MessageKind.GET, src=-1, dst=1, file="f"),
+             WIRE_VERSION_BINARY),
+            (Message(kind=MessageKind.INSERT, src=-1, dst=1, file="f",
+                     payload={"v": 1}), WIRE_VERSION_BINARY),
+            (Message(kind=MessageKind.ACK, src=1, dst=-1, file="f"), WIRE_VERSION),
+        ]
+        for msg, version in lanes:
+            conn.add(msg, version)
+            (built,) = conn.encoder._frames
+            conn.flush()
+            assert writes[-1] is built and conn.encoder.pending == 0
+        conn.pause_writing()
+        for msg, version in lanes:
+            conn.add(msg, version)
+            conn.flush()
+        assert len(writes) == len(lanes) and conn.encoder.pending == len(lanes)
+        conn.resume_writing()
+        assert len(writes) == len(lanes) + 1
+        assert writes[-1] == b"".join(
+            encode_message(msg, version) for msg, version in lanes
+        )
 
     def test_partial_socket_write_does_not_pin_the_scratch_buffer(self):
         """A real socket with a 4 kB send buffer and a peer that is not
@@ -1038,8 +1389,8 @@ class _StubHost(NodeHost):
     asked to carry — one call per dispatched peer GET — and, for the
     request ids in ``gates``, waits there until the test opens the gate."""
 
-    def __init__(self, m: int = 3) -> None:
-        super().__init__(RuntimeConfig(m=m, seed=3))
+    def __init__(self, m: int = 3, **config) -> None:
+        super().__init__(RuntimeConfig(m=m, seed=3, **config))
         self.word = StatusWord.full(m)
         self.order: list[int] = []
         self.done: list[int] = []
@@ -1283,6 +1634,32 @@ class TestInlineDispatch:
         assert reply.kind is MessageKind.ERROR and reply.request_id == 9
         assert "already inserted" in reply.payload["reason"]
         assert "dup" not in node.store and host.order == []
+
+
+class TestSweeperStart:
+    """A node starts its load sweeper only when the config gives the
+    sweeper a trigger; a 20 ms tick with nothing to trip on is idle cost."""
+
+    @pytest.mark.parametrize("config, sweeps", [
+        ({}, False),
+        ({"inbox_limit": 8, "service_time": 0.004, "cooldown": 0.5}, False),
+        ({"capacity": 60.0}, True),
+        ({"slo_budget": 0.05}, True),
+        ({"idle_timeout": 1.0}, True),
+        ({"inflight_limit": 8}, True),
+    ])
+    def test_a_sweeper_starts_only_when_it_can_fire(self, config, sweeps):
+        async def run():
+            host = _StubHost(**config)
+            node = NodeServer(2, host)
+            node.start()
+            names = {task.get_name() for task in node._tasks}
+            await node.shutdown()
+            return host.config.needs_sweeper, names
+
+        needs, names = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
+        assert needs is sweeps
+        assert ("sweep:2" in names) is sweeps and "node:2" in names
 
 
 # ---------------------------------------------------------------------------
