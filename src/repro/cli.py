@@ -245,9 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="open-loop target requests/second")
     profile.add_argument("--duration", type=float, default=2.0,
                          help="workload duration in seconds")
-    profile.add_argument("--codec", default="binary",
-                         choices=["binary", "json"],
-                         help="wire codec profile to run under")
     profile.add_argument("--top", type=int, default=25,
                          help="hot functions to print")
     profile.add_argument("-o", "--output", type=Path, default=None,
@@ -862,11 +859,7 @@ def _cmd_profile(args: "argparse.Namespace") -> int:
     )
 
     async def workload() -> tuple[int, float, dict[str, float]]:
-        config = RuntimeConfig(
-            m=args.m, b=args.b, seed=args.seed,
-            wire_version=2 if args.codec == "binary" else 1,
-            batch_max=16 if args.codec == "binary" else 1,
-        )
+        config = RuntimeConfig(m=args.m, b=args.b, seed=args.seed)
         cluster = await LiveCluster.start(config)
         try:
             files = [f"file-{i}.dat" for i in range(args.files)]
@@ -894,7 +887,7 @@ def _cmd_profile(args: "argparse.Namespace") -> int:
         completed, rps, stages = asyncio.run(workload())
 
     print(
-        f"profile: codec={args.codec}, m={args.m}, b={args.b}, "
+        f"profile: m={args.m}, b={args.b}, "
         f"seed={args.seed}, {args.duration}s @ {args.rps} req/s -> "
         f"{completed} completed ({rps:.1f} req/s achieved)"
     )

@@ -7,11 +7,12 @@ in-process socketpairs (or real TCP on loopback), clients drive them with
 seeded workloads, and an operation-log replay through the synchronous
 oracle proves the live system lands in the identical final state.
 
-Frames carry either the JSON-v1 body (the compat codec) or the compact
-binary-v2 body (the fast path), negotiated per connection via the
-version byte in the frame header; within v2 the header's flags byte
-additionally selects struct-packed fixed layouts for GET/ACK traffic
-(the zero-copy fast lane — see :mod:`repro.runtime.wire`).  Routing
+Each kind of link speaks one codec, fixed when the connection is made:
+the data plane (node and client connections) the compact binary-v2
+body, the scale-out control link the JSON-v1 body.  Within v2 the
+header's flags byte additionally selects struct-packed fixed layouts
+for the hot message kinds (the fast lane — see
+:mod:`repro.runtime.wire`).  Routing
 decisions on the hot path are served from the LRU routing-table cache
 keyed on status-word content.
 """
@@ -62,7 +63,6 @@ from .wire import (
     FRAME_GET_REPLY,
     FRAME_OVERLOAD,
     MAX_FRAME,
-    MAX_WIRE_VERSION,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
     WRITE_HIGH_WATER,
@@ -88,7 +88,6 @@ __all__ = [
     "FRAME_GET_REPLY",
     "FRAME_OVERLOAD",
     "MAX_FRAME",
-    "MAX_WIRE_VERSION",
     "QUEUE_POLICIES",
     "SHED_POLICIES",
     "VICTIM_POLICIES",

@@ -92,7 +92,6 @@ class RuntimeClient:
     def __init__(self, cluster, pid: int) -> None:
         self.cluster = cluster
         self.pid = pid
-        self.wire_version = cluster.wire_version_of(pid)
         self._conn: FrameConnection | None = None
         self._futures: dict[int, asyncio.Future] = {}
         self._deadlines: dict[int, float] = {}
@@ -102,15 +101,12 @@ class RuntimeClient:
     async def connect(self) -> "RuntimeClient":
         self._conn = await self.cluster.open_connection(
             self.pid,
-            lambda: FrameConnection.configured(
-                self.cluster.config, self.wire_version, self._on_frames,
-                self._on_lost,
-            ),
+            lambda: FrameConnection(self._on_frames, self._on_lost),
         )
         return self
 
     def _on_frames(self, _conn: FrameConnection, frames: list, _errors: int) -> None:
-        for msg, _version in frames:
+        for msg in frames:
             self._deadlines.pop(msg.request_id, None)
             future = self._futures.pop(msg.request_id, None)
             if future is not None and not future.done():
@@ -199,7 +195,7 @@ class RuntimeClient:
         future: asyncio.Future = loop.create_future()
         self._futures[msg.request_id] = future
         self.cluster.count_client_send(self.pid)
-        conn.add(msg, self.wire_version)
+        conn.add(msg)
         conn.flush()
         # Per-request deadlines go through the shared sweep timer: one
         # heap entry per client per sweep period instead of a

@@ -24,7 +24,7 @@ from __future__ import annotations
 import asyncio
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 from ..cluster.churn import any_holder
 from ..core.bits import check_id, check_width
@@ -37,13 +37,7 @@ from .coordinator import ADMIN, Coordinator, OpRecord
 from .host import NodeHost
 from .node import CLIENT, NodeServer
 from .overload import OverloadPolicy
-from .wire import (
-    MAX_FRAME,
-    MAX_WIRE_VERSION,
-    WIRE_VERSION,
-    FrameConnection,
-    WireError,
-)
+from .wire import WIRE_VERSION_BINARY, FrameConnection, WireError
 
 __all__ = [
     "ADMIN",
@@ -70,25 +64,13 @@ class RuntimeConfig:
     (``inf`` disables rate-triggered replication — the conformance
     default, so sequential replays stay deterministic)."""
     window: float = 1.0
-    check_interval: float = 0.02
     cooldown: float = 0.1
     inflight_limit: int = _NEVER_SATURATED
     """Inbox depth at which the in-flight window counts as saturated."""
     service_time: float = 0.0
     """Simulated per-GET service latency (seconds); lets small bursts
     actually queue so the load monitor has something to measure."""
-    max_frame: int = MAX_FRAME
     drain_timeout: float = 30.0
-    wire_version: int = MAX_WIRE_VERSION
-    """Codec ceiling for every node and client: 2 = binary fast path
-    (the default), 1 = the JSON-v1 compat profile.  Per-connection
-    negotiation picks ``min(sender, receiver)``."""
-    v1_pids: tuple[int, ...] = ()
-    """PIDs pinned to the JSON-v1 codec (mixed-version cluster tests)."""
-    fixed_frames: bool = True
-    """Emit struct-packed fixed-layout bodies (GET/ACK/GET_REPLY) on v2
-    connections; ``False`` pins every v2 frame to the generic tagged
-    body (the pre-fast-lane interop profile)."""
     batch_max: int = 16
     """``> 1`` pipelines ``service_time``: a node's served GETs wait
     out their service latency together on one due-time queue instead
@@ -115,21 +97,22 @@ class RuntimeConfig:
     windowed response-latency p99 drifts past this budget (seconds),
     not just when the raw hit counter trips (``inf`` disables)."""
 
+    # Read-only constants, not fields: every data-plane link speaks
+    # binary v2 with the fixed lane on.  ``bench/layers.py`` reads both.
+    wire_version: ClassVar[int] = WIRE_VERSION_BINARY
+    fixed_frames: ClassVar[bool] = True
+
     def __post_init__(self) -> None:
         check_width(self.m)
         check_b(self.b, self.m)
         if self.capacity <= 0:
             raise ConfigurationError("capacity must be positive")
+        if self.window <= 0:
+            raise ConfigurationError("window must be positive")
         if self.service_time < 0:
             raise ConfigurationError("service_time must be non-negative")
         if self.inflight_limit < 1:
             raise ConfigurationError("inflight_limit must be at least 1")
-        if not WIRE_VERSION <= self.wire_version <= MAX_WIRE_VERSION:
-            raise ConfigurationError(
-                f"wire_version must be in [{WIRE_VERSION}, {MAX_WIRE_VERSION}]"
-            )
-        for pid in self.v1_pids:
-            check_id(pid, self.m)
         if self.batch_max < 1:
             raise ConfigurationError("batch_max must be at least 1")
         if self.idle_timeout <= 0:
@@ -278,12 +261,11 @@ class LiveCluster(NodeHost):
             sink = self._peer_conns.setdefault((src, dst), fresh)
             if sink is not fresh:
                 fresh.close()
-        version = self.wire_version_for(src, dst)
         self._inflight_to[dst] = self._inflight_to.get(dst, 0) + 1
         try:
             t0 = perf_counter()
             try:
-                sink.add(msg, version)
+                sink.add(msg)
             finally:
                 self.stage_seconds["encode"] += perf_counter() - t0
             sink.flush()

@@ -18,7 +18,7 @@ from ..core.tree import LookupTree
 from ..net.message import Message
 from ..node.membership import StatusWord
 from .node import CLIENT
-from .wire import FrameConnection, wire_version_of
+from .wire import FrameConnection
 
 if TYPE_CHECKING:  # pragma: no cover
     from .cluster import RuntimeConfig
@@ -98,22 +98,12 @@ class NodeHost(ABC):
     def note_handler_error(self, pid: int) -> None:
         self.count("handler_errors")
 
-    def wire_version_of(self, pid: int) -> int:
-        """Codec ceiling of one endpoint (clients use the config's)."""
-        return wire_version_of(self.config, pid)
-
-    def wire_version_for(self, src: int, dst: int) -> int:
-        """Negotiated codec for a ``src -> dst`` stream: the min of the
-        two ceilings, so a v1 node never receives a binary frame."""
-        sender = self.wire_version_of(src) if src >= 0 else self.config.wire_version
-        return min(sender, self.wire_version_of(dst))
-
     # -- data plane ---------------------------------------------------------
 
     def peer_connection(self) -> FrameConnection:
         """Protocol factory for a send-only node-to-node stream (nothing
         is ever read off it)."""
-        return FrameConnection.configured(self.config)
+        return FrameConnection()
 
     @abstractmethod
     async def send(self, src: int, msg: Message) -> None:

@@ -101,6 +101,9 @@ __all__ = ["CLIENT", "NodeServer"]
 CLIENT = -1
 """``src`` of a request arriving straight from a client connection."""
 
+SWEEP_INTERVAL = 0.02
+"""Seconds between two ticks of a node's load sweeper."""
+
 _SLO_MIN_SAMPLES = 8
 """Windowed latency samples required before the p99 SLO trigger can
 fire — a lone slow request must not cause a replication round."""
@@ -155,7 +158,6 @@ class NodeServer:
         self.m = config.m
         self.b = config.b
         self.word = cluster.word.copy()
-        self.wire_version = cluster.wire_version_of(pid)
         self.store = FileStore()
         self.monitor = LoadMonitor(capacity=1.0, window=config.window)
         self.inbox = _Inbox()  # (message, connection) pairs
@@ -215,10 +217,7 @@ class NodeServer:
     def attach(self) -> FrameConnection:
         """Protocol factory for an accepted connection (client or peer):
         it lives in ``_conns`` until it is lost."""
-        conn = FrameConnection.configured(
-            self.cluster.config, self.wire_version, self._on_frames,
-            self._conns.discard,
-        )
+        conn = FrameConnection(self._on_frames, self._conns.discard)
         self._conns.add(conn)
         return conn
 
@@ -241,7 +240,7 @@ class NodeServer:
         admission = self.admission
         track = self._track_latency
         now = asyncio.get_running_loop().time() if track or admission else 0.0
-        for msg, _version in frames:
+        for msg in frames:
             if track and msg.kind is MessageKind.GET:
                 self._arrivals[msg.request_id] = now
             if admission is not None:
@@ -306,7 +305,7 @@ class NodeServer:
         self._rouse()
 
     async def _write_client(self, conn: FrameConnection, msg: Message) -> None:
-        """Best-effort reply to a client connection, at its codec.
+        """Best-effort reply to a client connection.
 
         Written before this returns, like every frame; on a paused
         connection it waits in the encoder, and the handler waits for
@@ -315,7 +314,7 @@ class NodeServer:
         if conn.closed:
             return
         t0 = perf_counter()
-        conn.add(msg, conn.wire_version)
+        conn.add(msg)
         self.cluster.stage_seconds["encode"] += perf_counter() - t0
         conn.flush()
         if conn.paused:
@@ -831,7 +830,7 @@ class NodeServer:
         config = self.cluster.config
         decay = config.idle_timeout != float("inf")
         while self._running:
-            await asyncio.sleep(config.check_interval)
+            await asyncio.sleep(SWEEP_INTERVAL)
             if not self.cluster.replication_enabled:
                 continue
             now = asyncio.get_running_loop().time()

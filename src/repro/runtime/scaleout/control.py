@@ -2,12 +2,13 @@
 
 Bootstrap, workers, and client endpoints coordinate over the same
 :class:`~repro.runtime.wire.FrameConnection` the data plane runs — a
-``CONTROL`` message whose payload is a small dict — pinned to the
-JSON-v1 codec, whose generic body carries arbitrary (JSON-safe) dict
-payloads.  One :class:`ControlLink` owns one connection and is fully
-symmetric: either side can issue ``call`` (request/response, matched
-by ``rid``/``re``) or ``cast`` (fire and forget), and both sides
-answer the peer through a handler coroutine.
+``CONTROL`` message whose payload is a small dict — built to speak
+the JSON-v1 codec, whose generic body carries arbitrary (JSON-safe)
+dict payloads, and nothing else: a binary frame breaks the link.  One
+:class:`ControlLink` owns one connection and is fully symmetric:
+either side can issue ``call`` (request/response, matched by
+``rid``/``re``) or ``cast`` (fire and forget), and both sides answer
+the peer through a handler coroutine.
 
 Dispatch discipline: replies (``re``) resolve their waiter inside the
 ``data_received`` that decoded them, while every other body becomes
@@ -43,22 +44,11 @@ import itertools
 from dataclasses import fields as dataclass_fields
 from typing import Any, Awaitable, Callable
 
-from ...net.message import Message, MessageKind, fast_message
+from ...net.message import MessageKind, fast_message
 from ..cluster import ADMIN, RuntimeConfig
-from ..wire import (
-    WIRE_VERSION,
-    FrameConnection,
-    message_from_dict,
-    message_to_dict,
-)
+from ..wire import WIRE_VERSION, FrameConnection
 
-__all__ = [
-    "ControlLink",
-    "config_to_wire",
-    "config_from_wire",
-    "message_to_wire",
-    "message_from_wire",
-]
+__all__ = ["ControlLink", "config_to_wire", "config_from_wire"]
 
 Handler = Callable[[str, dict], Awaitable[dict | None]]
 
@@ -73,8 +63,6 @@ def config_to_wire(config: RuntimeConfig) -> dict[str, Any]:
         value = getattr(config, f.name)
         if isinstance(value, float) and value == float("inf"):
             value = _INF
-        elif isinstance(value, tuple):
-            value = list(value)
         out[f.name] = value
     return out
 
@@ -88,20 +76,8 @@ def config_from_wire(data: dict[str, Any]) -> RuntimeConfig:
         value = data[f.name]
         if value == _INF:
             value = float("inf")
-        elif f.name == "v1_pids":
-            value = tuple(value)
         kwargs[f.name] = value
     return RuntimeConfig(**kwargs)
-
-
-def message_to_wire(msg: Message) -> dict[str, Any]:
-    """Serialize an admin frame for a ``deliver`` cast."""
-    return message_to_dict(msg)
-
-
-def message_from_wire(data: dict[str, Any]) -> Message:
-    """Rebuild a delivered admin frame."""
-    return message_from_dict(data)
 
 
 class ControlLink:
@@ -116,7 +92,9 @@ class ControlLink:
     def __init__(self, handler: Handler, label: str = "") -> None:
         self.handler = handler
         self.label = label
-        self.conn = FrameConnection(self._on_frames, self._on_lost, fixed=False)
+        self.conn = FrameConnection(
+            self._on_frames, self._on_lost, version=WIRE_VERSION
+        )
         self.closed = asyncio.Event()
         self.reason = ""
         self._rid = itertools.count(1)
@@ -126,7 +104,7 @@ class ControlLink:
     # -- read side ------------------------------------------------------------
 
     def _on_frames(self, conn: FrameConnection, frames: list, errors: int) -> None:
-        bodies = [msg.payload for msg, _version in frames]
+        bodies = [msg.payload for msg in frames]
         if errors or not all(isinstance(body, dict) for body in bodies):
             # Nothing in a damaged chunk runs: the link is broken.
             self._fail("undecodable control body")
@@ -187,9 +165,7 @@ class ControlLink:
         conn = self.conn
         if conn.closed:
             raise self._down()
-        conn.add(
-            fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body), WIRE_VERSION
-        )
+        conn.add(fast_message(MessageKind.CONTROL, ADMIN, ADMIN, "", body))
         conn.flush()
 
     def _post(self, body: dict) -> None:

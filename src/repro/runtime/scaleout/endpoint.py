@@ -1,7 +1,7 @@
 """`ScaleoutEndpoint`: the client's view of a multi-process cluster.
 
 `RuntimeClient` and `LoadGenerator` were written against `LiveCluster`
-but only ever touch a narrow slice of it: ``config``, ``nodes`` (as an
+but only ever touch a narrow slice of it: ``nodes`` (as an
 iterable/containment check for entry picking), ``word.epoch`` (the
 entry-list cache key), ``open_connection``, ``count_client_send``, and
 ``served_counts``.  This facade serves that exact slice from the
@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import asyncio
 
-from ...core.errors import ConfigurationError
 from ..addressing import Address, dial_peer
-from ..wire import wire_version_of
 from .control import ControlLink, config_from_wire
 
 __all__ = ["ScaleoutEndpoint"]
@@ -76,11 +74,6 @@ class ScaleoutEndpoint:
         self.word.epoch = max(self.word.epoch + 1, epoch)
 
     # -- the client-facing slice of LiveCluster ------------------------------
-
-    def wire_version_of(self, pid: int) -> int:
-        if self.config is None:
-            raise ConfigurationError("endpoint is not connected")
-        return wire_version_of(self.config, pid)
 
     async def open_connection(self, pid: int, factory):
         return await dial_peer(self.nodes.get(pid), pid, factory)

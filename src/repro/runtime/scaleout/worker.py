@@ -34,8 +34,8 @@ from ..addressing import Address, PeerUnreachableError, dial_peer, start_listene
 from ..cluster import ADMIN, RuntimeConfig
 from ..host import NodeHost, _BoundedCache
 from ..node import CLIENT, NodeServer
-from ..wire import FrameConnection
-from .control import ControlLink, config_from_wire, message_from_wire
+from ..wire import FrameConnection, message_from_dict
+from .control import ControlLink, config_from_wire
 
 __all__ = ["WorkerRuntime", "WorkerProcess", "run_worker"]
 
@@ -136,9 +136,8 @@ class WorkerRuntime(NodeHost):
         if sink is None:
             sink = await dial_peer(self.book.get(dst), dst, self.peer_connection)
             self._sinks[dst] = sink
-        version = self.wire_version_for(src, dst)
         try:
-            sink.add(msg, version)
+            sink.add(msg)
             sink.flush()
             if sink.paused:
                 await sink.drained()
@@ -261,7 +260,7 @@ class WorkerProcess:
             runtime = self.runtime
             if runtime is not None and runtime.node is not None:
                 runtime.count_admin_recv()
-                runtime.node.deliver_local(message_from_wire(body["msg"]))
+                runtime.node.deliver_local(message_from_dict(body["msg"]))
             return None
         if op == "book":
             # Membership/placement push: refresh the dial table, drop

@@ -56,13 +56,10 @@ entirely.  The header's flags byte names the layout:
     the trailer keeps the entire §4 routing path on the fixed lane.
 
 A fixed-layout frame decodes to the *exact same* ``Message`` the
-generic v2 body would produce (property-tested).  Negotiation matrix:
-a sender uses a fixed layout only inside an already-negotiated v2
-connection, so JSON-v1 peers never see one (they never see any v2
-frame); a v2 receiver always understands all five flag values, so
-v2-generic and v2-fixed endpoints interoperate frame by frame —
-ineligible messages simply fall back to ``flags == 0`` on the same
-connection.
+generic v2 body would produce (property-tested).  A v2 receiver
+understands all five flag values, so fixed and generic frames mix
+frame by frame on one connection — an ineligible message simply falls
+back to ``flags == 0``.
 
 **One ``bytes`` per frame.**  :meth:`FrameEncoder.add` builds each
 frame once, as the immutable ``bytes`` the transport is handed: a
@@ -95,12 +92,14 @@ the copy, so the full encode raises the usual error.  Fixed-layout
 frames carry nothing: their encode is already one ``pack``, and a copy
 per frame costs what the shorter encode would save.
 
-Negotiation is per connection: each side learns the peer's codec from
-the version byte of the frames it receives
-(:attr:`FrameConnection.wire_version`) and a sender never exceeds the
-receiver's advertised maximum — the cluster computes ``min(sender,
-receiver)`` per link, so a v1 node in a v2 cluster keeps working and
-never sees a v2 frame.
+**One codec per link kind.**  Nothing is negotiated: a connection's
+codec is fixed when it is made (:attr:`FrameConnection.version`).
+Every data-plane connection — node to node and client to node — sends
+and accepts binary v2, fixed lane on; the scale-out control link sends
+and accepts JSON v1, whose generic body carries its free-form dict
+payloads.  A frame of the other codec is a :class:`FrameError` naming
+its version, exactly as an unknown version is.  :func:`decode_message`
+takes either codec.
 
 Decoding is hardened: bad magic, unknown wire version, unknown flags,
 oversized or truncated frames, malformed bodies, unknown message kinds
@@ -128,7 +127,6 @@ from ..net.message import WIRE_BODY, Message, MessageKind, fast_message
 __all__ = [
     "WIRE_VERSION",
     "WIRE_VERSION_BINARY",
-    "MAX_WIRE_VERSION",
     "MAX_FRAME",
     "FRAME_GENERIC",
     "FRAME_GET",
@@ -141,7 +139,6 @@ __all__ = [
     "FrameEncoder",
     "FrameConnection",
     "WRITE_HIGH_WATER",
-    "wire_version_of",
     "message_to_dict",
     "message_from_dict",
     "encode_message",
@@ -150,13 +147,13 @@ __all__ = [
 
 MAGIC = b"LL"
 WIRE_VERSION = 1
-"""The JSON codec — the compatibility fallback every node understands."""
+"""The JSON codec — the scale-out control link's."""
 WIRE_VERSION_BINARY = 2
-"""The struct-packed binary codec — the fast path."""
-MAX_WIRE_VERSION = WIRE_VERSION_BINARY
+"""The struct-packed binary codec — the data plane's."""
+_VERSIONS = (WIRE_VERSION, WIRE_VERSION_BINARY)
 HEADER = struct.Struct(">2sBBI")
 MAX_FRAME = 1 << 20
-"""Default ceiling on body size (1 MiB): a decode-bomb guard."""
+"""Ceiling on body size (1 MiB): a decode-bomb guard."""
 
 FRAME_GENERIC = 0
 """Flags value: the generic body for the frame's wire version."""
@@ -683,8 +680,8 @@ class FrameEncoder:
     transport never holds a view of a buffer that gets reused, and a
     rejected message raises before anything is queued.
 
-    ``fixed=False`` pins the encoder to generic bodies (the v2-generic
-    interop profile / the pre-fast-lane wire format).
+    ``fixed=False`` pins the encoder to generic bodies (the pre-fast-lane
+    wire format).
     """
 
     __slots__ = ("fixed", "_frames")
@@ -767,18 +764,18 @@ class FrameEncoder:
 # -- frame decoder helpers -----------------------------------------------
 
 def _check_header(
-    header, offset: int, max_frame: int, max_version: int = MAX_WIRE_VERSION
+    header, offset: int, versions: tuple[int, ...] = _VERSIONS
 ) -> tuple[int, int, int]:
     """Validate an 8-byte header; return ``(version, flags, length)``."""
     magic, version, flags, length = HEADER.unpack_from(header, offset)
     if magic != MAGIC:
         raise FrameError(f"bad magic {bytes(magic)!r} (expected {MAGIC!r})")
-    if not WIRE_VERSION <= version <= max_version:
+    if version not in versions:
         raise FrameError(f"unsupported wire version {version}")
     if not FRAME_GENERIC <= flags <= FRAME_OVERLOAD:
         raise FrameError(f"unknown frame flags {flags}")
-    if length > max_frame:
-        raise FrameError(f"frame body of {length} bytes exceeds {max_frame}")
+    if length > MAX_FRAME:
+        raise FrameError(f"frame body of {length} bytes exceeds {MAX_FRAME}")
     return version, flags, length
 
 
@@ -810,25 +807,15 @@ def encode_message(msg: Message, version: int = WIRE_VERSION,
     return encoder.take_bytes()
 
 
-def decode_message(
-    frame: bytes,
-    max_frame: int = MAX_FRAME,
-    max_version: int = MAX_WIRE_VERSION,
-) -> Message:
-    """Decode one complete frame from a byte string."""
+def decode_message(frame: bytes) -> Message:
+    """Decode one complete frame, of either codec, from a byte string."""
     if len(frame) < HEADER.size:
         raise FrameError(f"truncated header: {len(frame)} bytes")
-    version, flags, length = _check_header(frame, 0, max_frame, max_version)
+    version, flags, length = _check_header(frame, 0)
     body = memoryview(frame)[HEADER.size:]
     if len(body) != length:
         raise FrameError(f"body length {len(body)} does not match header {length}")
     return _decode_body(version, flags, body)
-
-
-def wire_version_of(config, pid: int) -> int:
-    """Codec ceiling of node ``pid`` under a ``RuntimeConfig`` (clients
-    use the config's own ``wire_version``)."""
-    return WIRE_VERSION if pid in config.v1_pids else config.wire_version
 
 
 # -- connection ----------------------------------------------------------
@@ -846,13 +833,13 @@ class FrameConnection(asyncio.Protocol):
     partial frame is buffered, so only a trailing fragment is ever
     copied — checking each header inline and handing fixed-layout
     bodies straight to their one-pass decoder, and passes the batch to
-    ``on_frames(conn, frames, errors)``: ``frames`` pairs each message
-    with its frame's wire version, ``errors`` counts well-framed bodies
-    that failed to decode (skipped; framing stays aligned).  Decoded
-    messages never alias the buffer.  Broken framing, or EOF inside a
-    frame, sets :attr:`error` to the :class:`FrameError` and closes the
-    connection.  With no ``on_frames`` (a send-only peer stream) inbound
-    bytes are dropped.
+    ``on_frames(conn, frames, errors)``: ``frames`` is the list of
+    decoded messages, ``errors`` counts well-framed bodies that failed
+    to decode (skipped; framing stays aligned).  Decoded messages never
+    alias the buffer.  Broken framing — a frame of the other codec
+    included — or EOF inside a frame, sets :attr:`error` to the
+    :class:`FrameError` and closes the connection.  With no
+    ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
 
     **Write side.**  Write-through: :meth:`add` builds the frame in the
     connection's :class:`FrameEncoder` and :meth:`flush`, which the
@@ -864,6 +851,9 @@ class FrameConnection(asyncio.Protocol):
 
     ``on_lost(conn)`` fires once, when the connection stops being
     usable: peer EOF, a framing or socket error, or :meth:`close`.
+
+    ``version`` is the connection's one codec, both ways: binary v2
+    (the data plane, the default) or JSON v1 (the control link).
     """
 
     def __init__(
@@ -871,39 +861,22 @@ class FrameConnection(asyncio.Protocol):
         on_frames: Callable[["FrameConnection", list, int], None] | None = None,
         on_lost: Callable[["FrameConnection"], None] | None = None,
         *,
-        max_frame: int = MAX_FRAME,
-        max_version: int = MAX_WIRE_VERSION,
-        fixed: bool = True,
+        version: int = WIRE_VERSION_BINARY,
     ) -> None:
-        self.encoder = FrameEncoder(fixed=fixed)
+        self.encoder = FrameEncoder()
+        self.version = version
         self.transport: asyncio.Transport | None = None
-        self.wire_version = WIRE_VERSION
-        """Codec of the last frame the peer sent; replies on this
-        connection never exceed it (per-connection negotiation)."""
         self.closed = False
         self.paused = False
         self.error: FrameError | None = None
         self.decode_seconds = 0.0
         """Wall time spent slicing + decoding since the owner last
         zeroed it (the bench's ``decode`` stage)."""
-        self.max_frame = max_frame
-        self.max_version = max_version
         self._on_frames = on_frames
         self._on_lost = on_lost
         self._buf = bytearray()
         self._drain_waiters: list[asyncio.Future] = []
         self._close_waiter: asyncio.Future | None = None
-
-    @classmethod
-    def configured(
-        cls, config, max_version: int = MAX_WIRE_VERSION, on_frames=None,
-        on_lost=None,
-    ) -> "FrameConnection":
-        """A connection with a ``RuntimeConfig``'s framing settings."""
-        return cls(
-            on_frames, on_lost, max_frame=config.max_frame,
-            max_version=max_version, fixed=config.fixed_frames,
-        )
 
     # -- asyncio.Protocol ---------------------------------------------------
 
@@ -922,10 +895,9 @@ class FrameConnection(asyncio.Protocol):
             data = buf
         header_size = HEADER.size
         unpack_header = HEADER.unpack_from
-        max_frame = self.max_frame
-        max_version = self.max_version
+        expect = self.version
         size = len(data)
-        frames: list[tuple[Message, int]] = []
+        frames: list[Message] = []
         errors = 0
         pos = 0
         failure = None
@@ -933,9 +905,9 @@ class FrameConnection(asyncio.Protocol):
         try:
             while size - pos >= header_size:
                 magic, version, flags, length = unpack_header(mv, pos)
-                if (magic != MAGIC or not WIRE_VERSION <= version <= max_version
-                        or flags > FRAME_OVERLOAD or length > max_frame):
-                    _check_header(mv, pos, max_frame, max_version)  # raises
+                if (magic != MAGIC or version != expect
+                        or flags > FRAME_OVERLOAD or length > MAX_FRAME):
+                    _check_header(mv, pos, (expect,))  # raises
                 start = pos + header_size
                 end = start + length
                 if end > size:
@@ -944,13 +916,9 @@ class FrameConnection(asyncio.Protocol):
                 # to a local would still be exported at ``mv.release()``.
                 try:
                     if flags and version == WIRE_VERSION_BINARY:
-                        frames.append(
-                            (_decode_body_fixed(flags, mv[start:end]), version)
-                        )
+                        frames.append(_decode_body_fixed(flags, mv[start:end]))
                     else:
-                        frames.append(
-                            (_decode_body(version, flags, mv[start:end]), version)
-                        )
+                        frames.append(_decode_body(version, flags, mv[start:end]))
                 except WireDecodeError:
                     errors += 1
                 pos = end
@@ -963,8 +931,6 @@ class FrameConnection(asyncio.Protocol):
         if data is buf and pos:
             del buf[:pos]
         self.decode_seconds += perf_counter() - t0
-        if frames:
-            self.wire_version = frames[-1][1]
         if frames or errors:
             on_frames(self, frames, errors)
         if failure is not None:
@@ -994,8 +960,9 @@ class FrameConnection(asyncio.Protocol):
 
     # -- write side ---------------------------------------------------------
 
-    def add(self, msg: Message, version: int) -> None:
-        """Build one frame into the encoder; :meth:`flush` writes it.
+    def add(self, msg: Message) -> None:
+        """Build one frame, in :attr:`version`, into the encoder;
+        :meth:`flush` writes it.
 
         Raises :class:`WireError` on an unencodable message (nothing is
         queued, the connection stays usable) and
@@ -1005,7 +972,7 @@ class FrameConnection(asyncio.Protocol):
         """
         if self.closed:
             raise ConnectionError("connection is closed")
-        self.encoder.add(msg, version)
+        self.encoder.add(msg, self.version)
 
     def flush(self) -> None:
         """Write every pending frame now, unless paused or closed."""

@@ -539,7 +539,7 @@ class RuntimeConformance(Invariant):
     The harness records one :class:`~repro.runtime.conformance.ConformanceReport`
     per applied ``live_segment`` (in-process asyncio cluster) or
     ``live_scaleout`` (fleet of real worker OS processes); a report
-    with mismatches means the live runtime (codec negotiation,
+    with mismatches means the live runtime (wire codec,
     batching, cached routing, cross-process coordination and all)
     diverged from the synchronous model on that seeded workload.
     """

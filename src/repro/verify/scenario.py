@@ -344,9 +344,9 @@ class ScenarioHarness:
         self-contained probe), drives a generated op sequence over real
         wire frames, replays the cluster's op log through the
         synchronous oracle, and records the conformance report for the
-        ``runtime-oracle-conformance`` invariant to audit.  Parameters
-        select the codec mix and the inbox batch depth, so fuzzing covers
-        mixed-version clusters and batched configurations.
+        ``runtime-oracle-conformance`` invariant to audit.  A parameter
+        selects the inbox batch depth, so fuzzing covers batched
+        configurations.
         """
         import asyncio
 
@@ -376,7 +376,6 @@ class ScenarioHarness:
             m=m,
             b=b,
             seed=spec.seed,
-            v1_pids=(0,) if params.get("mixed") else (),
             batch_max=max(1, int(params.get("batch_max", 16))),
         )
 
@@ -1139,10 +1138,11 @@ def generate_scenario(
                 "b": rng.choice([0, 1]),
                 "files": rng.randint(2, 4),
                 "ops": rng.randint(6, 14),
-                "mixed": rng.random() < 0.5,
             }
-            # A retired parameter's draw, still taken: skipping it would
-            # shift every choice after it, like the extra draw above.
+            # Two retired parameters' draws, still taken: skipping them
+            # would shift every choice after them, like the extra draw
+            # above.
+            rng.random()
             rng.choice([0, 4096])
             params["seed"] = rng.randrange(1 << 30)
             events.append(ScenarioEvent("live_segment", params))

@@ -60,6 +60,9 @@ class TestOverloadPolicy:
             RuntimeConfig(m=3, b=1, inbox_limit=-1)
         with pytest.raises(ConfigurationError, match="slo_budget"):
             RuntimeConfig(m=3, b=1, slo_budget=0.0)
+        for window in (0.0, -1.0):
+            with pytest.raises(ConfigurationError, match="window"):
+                RuntimeConfig(m=3, b=1, window=window)
         config = RuntimeConfig(m=3, b=1, shed_policy="aggressive",
                                queue_policy="priority", victim_policy="fifo")
         assert config.overload_policy().cell == "aggressive/priority/fifo"

@@ -130,7 +130,7 @@ class TestWireRoundTrip:
 
 
 # ---------------------------------------------------------------------------
-# binary codec (v2): equivalence with v1 and negotiation
+# binary codec (v2): equivalence with v1
 # ---------------------------------------------------------------------------
 
 class TestBinaryCodec:
@@ -190,14 +190,17 @@ class TestBinaryHardening:
     def _reframe(self, body: bytes) -> bytes:
         return HEADER.pack(MAGIC, WIRE_VERSION_BINARY, 0, len(body)) + body
 
-    def test_v1_only_receiver_rejects_v2_at_the_framing_layer(self):
-        with pytest.raises(FrameError, match="version"):
-            decode_message(self._v2_frame(), max_version=WIRE_VERSION)
-
-    def test_v1_only_stream_reader_rejects_v2_frames(self):
-        conn, out, _errors = _feed([self._v2_frame()], max_version=WIRE_VERSION)
-        assert out == [] and isinstance(conn.error, FrameError)
-        assert "version" in str(conn.error) and conn.closed
+    def test_data_connection_rejects_a_v1_frame(self):
+        """A data-plane connection speaks binary v2 only: a JSON-v1
+        frame is broken framing, named by its version, and closes it
+        after the frames before it are delivered."""
+        good = Message(kind=MessageKind.GET, src=0, dst=1, file="abc")
+        v1 = encode_message(good, WIRE_VERSION)
+        assert decode_message(v1) == good  # a well-formed v1 frame
+        conn, out, _errors = _feed([encode_message(good, WIRE_VERSION_BINARY) + v1])
+        assert out == [good] and isinstance(conn.error, FrameError)
+        assert str(conn.error) == f"unsupported wire version {WIRE_VERSION}"
+        assert conn.closed and conn.transport.closed
 
     def test_unknown_kind_code_is_a_decode_error(self):
         body = bytearray(self._v2_frame()[HEADER.size:])
@@ -762,7 +765,7 @@ class TestMalformedFixedBodies:
         for chunks in ([blob], [blob[i:i + 5] for i in range(0, len(blob), 5)]):
             conn, out, errors = _feed(chunks)
             assert conn.error is None
-            assert [m for m, _v in out] == [before, after] and errors == 1
+            assert out == [before, after] and errors == 1
 
 
 class _FakeTransport:
@@ -784,7 +787,7 @@ class _FakeTransport:
 
 def _feed(chunks, eof=True, **kwargs):
     """Hand ``chunks`` to a fresh connection's ``data_received``, one
-    call each; returns ``(connection, [(message, version)], errors)``."""
+    call each; returns ``(connection, [message], errors)``."""
     out, errors = [], [0]
 
     def on_frames(_conn, frames, errs):
@@ -810,7 +813,7 @@ class TestFrameReader:
         )
         if conn.error is not None:
             raise conn.error
-        return [m for m, _v in out], errors
+        return out, errors
 
     @settings(max_examples=40)
     @given(st.lists(messages, min_size=1, max_size=6),
@@ -869,7 +872,7 @@ class TestFrameReader:
         _conn, out, _errors = _feed(
             [blob1[:10], blob1[10:] + blob2[:10], blob2[10:]]
         )
-        (got_first, _v1), (got_second, _v2) = out
+        got_first, got_second = out
         assert got_first == first  # still intact: leaves were copied out
         assert got_second == second
 
@@ -881,42 +884,37 @@ def _broken(frame: bytes) -> bytes:
     return frame[:4] + len(body).to_bytes(4, "big") + body
 
 
-#: (message, codec) pairs covering all three body encodings.
-mixed_frames = st.one_of(
-    st.tuples(messages, st.sampled_from(["v1", "v2"])),
-    st.tuples(fixed_eligible, st.just("fixed")),
+#: (message, lane) pairs: ``fixed`` only where the fixed lane applies.
+lane_frames = st.one_of(
+    st.tuples(messages, st.just("generic")),
+    st.tuples(fixed_eligible, st.sampled_from(["generic", "fixed"])),
 )
 
 
-def _encode_as(msg: Message, codec: str) -> bytes:
-    if codec == "v1":
-        return encode_message(msg, WIRE_VERSION)
-    return encode_message(msg, WIRE_VERSION_BINARY, fixed=codec == "fixed")
+def _encode_as(msg: Message, version: int, lane: str) -> bytes:
+    """``msg`` framed by a link speaking ``version``: on the data plane
+    (v2) ``lane`` picks generic or fixed body, the control link (v1)
+    has one."""
+    return encode_message(msg, version, fixed=lane == "fixed")
 
 
 class TestFrameConnection:
     @settings(max_examples=60)
     @given(
-        st.lists(st.tuples(mixed_frames, st.booleans()), min_size=1, max_size=6),
+        st.lists(st.tuples(lane_frames, st.booleans()), min_size=1, max_size=6),
         st.lists(st.integers(min_value=1, max_value=48), min_size=1, max_size=8),
         st.data(),
     )
     def test_any_chunking_decodes_like_one_shot(self, specs, sizes, data):
         """However the byte stream is cut, ``data_received`` yields the
-        messages, versions and decode-error count of one-shot decode;
-        cut short inside a frame, it reports a ``FrameError`` after
-        delivering every frame that was complete."""
-        frames = [
-            _broken(_encode_as(msg, codec)) if broken else _encode_as(msg, codec)
-            for (msg, codec), broken in specs
-        ]
-        blob = b"".join(frames)
+        messages and decode-error count of one-shot decode; cut short
+        inside a frame, it reports a ``FrameError`` after delivering
+        every frame that was complete.  Once per link kind: a data
+        connection fed v2 generic and fixed frames, a control
+        connection fed v1 frames."""
 
         def decodable(prefix):
-            return [
-                (msg, WIRE_VERSION if codec == "v1" else WIRE_VERSION_BINARY)
-                for (msg, codec), broken in prefix if not broken
-            ]
+            return [msg for (msg, _lane), broken in prefix if not broken]
 
         def chunked(raw: bytes):
             pos, turn = 0, 0
@@ -925,24 +923,31 @@ class TestFrameConnection:
                 yield raw[pos:pos + step]
                 pos, turn = pos + step, turn + 1
 
-        whole, out_whole, errors_whole = _feed([blob])
-        assert whole.error is None and whole.closed
-        assert out_whole == decodable(specs)
-        assert errors_whole == sum(broken for _spec, broken in specs)
-        conn, out, errors = _feed(chunked(blob))
-        assert conn.error is None
-        assert (out, errors) == (out_whole, errors_whole)
-
-        cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1))
-        ends = [sum(map(len, frames[:i + 1])) for i in range(len(frames))]
-        conn, out, errors = _feed(chunked(blob[:cut]))
-        assert out == decodable(specs[:sum(end <= cut for end in ends)])
-        if cut in ends:
+        for version in (WIRE_VERSION_BINARY, WIRE_VERSION):
+            frames = [
+                _broken(_encode_as(msg, version, lane)) if broken
+                else _encode_as(msg, version, lane)
+                for (msg, lane), broken in specs
+            ]
+            blob = b"".join(frames)
+            whole, out_whole, errors_whole = _feed([blob], version=version)
+            assert whole.error is None and whole.closed
+            assert out_whole == decodable(specs)
+            assert errors_whole == sum(broken for _spec, broken in specs)
+            conn, out, errors = _feed(chunked(blob), version=version)
             assert conn.error is None
-        else:
-            assert isinstance(conn.error, FrameError)
-            assert "mid-frame" in str(conn.error)
-            assert conn.transport.closed
+            assert (out, errors) == (out_whole, errors_whole)
+
+            cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1))
+            ends = [sum(map(len, frames[:i + 1])) for i in range(len(frames))]
+            conn, out, errors = _feed(chunked(blob[:cut]), version=version)
+            assert out == decodable(specs[:sum(end <= cut for end in ends)])
+            if cut in ends:
+                assert conn.error is None
+            else:
+                assert isinstance(conn.error, FrameError)
+                assert "mid-frame" in str(conn.error)
+                assert conn.transport.closed
 
     def test_framing_damage_closes_after_delivering_what_decoded(self):
         good = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
@@ -954,7 +959,7 @@ class TestFrameConnection:
         assert isinstance(conn.error, FrameError) and "magic" in str(conn.error)
         assert conn.closed and conn.transport.closed and lost == [conn]
         with pytest.raises(ConnectionError):
-            conn.add(good, WIRE_VERSION_BINARY)
+            conn.add(good)
 
     def test_paused_transport_keeps_frames_in_the_encoder(self):
         """Backpressure: while the transport is over its high-water
@@ -969,13 +974,13 @@ class TestFrameConnection:
             conn = FrameConnection()
             transport = _FakeTransport()
             conn.connection_made(transport)
-            conn.add(msgs[0], WIRE_VERSION_BINARY)
+            conn.add(msgs[0])
             conn.flush()  # not paused: written now
             assert conn.encoder.pending == 0 and transport.written
             await asyncio.wait_for(conn.drained(), 1.0)  # not paused: no wait
             conn.pause_writing()
             for msg in msgs[1:]:
-                conn.add(msg, WIRE_VERSION_BINARY)
+                conn.add(msg)
                 conn.flush()
             waiter = asyncio.ensure_future(conn.drained())
             await asyncio.sleep(0.01)
@@ -990,7 +995,7 @@ class TestFrameConnection:
 
         written = asyncio.run(run())
         _conn, out, errors = _feed([written])
-        assert [m for m, _v in out] == msgs and errors == 0
+        assert out == msgs and errors == 0
 
     @pytest.mark.parametrize("header", [
         pytest.param(HEADER.pack(b"XX", WIRE_VERSION_BINARY, FRAME_GENERIC, 0),
@@ -999,7 +1004,8 @@ class TestFrameConnection:
         pytest.param(HEADER.pack(MAGIC, 3, FRAME_GENERIC, 0), id="version-3"),
         pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_OVERLOAD + 1, 0),
                      id="flags-5"),
-        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, 255, 0), id="flags-255"),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, 255, 0),
+                     id="flags-255"),
         pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_GET,
                                  MAX_FRAME + 1), id="oversized"),
     ])
@@ -1011,7 +1017,7 @@ class TestFrameConnection:
         with pytest.raises(FrameError) as raised:
             decode_message(header)
         conn, out, errors = _feed([frame + header + frame])
-        assert [m for m, _v in out] == [good] and errors == 0
+        assert out == [good] and errors == 0
         assert str(conn.error) == str(raised.value) and conn.closed
 
     def test_a_lone_frame_is_written_as_built_and_a_backlog_in_one_write(self):
@@ -1024,26 +1030,26 @@ class TestFrameConnection:
         conn = FrameConnection()
         conn.connection_made(transport)
         lanes = [
-            (Message(kind=MessageKind.GET, src=-1, dst=1, file="f"),
-             WIRE_VERSION_BINARY),
-            (Message(kind=MessageKind.INSERT, src=-1, dst=1, file="f",
-                     payload={"v": 1}), WIRE_VERSION_BINARY),
-            (Message(kind=MessageKind.ACK, src=1, dst=-1, file="f"), WIRE_VERSION),
+            Message(kind=MessageKind.GET, src=-1, dst=1, file="f"),
+            Message(kind=MessageKind.INSERT, src=-1, dst=1, file="f",
+                    payload={"v": 1}),
+            Message(kind=MessageKind.GET_REPLY, src=1, dst=-1, file="f",
+                    payload={"payload": "v", "server": 1}),
         ]
-        for msg, version in lanes:
-            conn.add(msg, version)
+        for msg in lanes:
+            conn.add(msg)
             (built,) = conn.encoder._frames
             conn.flush()
             assert writes[-1] is built and conn.encoder.pending == 0
         conn.pause_writing()
-        for msg, version in lanes:
-            conn.add(msg, version)
+        for msg in lanes:
+            conn.add(msg)
             conn.flush()
         assert len(writes) == len(lanes) and conn.encoder.pending == len(lanes)
         conn.resume_writing()
         assert len(writes) == len(lanes) + 1
         assert writes[-1] == b"".join(
-            encode_message(msg, version) for msg, version in lanes
+            encode_message(msg, WIRE_VERSION_BINARY) for msg in lanes
         )
 
     def test_partial_socket_write_does_not_pin_the_scratch_buffer(self):
@@ -1065,10 +1071,10 @@ class TestFrameConnection:
             sent = 0
             while not conn.paused:
                 assert sent < 1000, "the transport never paused"
-                conn.add(msg, WIRE_VERSION_BINARY)
+                conn.add(msg)
                 conn.flush()
                 sent += 1
-            conn.add(msg, WIRE_VERSION_BINARY)
+            conn.add(msg)
             conn.flush()  # paused: stays in the encoder until resume
             got = []
             _t, peer = await loop.create_connection(
@@ -1086,7 +1092,7 @@ class TestFrameConnection:
             return sent + 1, got
 
         sent, got = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
-        assert [m for m, _v in got] == [msg] * sent
+        assert got == [msg] * sent
 
     def test_drained_wakes_with_an_error_when_the_connection_is_lost(self):
         async def run():
@@ -1310,7 +1316,7 @@ class TestCarriedBody:
     def test_forwarded_frame_is_the_fresh_encode(self, msg, src, dst, cut, fixed):
         frame = encode_message(msg, WIRE_VERSION_BINARY, fixed=False)
         _conn, out, _errors = _feed([frame[:cut], frame[cut:]])
-        (got, _version), = out
+        (got,) = out
         hop = got.forwarded(src, dst)
         fresh = _rebuilt(hop)
         assert hop == fresh and WIRE_BODY not in fresh.__dict__
@@ -1600,7 +1606,7 @@ class TestInlineDispatch:
             host.gates[1].set()
             late = Message(kind=MessageKind.GET, src=5, dst=2, file="nofile-5",
                            origin=6, request_id=5)
-            node._on_frames(conn, [(late, WIRE_VERSION_BINARY)], 0)
+            node._on_frames(conn, [late], 0)
             node.deliver_local(late)
             await _settle()
             assert host.order == [1] and host.done == []
@@ -1630,7 +1636,7 @@ class TestInlineDispatch:
 
         written, node, host = asyncio.run(asyncio.wait_for(run(), timeout=30.0))
         _conn, out, _errors = _feed([written])
-        [(reply, _version)] = out
+        [reply] = out
         assert reply.kind is MessageKind.ERROR and reply.request_id == 9
         assert "already inserted" in reply.payload["reason"]
         assert "dup" not in node.store and host.order == []
@@ -1845,18 +1851,6 @@ def test_oracle_conformance_across_seeds(seed, b):
     """ISSUE acceptance: >= 3 seeds, both §3 and §4 models."""
     spec = WorkloadSpec(m=4, b=b, seed=seed, files=5, ops=30)
     report = asyncio.run(run_conformance(spec))
-    assert report.ok, report.render()
-
-
-@pytest.mark.runtime
-@pytest.mark.parametrize("seed", [0, 1, 2])
-def test_mixed_codec_cluster_matches_oracle(seed):
-    """A cluster where some nodes are pinned to the JSON-v1 codec and
-    the rest run binary-v2 negotiates per link and still replays
-    conformant against the oracle (ISSUE acceptance: 3 seeds)."""
-    spec = WorkloadSpec(m=4, b=1, seed=seed, files=5, ops=30)
-    config = RuntimeConfig(m=4, b=1, seed=seed, v1_pids=(0, 5, 9))
-    report = asyncio.run(run_conformance(spec, config=config))
     assert report.ok, report.render()
 
 
@@ -2128,12 +2122,15 @@ def test_corrupt_frame_does_not_kill_the_connection():
             boot = await RuntimeClient(cluster, 0).connect()
             await boot.insert("ok.dat", "fine")
             await cluster.drain()
-            # Hand-deliver a well-framed but bogus body on the same wire.
-            from repro.runtime.wire import HEADER as H, MAGIC as MG
-
-            body = b'{"kind": "teleport"}'
+            # Hand-deliver a well-framed but bogus body on the same wire:
+            # a v2 generic frame naming no message kind.
+            frame = bytearray(encode_message(
+                Message(kind=MessageKind.INSERT, src=-1, dst=0, file="x"),
+                WIRE_VERSION_BINARY, fixed=False,
+            ))
+            frame[HEADER.size] = 200
             assert boot._conn is not None
-            boot._conn.transport.write(H.pack(MG, 1, 0, len(body)) + body)
+            boot._conn.transport.write(bytes(frame))
             outcome = await boot.get("ok.dat")
             assert outcome.ok and outcome.payload == "fine"
             assert cluster.counters.get("wire_decode_errors", 0) >= 1

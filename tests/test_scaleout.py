@@ -23,6 +23,7 @@ import os
 import signal
 import socket
 import time
+from dataclasses import MISSING, fields
 
 import pytest
 from hypothesis import given, settings
@@ -56,7 +57,9 @@ from repro.runtime.wire import (
     HEADER,
     MAGIC,
     WIRE_VERSION,
+    WIRE_VERSION_BINARY,
     FrameConnection,
+    FrameError,
     encode_message,
 )
 
@@ -68,13 +71,30 @@ from repro.runtime.wire import (
 class TestControlCodecs:
     def test_config_round_trips_through_json_profile(self):
         config = RuntimeConfig(
-            m=5, b=2, seed=11, tcp=True, capacity=12.5,
-            wire_version=2, v1_pids=(1, 3), fixed_frames=True,
+            m=5, b=2, seed=11, tcp=True, capacity=12.5, window=0.5,
+            cooldown=0.3, inflight_limit=32, service_time=0.004,
+            drain_timeout=9.0, batch_max=4, idle_timeout=2.5, inbox_limit=64,
+            shed_policy="aggressive", queue_policy="priority",
+            victim_policy="fifo", slo_budget=0.05,
+        )
+        assert all(
+            getattr(config, f.name) != f.default
+            for f in fields(RuntimeConfig) if f.default is not MISSING
         )
         wired = config_to_wire(config)
         assert wired == json.loads(json.dumps(wired))
         back = config_from_wire(wired)
         assert back == config
+
+    def test_the_codec_is_a_constant_not_a_knob(self):
+        """What ``bench/layers.py`` reads off a config: the data plane's
+        one codec, fixed lane on — class constants, never fields."""
+        config = RuntimeConfig(m=3)
+        assert config.wire_version == WIRE_VERSION_BINARY
+        assert config.fixed_frames is True
+        assert "wire_version" not in config_to_wire(config)
+        with pytest.raises(TypeError):
+            RuntimeConfig(m=3, wire_version=1)
 
     def test_infinite_fields_survive_the_json_sentinel(self):
         config = RuntimeConfig(m=3, b=1, slo_budget=float("inf"),
@@ -159,7 +179,8 @@ class TestControlLink:
             await _until(lambda: len(transport.writes) == 3)
             requests = []
             probe = FrameConnection(
-                lambda _c, frames, _e: requests.extend(m.payload for m, _v in frames)
+                lambda _c, frames, _e: requests.extend(m.payload for m in frames),
+                version=WIRE_VERSION,
             )
             _Transport(probe)
             probe.data_received(b"".join(transport.writes))
@@ -256,6 +277,32 @@ class TestControlLink:
                 await a.call("ping")
             a.cast("dropped")  # the peer is gone: no error
             await a.close()
+
+        _run(run())
+
+    def test_a_v2_frame_closes_the_link_and_says_why(self):
+        """The control link speaks JSON v1 only: a binary-v2 frame —
+        well formed, and what every data-plane link sends — breaks it,
+        and the reason names the version."""
+        async def run():
+            ops: list[str] = []
+            link = ControlLink(_recording(ops), "a")
+            transport = _Transport(link.conn)
+            pending = asyncio.ensure_future(link.call("ping"))
+            await asyncio.sleep(0)
+            link.conn.data_received(encode_message(
+                Message(kind=MessageKind.CONTROL, src=ADMIN, dst=ADMIN,
+                        payload={"op": "ping"}),
+                WIRE_VERSION_BINARY,
+            ))
+            with pytest.raises(ConnectionError, match="wire version 2"):
+                await asyncio.wait_for(pending, 5.0)
+            assert isinstance(link.conn.error, FrameError)
+            assert link.reason == (
+                f"FrameError: unsupported wire version {WIRE_VERSION_BINARY}"
+            )
+            assert transport.closed and ops == []
+            await link.close()
 
         _run(run())
 

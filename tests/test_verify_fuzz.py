@@ -104,15 +104,6 @@ class TestLiveSegmentOp:
         report = harness.live_reports[-1]
         assert report.ok, report.render()
 
-    def test_mixed_codec_segment_applies(self):
-        harness = ScenarioHarness(Scenario(m=4, b=1, seed=1))
-        event = ScenarioEvent(
-            "live_segment",
-            {"m": 3, "b": 0, "files": 2, "ops": 6, "seed": 5, "mixed": True},
-        )
-        assert harness.apply(event)
-        assert harness.live_reports[-1].ok, harness.live_reports[-1].render()
-
     def test_generator_emits_live_segments(self):
         ops = [
             event.op

@@ -1,35 +1,26 @@
 #!/usr/bin/env python
-"""Benchmark the live asyncio runtime: sustained RPS and latency, per codec.
+"""Benchmark the live asyncio runtime: sustained RPS and latency.
 
 Boots a live cluster (in-process streams by default, ``--tcp`` for real
 loopback TCP), inserts a file set, and drives a seeded Zipf GET workload
-through the open-loop load generator at a ramp of target rates — once
-for each wire-protocol profile:
-
-* ``json-v1``   — the v1 JSON codec with the serialized inbox consumer
-  (``batch_max=1``), i.e. the runtime as it behaved before the fast
-  path landed.
-* ``binary-v2`` — the v2 binary codec with batched inbox draining and
-  pipelined GET serving (``batch_max=16``).
-
-``service_time`` models per-request storage latency (a 4 ms read).  The
-compat profile awaits each read inside the consumer, so a node serves
-reads serially; the fast path overlaps them, which is where most of the
-throughput headroom comes from.
+through the open-loop load generator at a ramp of target rates.  The
+cluster runs the one runtime profile there is, recorded as
+``binary-v2``: the data plane's binary codec with its fixed lane, and
+pipelined GET serving (``batch_max=16``), which overlaps the reads that
+``service_time`` models as per-request storage latency (a 4 ms read).
 
 Each rate runs ``trials`` times on a fresh cluster: a warmup window at
 the target rate (so overload replication reaches steady state), then a
 measured window with the cyclic GC paused (collection pauses otherwise
 dominate tail latency near saturation).  A rate is *sustained* when
 every trial completes >= 99% of requests with no timeouts and the
-median p99 latency stays within the SLO (50 ms).  The ramp for a codec
-stops at its first unsustained rate.  Every trial is replayed against
+median p99 latency stays within the SLO (50 ms).  The ramp stops at
+its first unsustained rate.  Every trial is replayed against
 the synchronous oracle; a single divergence fails the run.
 
-Results go to ``BENCH_runtime.json`` at the repo root.  Top-level
-``sustained_rps``/latency fields describe the binary profile; the
-``codecs`` section carries both profiles and ``speedup`` is the ratio
-of sustained rates.  Every ramp entry also persists the HDR-style
+Results go to ``BENCH_runtime.json`` at the repo root: top-level
+``sustained_rps``/latency fields, and every ramp entry, labelled with
+its ``codec``.  Every ramp entry also persists the HDR-style
 per-rate latency histogram (``latency_hist``) and the per-stage
 ``encode``/``decode``/``route``/``serve`` seconds; a human-readable
 bar-chart rendering of all histograms goes to ``BENCH_runtime_hist.txt``.
@@ -54,8 +45,7 @@ runs re-measure the check grid at the end to refresh that reference.
 ``--processes N`` switches to the **multi-process scale-out
 benchmark** instead: N per-node worker OS processes are forked behind
 the bootstrap/address-book service and driven over real loopback TCP.
-Three segments run at matched node count (``2**m`` nodes, binary-v2
-codec):
+Three segments run at matched node count (``2**m`` nodes):
 
 1. a single-process baseline ramp (``LiveCluster`` over TCP),
 2. the multi-process fleet over the same coarse rate ladder — its max
@@ -121,10 +111,8 @@ CHECK_RATES = [100.0, 200.0]
 CHECK_SHAPE_RATE = 200.0
 CHECK_WARMUP, CHECK_DURATION, CHECK_FILES = 0.4, 0.5, 6
 
-PROFILES: dict[str, dict] = {
-    "json-v1": {"wire_version": 1, "batch_max": 1, "fixed_frames": False},
-    "binary-v2": {"wire_version": 2, "batch_max": 16, "fixed_frames": True},
-}
+CODEC = "binary-v2"
+"""The label ramp entries and the check-mode expectation carry."""
 
 #: Scale-out rate ladder — coarse on purpose: every rung runs against
 #: both the single-process baseline and the fleet, and the comparison
@@ -221,8 +209,7 @@ async def _run_trial(
         await cluster.shutdown()
 
 
-def _ramp_codec(
-    codec: str,
+def _ramp(
     rates: list[float],
     base_config: dict,
     files: int,
@@ -231,7 +218,7 @@ def _ramp_codec(
     trials: int,
     seed: int,
 ) -> tuple[list[dict], float, dict | None, int, bool]:
-    """Ramp one codec profile; stop at the first unsustained rate.
+    """Ramp the target rates; stop at the first unsustained one.
 
     Returns (ramp entries, sustained rps, report at that rate,
     replicas there, all trials conformant?).
@@ -241,7 +228,7 @@ def _ramp_codec(
     best: dict | None = None
     best_replicas = 0
     all_conformant = True
-    config = RuntimeConfig(**base_config, **PROFILES[codec])
+    config = RuntimeConfig(**base_config)
     for rps in rates:
         reports: list[dict] = []
         stages: list[dict] = []
@@ -273,7 +260,7 @@ def _ramp_codec(
             for k in (stages[0] if stages else {})
         }
         ramp.append({
-            "codec": codec,
+            "codec": CODEC,
             "target_rps": rps,
             "sustained": sustained,
             "conformant": conformant,
@@ -283,7 +270,7 @@ def _ramp_codec(
             **median_report,
         })
         marker = "ok " if sustained else "SAT"
-        print(f"  {marker} {codec:9s} target {rps:7.0f} rps -> achieved "
+        print(f"  {marker} target {rps:7.0f} rps -> achieved "
               f"{median_report['achieved_rps']:8.1f}, "
               f"p50 {median_report['latency_p50_s']*1e3:6.2f} ms, "
               f"p99 {median_p99*1e3:7.2f} ms (median of {trials}), "
@@ -426,20 +413,16 @@ def _write_hist_plot(ramp: list[dict], label: str, mode: str) -> None:
 def _shape_reference(base_config: dict, seed: int) -> dict[str, dict]:
     """Re-measure the check grid's top rate to refresh the committed
     check-mode expectation (rps floor + latency-shape reference)."""
-    reference: dict[str, dict] = {}
-    for codec in PROFILES:
-        config = RuntimeConfig(**base_config, **PROFILES[codec])
-        report, _, _, ok = asyncio.run(_run_trial(
-            config, CHECK_FILES, CHECK_SHAPE_RATE, CHECK_WARMUP,
-            CHECK_DURATION, seed,
-        ))
-        reference[codec] = {
-            "sustained_rps": CHECK_SHAPE_RATE,
-            "latency_shape": report["latency_hist"],
-        }
-        print(f"  {codec:9s} @ {CHECK_SHAPE_RATE:.0f} rps: "
-              f"{report['completed']} samples, conformant={ok}")
-    return reference
+    report, _, _, ok = asyncio.run(_run_trial(
+        RuntimeConfig(**base_config), CHECK_FILES, CHECK_SHAPE_RATE,
+        CHECK_WARMUP, CHECK_DURATION, seed,
+    ))
+    print(f"  @ {CHECK_SHAPE_RATE:.0f} rps: "
+          f"{report['completed']} samples, conformant={ok}")
+    return {CODEC: {
+        "sustained_rps": CHECK_SHAPE_RATE,
+        "latency_shape": report["latency_hist"],
+    }}
 
 
 async def _drive_scaleout(
@@ -561,7 +544,7 @@ def _scaleout_trial(
     """
     from repro.runtime.scaleout import ScaleoutSupervisor, ShardedLoadDriver
 
-    config = RuntimeConfig(**base_config, **PROFILES["binary-v2"])
+    config = RuntimeConfig(**base_config)
     supervisor = ScaleoutSupervisor(config, n_nodes=n_nodes, mode=spawn)
     host, port = supervisor.launch()
     driver = None
@@ -624,7 +607,7 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
     wall_start = time.perf_counter()
 
     print("single-process baseline (matched node count, tcp):")
-    config = RuntimeConfig(**base_config, **PROFILES["binary-v2"])
+    config = RuntimeConfig(**base_config)
     single_ramp: list[dict] = []
     single_max = 0.0
     single_best: dict | None = None
@@ -704,7 +687,7 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
     payload = {
         "benchmark": "scaleout-runtime-throughput",
         "grid": label,
-        "run_meta": _run_meta(m, n_nodes, "binary-v2", args.spawn,
+        "run_meta": _run_meta(m, n_nodes, CODEC, args.spawn,
                               client_processes=shards),
         "files": files,
         "warmup_per_rate_s": warmup,
@@ -823,33 +806,16 @@ def main(argv: list[str] | None = None) -> int:
     baseline = _load_baseline() if args.check else None
 
     wall_start = time.perf_counter()
-    ramp: list[dict] = []
-    sustained: dict[str, float] = {}
-    best: dict[str, dict | None] = {}
-    replicas: dict[str, int] = {}
-    all_conformant = True
-    for codec in PROFILES:
-        print(f"{codec}:")
-        entries, rps, report, repl, conformant = _ramp_codec(
-            codec, rates, base_config, files, warmup, duration, trials,
-            args.seed,
-        )
-        ramp.extend(entries)
-        sustained[codec] = rps
-        best[codec] = report
-        replicas[codec] = repl
-        all_conformant = all_conformant and conformant
+    ramp, binary_rps, binary_best, replicas, all_conformant = _ramp(
+        rates, base_config, files, warmup, duration, trials, args.seed,
+    )
     wall = time.perf_counter() - wall_start
 
-    json_rps = sustained.get("json-v1", 0.0)
-    binary_rps = sustained.get("binary-v2", 0.0)
-    speedup = round(binary_rps / json_rps, 2) if json_rps else None
-    binary_best = best.get("binary-v2")
     payload = {
         "benchmark": "live-runtime-throughput",
         "grid": label,
         "transport": mode,
-        "run_meta": _run_meta(args.m, 1 << args.m, "binary-v2", "single"),
+        "run_meta": _run_meta(args.m, 1 << args.m, CODEC, "single"),
         "m": args.m,
         "b": args.b,
         "files": files,
@@ -860,18 +826,8 @@ def main(argv: list[str] | None = None) -> int:
         "sustained_rps": binary_rps,
         "latency_p50_s": binary_best["latency_p50_s"] if binary_best else None,
         "latency_p99_s": binary_best["latency_p99_s"] if binary_best else None,
-        "replicas_to_balance": replicas.get("binary-v2", 0),
+        "replicas_to_balance": replicas,
         "conformant": all_conformant,
-        "codecs": {
-            codec: {
-                "sustained_rps": sustained[codec],
-                "latency_p50_s": (best[codec] or {}).get("latency_p50_s"),
-                "latency_p99_s": (best[codec] or {}).get("latency_p99_s"),
-                "replicas_to_balance": replicas[codec],
-            }
-            for codec in PROFILES
-        },
-        "speedup": speedup,
         "ramp": ramp,
         "wallclock_seconds": round(wall, 3),
         "generated": datetime.now(timezone.utc).isoformat(timespec="seconds"),
@@ -885,17 +841,16 @@ def main(argv: list[str] | None = None) -> int:
         payload["check_expectation"] = _shape_reference(base_config, args.seed)
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     _write_hist_plot(ramp, label, mode)
-    print(f"sustained: json-v1 {json_rps:.0f} rps, binary-v2 {binary_rps:.0f} "
-          f"rps (speedup {speedup}); wrote {OUTPUT} and {HIST_OUTPUT}")
+    print(f"sustained: {binary_rps:.0f} rps; wrote {OUTPUT} and {HIST_OUTPUT}")
 
     if not all_conformant:
         print("FAIL: live run diverged from the oracle replay", file=sys.stderr)
         return 1
-    if args.check and (json_rps <= 0 or binary_rps <= 0):
+    if args.check and binary_rps <= 0:
         print("FAIL: could not sustain the smallest target rate", file=sys.stderr)
         return 1
     if args.check:
-        failures = _regression_gate(label, sustained, baseline)
+        failures = _regression_gate(label, {CODEC: binary_rps}, baseline)
         failures.extend(_shape_gate(ramp, baseline))
         if failures:
             for failure in failures:
