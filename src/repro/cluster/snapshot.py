@@ -3,8 +3,9 @@
 Serialises the durable state of a system — membership, per-node stores
 (with origins, versions, access counters), and the file catalog — to a
 JSON document, and rebuilds an equivalent system from one.  Payloads
-must be JSON-serialisable (strings/bytes/numbers/lists/dicts); bytes
-are base64-tagged.
+must be JSON-serialisable (strings/bytes/numbers/lists/dicts); a bytes
+payload is base64-tagged, and a dict payload that looks like a tag is
+escaped, so every payload restores as itself.
 
 Used for experiment checkpointing and for the ``lesslog audit``-style
 offline inspection workflows.
@@ -25,15 +26,31 @@ __all__ = ["snapshot_to_dict", "snapshot_to_json", "restore_from_dict", "restore
 _FORMAT_VERSION = 1
 
 
+_BYTES = "__bytes__"
+"""``{_BYTES: base64 text}`` stands for a bytes payload."""
+_ESCAPED = "__escaped__"
+"""``{_ESCAPED: dict}`` stands for a dict payload shaped like a tag."""
+
+
+def _is_tag(payload: Any) -> bool:
+    return isinstance(payload, dict) and len(payload) == 1 and (
+        _BYTES in payload or _ESCAPED in payload
+    )
+
+
 def _encode_payload(payload: Any) -> Any:
     if isinstance(payload, bytes):
-        return {"__bytes__": base64.b64encode(payload).decode("ascii")}
+        return {_BYTES: base64.b64encode(payload).decode("ascii")}
+    if _is_tag(payload):
+        return {_ESCAPED: payload}
     return payload
 
 
 def _decode_payload(payload: Any) -> Any:
-    if isinstance(payload, dict) and set(payload) == {"__bytes__"}:
-        return base64.b64decode(payload["__bytes__"])
+    if _is_tag(payload):
+        if _BYTES in payload:
+            return base64.b64decode(payload[_BYTES])
+        return payload[_ESCAPED]
     return payload
 
 

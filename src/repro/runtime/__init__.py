@@ -7,14 +7,11 @@ in-process socketpairs (or real TCP on loopback), clients drive them with
 seeded workloads, and an operation-log replay through the synchronous
 oracle proves the live system lands in the identical final state.
 
-Each kind of link speaks one codec, fixed when the connection is made:
-the data plane (node and client connections) the compact binary-v2
-body, the scale-out control link the JSON-v1 body.  Within v2 the
-header's flags byte additionally selects struct-packed fixed layouts
-for the hot message kinds (the fast lane — see
-:mod:`repro.runtime.wire`).  Routing
-decisions on the hot path are served from the LRU routing-table cache
-keyed on status-word content.
+Every connection — node, client and scale-out control link — speaks
+one codec, binary v2; the header's flags byte selects struct-packed
+fixed layouts for the hot message kinds (the fast lane — see
+:mod:`repro.runtime.wire`).  Routing decisions on the hot path are
+served from the LRU routing-table cache keyed on status-word content.
 """
 
 from .addressing import Address, dial_node, dial_peer, start_listener
@@ -73,8 +70,6 @@ from .wire import (
     WireError,
     decode_message,
     encode_message,
-    message_from_dict,
-    message_to_dict,
 )
 
 __all__ = [
@@ -129,8 +124,6 @@ __all__ = [
     "diff_states",
     "encode_message",
     "generate_ops",
-    "message_from_dict",
-    "message_to_dict",
     "percentile",
     "policy_grid",
     "replay_oplog",

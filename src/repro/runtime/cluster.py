@@ -37,7 +37,7 @@ from .coordinator import ADMIN, Coordinator, OpRecord
 from .host import NodeHost
 from .node import CLIENT, NodeServer
 from .overload import OverloadPolicy
-from .wire import WIRE_VERSION_BINARY, FrameConnection, WireError
+from .wire import WIRE_VERSION, FrameConnection, WireError
 
 __all__ = [
     "ADMIN",
@@ -97,9 +97,9 @@ class RuntimeConfig:
     windowed response-latency p99 drifts past this budget (seconds),
     not just when the raw hit counter trips (``inf`` disables)."""
 
-    # Read-only constants, not fields: every data-plane link speaks
-    # binary v2 with the fixed lane on.  ``bench/layers.py`` reads both.
-    wire_version: ClassVar[int] = WIRE_VERSION_BINARY
+    # Read-only constants, not fields: every link speaks the one wire
+    # version, fixed lane on.  ``bench/layers.py`` reads both.
+    wire_version: ClassVar[int] = WIRE_VERSION
     fixed_frames: ClassVar[bool] = True
 
     def __post_init__(self) -> None:

@@ -52,7 +52,7 @@ from ..cluster import RuntimeConfig
 from ..conformance import ClusterStateSnapshot
 from ..coordinator import ADMIN, Coordinator
 from ..node import CLIENT
-from ..wire import FrameConnection, message_to_dict
+from ..wire import FrameConnection, encode_message
 from .control import ControlLink, config_to_wire
 
 __all__ = ["BootstrapServer", "ScaleoutStats"]
@@ -254,7 +254,7 @@ class BootstrapServer:
             if peer is None:  # pragma: no cover - racing death
                 continue
             self._admin_sent[msg.dst] = self._admin_sent.get(msg.dst, 0) + 1
-            peer.link.cast("deliver", msg=message_to_dict(msg))
+            peer.link.cast("deliver", msg=encode_message(msg))
 
     async def trigger_overload(self, pid: int, name: str, seed: int) -> None:
         """Admin knob: tell a holder it is overloaded (conformance driver)."""

@@ -1,10 +1,11 @@
 """The scale-out control channel: CONTROL frames over the wire protocol.
 
 Bootstrap, workers, and client endpoints coordinate over the same
-:class:`~repro.runtime.wire.FrameConnection` the data plane runs — a
-``CONTROL`` message whose payload is a small dict — built to speak
-the JSON-v1 codec, whose generic body carries arbitrary (JSON-safe)
-dict payloads, and nothing else: a binary frame breaks the link.  One
+:class:`~repro.runtime.wire.FrameConnection`, and the same codec, the
+data plane runs: each body is a ``CONTROL`` message whose payload is a
+small dict, carried in the generic body (no fixed layout fits it).
+Anything else — a frame of another kind, a payload that is not a dict,
+a body that does not decode — breaks the link.  One
 :class:`ControlLink` owns one connection and is fully symmetric:
 either side can issue ``call`` (request/response, matched by
 ``rid``/``re``) or ``cast`` (fire and forget), and both sides answer
@@ -32,9 +33,10 @@ call that produced it — ``cast``, ``call`` and a handler's reply alike
 frames back, in order, until the transport drains.
 
 Payload constraint: everything that rides the control channel must be
-JSON-safe (the v1 profile).  Admin frames delivered through ``deliver``
-casts inherit this — scale-out file payloads are strings/numbers/
-lists/dicts, as every workload in this repo already is.
+in the wire's value set (see :mod:`repro.runtime.wire`): None, bools,
+ints, finite floats, str, bytes, lists and string-keyed dicts.  Admin
+frames ride ``deliver`` casts as their own encoded frame bytes, so a
+file payload reaches the worker exactly as it would over the data plane.
 """
 
 from __future__ import annotations
@@ -46,18 +48,19 @@ from typing import Any, Awaitable, Callable
 
 from ...net.message import MessageKind, fast_message
 from ..cluster import ADMIN, RuntimeConfig
-from ..wire import WIRE_VERSION, FrameConnection
+from ..wire import FrameConnection
 
 __all__ = ["ControlLink", "config_to_wire", "config_from_wire"]
 
 Handler = Callable[[str, dict], Awaitable[dict | None]]
 
 _INF = "inf"
-"""JSON has no Infinity; ``float('inf')`` config fields ship as this."""
+"""The wire carries finite floats only; ``float('inf')`` config fields
+ship as this."""
 
 
 def config_to_wire(config: RuntimeConfig) -> dict[str, Any]:
-    """A JSON-safe dict a worker can rebuild its RuntimeConfig from."""
+    """A wire-safe dict a worker can rebuild its RuntimeConfig from."""
     out: dict[str, Any] = {}
     for f in dataclass_fields(config):
         value = getattr(config, f.name)
@@ -92,9 +95,7 @@ class ControlLink:
     def __init__(self, handler: Handler, label: str = "") -> None:
         self.handler = handler
         self.label = label
-        self.conn = FrameConnection(
-            self._on_frames, self._on_lost, version=WIRE_VERSION
-        )
+        self.conn = FrameConnection(self._on_frames, self._on_lost)
         self.closed = asyncio.Event()
         self.reason = ""
         self._rid = itertools.count(1)
@@ -104,13 +105,16 @@ class ControlLink:
     # -- read side ------------------------------------------------------------
 
     def _on_frames(self, conn: FrameConnection, frames: list, errors: int) -> None:
-        bodies = [msg.payload for msg in frames]
-        if errors or not all(isinstance(body, dict) for body in bodies):
-            # Nothing in a damaged chunk runs: the link is broken.
+        if errors or not all(
+            msg.kind is MessageKind.CONTROL and isinstance(msg.payload, dict)
+            for msg in frames
+        ):
+            # Nothing in a damaged chunk runs: the link is broken.  A
+            # data-plane frame lands here too, as its kind is not CONTROL.
             self._fail("undecodable control body")
             return
         loop = asyncio.get_running_loop()
-        for body in bodies:
+        for body in (msg.payload for msg in frames):
             re = body.get("re")
             if re is not None:
                 waiter = self._waiters.pop(re, None)

@@ -34,7 +34,7 @@ from ..addressing import Address, PeerUnreachableError, dial_peer, start_listene
 from ..cluster import ADMIN, RuntimeConfig
 from ..host import NodeHost, _BoundedCache
 from ..node import CLIENT, NodeServer
-from ..wire import FrameConnection, message_from_dict
+from ..wire import FrameConnection, decode_message
 from .control import ControlLink, config_from_wire
 
 __all__ = ["WorkerRuntime", "WorkerProcess", "run_worker"]
@@ -260,7 +260,7 @@ class WorkerProcess:
             runtime = self.runtime
             if runtime is not None and runtime.node is not None:
                 runtime.count_admin_recv()
-                runtime.node.deliver_local(message_from_dict(body["msg"]))
+                runtime.node.deliver_local(decode_message(body["msg"]))
             return None
         if op == "book":
             # Membership/placement push: refresh the dial table, drop

@@ -1,42 +1,36 @@
 """Wire protocol: length-prefixed frames carrying ``Message``.
 
 Every byte that crosses a connection in the live runtime — in-process
-socketpair streams and real TCP alike — is one *frame*:
+socketpair streams and real TCP alike, data plane and scale-out control
+link — is one *frame*:
 
     +--------+---------+----------+------------------+
     | magic  | version | flags    | body length (u32)|   8-byte header
     | 2 B    | 1 B     | 1 B      | big-endian       |
     +--------+---------+----------+------------------+
-    | body: one Message, encoded per version + flags |
+    | body: one Message, encoded per flags           |
     +------------------------------------------------+
 
-Two codecs share the framing, selected by the header's version byte:
+There is one codec, binary v2 (:data:`WIRE_VERSION`); any other version
+byte is a :class:`FrameError`.  The *generic* body (``flags == 0``) is
+one byte of message kind, six signed 64-bit integer fields (``src dst
+version hops origin request_id``), a u16-length-prefixed UTF-8 file
+name, then the payload as a tagged tree (see ``_enc_value``).  The
+encodable value set is None, bools, ints of any size, finite floats,
+str, bytes, lists (tuples become lists — the one lossy conversion) and
+dicts with string keys; every value in it decodes to itself, whatever
+its shape.
 
-* **v1 (JSON)** — the body is the UTF-8 JSON encoding of
-  :class:`repro.net.message.Message`.  Payloads must be JSON values;
-  ``bytes`` are carried via a tagged ``{"__b64__": ...}`` wrapper and
-  tuples become lists (the only lossy conversion — documented, and
-  irrelevant to the runtime, which uses dict payloads).  v1 frames
-  always carry ``flags == 0``.
-* **v2 (binary)** — a hand-rolled struct layout.  The *generic* body
-  (``flags == 0``) is one byte of message kind, six signed 64-bit
-  integer fields (``src dst version hops origin request_id``), a
-  u16-length-prefixed UTF-8 file name, then the payload as a tagged
-  tree (see ``_enc_value``).  The encodable value set is identical to
-  v1's (JSON scalars + bytes, string dict keys, finite floats), so the
-  two codecs round-trip the same messages — property-tested in
-  ``tests/test_runtime.py``.
-
-**Fixed-layout fast lane (within v2).**  The ~90% message kinds on the
-runtime's hot path — GET requests, ACK confirmations, and GET_REPLY
-responses — have rigid payload shapes, so v2 senders may emit them as
-struct-packed fixed layouts that bypass the tagged-value encoder
-entirely.  The header's flags byte names the layout:
+**Fixed-layout fast lane.**  The ~90% message kinds on the runtime's
+hot path — GET requests, ACK confirmations, and GET_REPLY responses —
+have rigid payload shapes, so senders may emit them as struct-packed
+fixed layouts that bypass the tagged-value encoder entirely.  The
+header's flags byte names the layout:
 
     ========  =================  =====================================
     flags     layout             applies when
     ========  =================  =====================================
-    0         generic            any message (the only v1 value)
+    0         generic            any message
     1         FIXED_GET          kind GET, payload is None or a short
                                  list of small ints (the §4 remaining-
                                  subtree ids; ≤255 entries, each 0–255)
@@ -56,10 +50,11 @@ entirely.  The header's flags byte names the layout:
     the trailer keeps the entire §4 routing path on the fixed lane.
 
 A fixed-layout frame decodes to the *exact same* ``Message`` the
-generic v2 body would produce (property-tested).  A v2 receiver
+generic body would produce (property-tested).  Every receiver
 understands all five flag values, so fixed and generic frames mix
 frame by frame on one connection — an ineligible message simply falls
-back to ``flags == 0``.
+back to ``flags == 0``.  A ``CONTROL`` message fits no fixed layout, so
+the control link's free-form dict bodies always travel generic.
 
 **One ``bytes`` per frame.**  :meth:`FrameEncoder.add` builds each
 frame once, as the immutable ``bytes`` the transport is handed: a
@@ -77,7 +72,7 @@ header checked inline and each body decoded in one pass straight off a
 ``memoryview`` (leaf strings/bytes are copied out, so decoded messages
 never alias the buffer).
 
-**Carried body.**  A message decoded from a v2 *generic* frame keeps
+**Carried body.**  A message decoded from a *generic* frame keeps
 that frame's body (``Message.__dict__[WIRE_BODY]``, not a field), and
 ``Message.forwarded`` hands it to the copy it returns.  ``src``, ``dst``
 and ``hops`` — all ``forwarded`` changes — sit at fixed offsets of the
@@ -86,20 +81,11 @@ packs those three fields over them: every child of an UPDATE fan-out
 costs a ~100-byte copy, not a walk of the payload tree.  The bytes are
 dropped, and the message encoded in full, whenever they could be wrong:
 a message built any other way (``fast_message``, ``replace``, ``reply``)
-never has them; a v1 target takes the JSON body; a message the fixed
-lane accepts takes the fixed lane; and a field ``struct`` rejects drops
-the copy, so the full encode raises the usual error.  Fixed-layout
-frames carry nothing: their encode is already one ``pack``, and a copy
-per frame costs what the shorter encode would save.
-
-**One codec per link kind.**  Nothing is negotiated: a connection's
-codec is fixed when it is made (:attr:`FrameConnection.version`).
-Every data-plane connection — node to node and client to node — sends
-and accepts binary v2, fixed lane on; the scale-out control link sends
-and accepts JSON v1, whose generic body carries its free-form dict
-payloads.  A frame of the other codec is a :class:`FrameError` naming
-its version, exactly as an unknown version is.  :func:`decode_message`
-takes either codec.
+never has them; a message the fixed lane accepts takes the fixed lane;
+and a field ``struct`` rejects drops the copy, so the full encode raises
+the usual error.  Fixed-layout frames carry nothing: their encode is
+already one ``pack``, and a copy per frame costs what the shorter
+encode would save.
 
 Decoding is hardened: bad magic, unknown wire version, unknown flags,
 oversized or truncated frames, malformed bodies, unknown message kinds
@@ -114,9 +100,6 @@ continue).
 from __future__ import annotations
 
 import asyncio
-import base64
-import binascii
-import json
 import math
 import struct
 from time import perf_counter
@@ -139,32 +122,29 @@ __all__ = [
     "FrameEncoder",
     "FrameConnection",
     "WRITE_HIGH_WATER",
-    "message_to_dict",
-    "message_from_dict",
     "encode_message",
     "decode_message",
 ]
 
 MAGIC = b"LL"
-WIRE_VERSION = 1
-"""The JSON codec — the scale-out control link's."""
-WIRE_VERSION_BINARY = 2
-"""The struct-packed binary codec — the data plane's."""
-_VERSIONS = (WIRE_VERSION, WIRE_VERSION_BINARY)
+WIRE_VERSION = 2
+"""The one wire version: binary v2, on every connection."""
+WIRE_VERSION_BINARY = WIRE_VERSION
+"""Alias of :data:`WIRE_VERSION`; ``bench/layers.py`` imports it."""
 HEADER = struct.Struct(">2sBBI")
 MAX_FRAME = 1 << 20
 """Ceiling on body size (1 MiB): a decode-bomb guard."""
 
 FRAME_GENERIC = 0
-"""Flags value: the generic body for the frame's wire version."""
+"""Flags value: the generic body."""
 FRAME_GET = 1
-"""Flags value: fixed-layout GET (payload None), v2 only."""
+"""Flags value: fixed-layout GET (payload None or subtree ids)."""
 FRAME_ACK = 2
-"""Flags value: fixed-layout ACK (payload None), v2 only."""
+"""Flags value: fixed-layout ACK (payload None)."""
 FRAME_GET_REPLY = 3
-"""Flags value: fixed-layout GET_REPLY, v2 only."""
+"""Flags value: fixed-layout GET_REPLY."""
 FRAME_OVERLOAD = 4
-"""Flags value: fixed-layout OVERLOAD shed reply, v2 only."""
+"""Flags value: fixed-layout OVERLOAD shed reply."""
 
 class WireError(Exception):
     """Base class for everything the wire layer can reject."""
@@ -178,93 +158,7 @@ class WireDecodeError(WireError):
     """A well-framed body that does not decode to a valid Message."""
 
 
-# -- v1 payload codec (JSON) ---------------------------------------------
-
-def _encode_payload(value: Any) -> Any:
-    """JSON-safe transform: bytes → tagged base64, tuples → lists."""
-    if isinstance(value, bytes):
-        return {"__b64__": base64.b64encode(value).decode("ascii")}
-    if isinstance(value, (list, tuple)):
-        return [_encode_payload(v) for v in value]
-    if isinstance(value, dict):
-        out = {}
-        for key, val in value.items():
-            if not isinstance(key, str):
-                raise WireDecodeError(
-                    f"payload object keys must be strings, got {key!r}"
-                )
-            out[key] = _encode_payload(val)
-        return out
-    if value is None or isinstance(value, (str, int, float, bool)):
-        return value
-    raise WireDecodeError(f"payload of type {type(value).__name__} is not wire-safe")
-
-
-def _decode_payload(value: Any) -> Any:
-    if isinstance(value, dict):
-        if set(value) == {"__b64__"}:
-            tag = value["__b64__"]
-            if not isinstance(tag, str):
-                raise WireDecodeError("__b64__ tag must be a string")
-            try:
-                return base64.b64decode(tag.encode("ascii"), validate=True)
-            except (binascii.Error, ValueError) as exc:
-                raise WireDecodeError(f"bad base64 payload: {exc}") from None
-        return {k: _decode_payload(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_decode_payload(v) for v in value]
-    return value
-
-
-# -- message <-> dict ----------------------------------------------------
-
-_INT_FIELDS = ("src", "dst", "version", "hops", "origin", "request_id")
-
-
-def message_to_dict(msg: Message) -> dict[str, Any]:
-    """The JSON-object form of one message."""
-    return {
-        "kind": msg.kind.value,
-        "src": msg.src,
-        "dst": msg.dst,
-        "file": msg.file,
-        "payload": _encode_payload(msg.payload),
-        "version": msg.version,
-        "hops": msg.hops,
-        "origin": msg.origin,
-        "request_id": msg.request_id,
-    }
-
-
-def message_from_dict(data: Any) -> Message:
-    """Validate and rebuild a message from its JSON-object form."""
-    if not isinstance(data, dict):
-        raise WireDecodeError(
-            f"frame body must be a JSON object, got {type(data).__name__}"
-        )
-    try:
-        kind = MessageKind(data["kind"])
-    except KeyError:
-        raise WireDecodeError("frame body missing 'kind'") from None
-    except ValueError:
-        raise WireDecodeError(f"unknown message kind {data['kind']!r}") from None
-    fields: dict[str, Any] = {"kind": kind}
-    for name in _INT_FIELDS:
-        value = data.get(name, 0 if name not in ("origin",) else -1)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise WireDecodeError(f"field {name!r} must be an integer, got {value!r}")
-        fields[name] = value
-    file = data.get("file", "")
-    if not isinstance(file, str):
-        raise WireDecodeError(f"field 'file' must be a string, got {file!r}")
-    fields["file"] = file
-    fields["payload"] = _decode_payload(data.get("payload"))
-    if "src" not in data or "dst" not in data:
-        raise WireDecodeError("frame body missing 'src'/'dst'")
-    return Message(**fields)
-
-
-# -- v2 body codec (binary) ----------------------------------------------
+# -- body codec ----------------------------------------------------------
 #
 # Generic body: kind code (u8), the six int fields as signed 64-bit, and
 # the file-name length (u16), followed by the UTF-8 name bytes and the
@@ -321,9 +215,9 @@ _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 def _enc_value(buf: bytearray, value: Any) -> None:
     """Append one tagged payload value to ``buf``.
 
-    Accepts exactly the v1-encodable set so the codecs stay equivalent:
-    None/bool/int/finite float/str/bytes, lists (tuples become lists),
-    and dicts with string keys.
+    Accepts None/bool/int/finite float/str/bytes, lists (tuples become
+    lists), and dicts with string keys; anything else is a
+    :class:`WireDecodeError`.
     """
     if value is None:
         buf.append(_T_NONE)
@@ -342,8 +236,8 @@ def _enc_value(buf: bytearray, value: Any) -> None:
             buf += raw
     elif isinstance(value, float):
         if not math.isfinite(value):
-            # json.dumps(allow_nan=False) rejects these too: keep the
-            # encodable sets identical across codecs.
+            # Rejected, not carried: a NaN would not decode to a value
+            # equal to itself.
             raise WireDecodeError("non-finite float is not wire-safe")
         buf.append(_T_FLOAT)
         buf += _S_D.pack(value)
@@ -543,19 +437,19 @@ def _fixed_frame(msg: Message) -> bytes | None:
     try:
         if kind is _GET_REPLY:
             head = _F_REPLY.pack(
-                MAGIC, WIRE_VERSION_BINARY, FRAME_GET_REPLY,
+                MAGIC, WIRE_VERSION, FRAME_GET_REPLY,
                 _S_FL_REPLY.size + size + len(tail), msg.src, msg.dst,
                 msg.version, msg.hops, msg.origin, msg.request_id, first, size,
             )
         elif kind is _OVERLOAD:
             head = _F_OVERLOAD.pack(
-                MAGIC, WIRE_VERSION_BINARY, FRAME_OVERLOAD,
+                MAGIC, WIRE_VERSION, FRAME_OVERLOAD,
                 _S_FL_OVERLOAD.size + size, msg.src, msg.dst, msg.version,
                 msg.hops, msg.origin, msg.request_id, first, second, size,
             )
         else:
             head = _F_COMMON.pack(
-                MAGIC, WIRE_VERSION_BINARY,
+                MAGIC, WIRE_VERSION,
                 FRAME_GET if kind is _GET else FRAME_ACK,
                 _S_FL_COMMON.size + size + len(tail), msg.src, msg.dst,
                 msg.version, msg.hops, msg.origin, msg.request_id, size,
@@ -691,40 +585,30 @@ class FrameEncoder:
         self._frames: list[bytes] = []
 
     def add(self, msg: Message, version: int = WIRE_VERSION) -> int:
-        """Build and queue one frame; returns its size in bytes."""
-        frame = None
-        if version == WIRE_VERSION_BINARY:
-            if self.fixed:
-                frame = _fixed_frame(msg)
-            if frame is None:
-                # A forwarded message still carrying the generic body it
-                # was decoded from differs from it in src, dst and hops
-                # only: copy and patch instead of encoding again.
-                body = msg.__dict__.get(WIRE_BODY)
-                if body is not None:
-                    body = bytearray(body)
-                    try:
-                        _S_SRC_DST.pack_into(body, _SRC_AT, msg.src, msg.dst)
-                        _S_Q.pack_into(body, _HOPS_AT, msg.hops)
-                    except struct.error:
-                        body = None  # the full encode names the field
-                if body is None:
-                    body = bytearray()
-                    _encode_body_v2(body, msg)
-        elif version == WIRE_VERSION:
-            try:
-                body = json.dumps(
-                    message_to_dict(msg), separators=(",", ":"),
-                    allow_nan=False,
-                ).encode("utf-8")
-            except (TypeError, ValueError) as exc:
-                raise WireDecodeError(
-                    f"message is not wire-encodable: {exc}"
-                ) from None
-        else:
+        """Build and queue one frame; returns its size in bytes.
+
+        ``version`` can only be :data:`WIRE_VERSION` (``bench/trace.py``
+        passes it through); any other is a :class:`FrameError`.
+        """
+        if version != WIRE_VERSION:
             raise FrameError(f"unsupported wire version {version}")
+        frame = _fixed_frame(msg) if self.fixed else None
         if frame is None:
-            frame = HEADER.pack(MAGIC, version, FRAME_GENERIC, len(body)) + body
+            # A forwarded message still carrying the generic body it was
+            # decoded from differs from it in src, dst and hops only:
+            # copy and patch instead of encoding again.
+            body = msg.__dict__.get(WIRE_BODY)
+            if body is not None:
+                body = bytearray(body)
+                try:
+                    _S_SRC_DST.pack_into(body, _SRC_AT, msg.src, msg.dst)
+                    _S_Q.pack_into(body, _HOPS_AT, msg.hops)
+                except struct.error:
+                    body = None  # the full encode names the field
+            if body is None:
+                body = bytearray()
+                _encode_body_v2(body, msg)
+            frame = HEADER.pack(MAGIC, WIRE_VERSION, FRAME_GENERIC, len(body)) + body
         if len(frame) - HEADER.size > MAX_FRAME:
             raise FrameError(
                 f"frame body of {len(frame) - HEADER.size} bytes exceeds {MAX_FRAME}"
@@ -763,59 +647,42 @@ class FrameEncoder:
 
 # -- frame decoder helpers -----------------------------------------------
 
-def _check_header(
-    header, offset: int, versions: tuple[int, ...] = _VERSIONS
-) -> tuple[int, int, int]:
-    """Validate an 8-byte header; return ``(version, flags, length)``."""
+def _check_header(header, offset: int) -> tuple[int, int]:
+    """Validate an 8-byte header; return ``(flags, length)``."""
     magic, version, flags, length = HEADER.unpack_from(header, offset)
     if magic != MAGIC:
         raise FrameError(f"bad magic {bytes(magic)!r} (expected {MAGIC!r})")
-    if version not in versions:
+    if version != WIRE_VERSION:
         raise FrameError(f"unsupported wire version {version}")
     if not FRAME_GENERIC <= flags <= FRAME_OVERLOAD:
         raise FrameError(f"unknown frame flags {flags}")
     if length > MAX_FRAME:
         raise FrameError(f"frame body of {length} bytes exceeds {MAX_FRAME}")
-    return version, flags, length
+    return flags, length
 
 
-def _decode_body(version: int, flags: int, body) -> Message:
-    if version == WIRE_VERSION_BINARY:
-        if flags != FRAME_GENERIC:
-            return _decode_body_fixed(flags, body)
-        return _decode_body_v2(body)
-    if flags != FRAME_GENERIC:
-        raise WireDecodeError(
-            f"v1 frames carry no fixed layouts (flags {flags})"
-        )
-    try:
-        data = json.loads(bytes(body).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireDecodeError(f"malformed frame body: {exc}") from None
-    return message_from_dict(data)
-
-
-def encode_message(msg: Message, version: int = WIRE_VERSION,
-                   fixed: bool = True) -> bytes:
-    """One complete frame (header + body) for ``msg`` at ``version``.
+def encode_message(msg: Message, *, fixed: bool = True) -> bytes:
+    """One complete frame (header + body) for ``msg``.
 
     The convenience byte-string form of :class:`FrameEncoder` — tests
     and one-shot callers; hot paths hold an encoder and flush it whole.
     """
     encoder = FrameEncoder(fixed=fixed)
-    encoder.add(msg, version)
+    encoder.add(msg)
     return encoder.take_bytes()
 
 
 def decode_message(frame: bytes) -> Message:
-    """Decode one complete frame, of either codec, from a byte string."""
+    """Decode one complete frame from a byte string."""
     if len(frame) < HEADER.size:
         raise FrameError(f"truncated header: {len(frame)} bytes")
-    version, flags, length = _check_header(frame, 0)
+    flags, length = _check_header(frame, 0)
     body = memoryview(frame)[HEADER.size:]
     if len(body) != length:
         raise FrameError(f"body length {len(body)} does not match header {length}")
-    return _decode_body(version, flags, body)
+    if flags:
+        return _decode_body_fixed(flags, body)
+    return _decode_body_v2(body)
 
 
 # -- connection ----------------------------------------------------------
@@ -836,7 +703,7 @@ class FrameConnection(asyncio.Protocol):
     ``on_frames(conn, frames, errors)``: ``frames`` is the list of
     decoded messages, ``errors`` counts well-framed bodies that failed
     to decode (skipped; framing stays aligned).  Decoded messages never
-    alias the buffer.  Broken framing — a frame of the other codec
+    alias the buffer.  Broken framing — an unknown version byte
     included — or EOF inside a frame, sets :attr:`error` to the
     :class:`FrameError` and closes the connection.  With no
     ``on_frames`` (a send-only peer stream) inbound bytes are dropped.
@@ -851,20 +718,14 @@ class FrameConnection(asyncio.Protocol):
 
     ``on_lost(conn)`` fires once, when the connection stops being
     usable: peer EOF, a framing or socket error, or :meth:`close`.
-
-    ``version`` is the connection's one codec, both ways: binary v2
-    (the data plane, the default) or JSON v1 (the control link).
     """
 
     def __init__(
         self,
         on_frames: Callable[["FrameConnection", list, int], None] | None = None,
         on_lost: Callable[["FrameConnection"], None] | None = None,
-        *,
-        version: int = WIRE_VERSION_BINARY,
     ) -> None:
         self.encoder = FrameEncoder()
-        self.version = version
         self.transport: asyncio.Transport | None = None
         self.closed = False
         self.paused = False
@@ -895,7 +756,6 @@ class FrameConnection(asyncio.Protocol):
             data = buf
         header_size = HEADER.size
         unpack_header = HEADER.unpack_from
-        expect = self.version
         size = len(data)
         frames: list[Message] = []
         errors = 0
@@ -905,9 +765,9 @@ class FrameConnection(asyncio.Protocol):
         try:
             while size - pos >= header_size:
                 magic, version, flags, length = unpack_header(mv, pos)
-                if (magic != MAGIC or version != expect
+                if (magic != MAGIC or version != WIRE_VERSION
                         or flags > FRAME_OVERLOAD or length > MAX_FRAME):
-                    _check_header(mv, pos, (expect,))  # raises
+                    _check_header(mv, pos)  # raises
                 start = pos + header_size
                 end = start + length
                 if end > size:
@@ -915,10 +775,10 @@ class FrameConnection(asyncio.Protocol):
                 # The body slice goes straight into the call: a view bound
                 # to a local would still be exported at ``mv.release()``.
                 try:
-                    if flags and version == WIRE_VERSION_BINARY:
+                    if flags:
                         frames.append(_decode_body_fixed(flags, mv[start:end]))
                     else:
-                        frames.append(_decode_body(version, flags, mv[start:end]))
+                        frames.append(_decode_body_v2(mv[start:end]))
                 except WireDecodeError:
                     errors += 1
                 pos = end
@@ -961,8 +821,7 @@ class FrameConnection(asyncio.Protocol):
     # -- write side ---------------------------------------------------------
 
     def add(self, msg: Message) -> None:
-        """Build one frame, in :attr:`version`, into the encoder;
-        :meth:`flush` writes it.
+        """Build one frame into the encoder; :meth:`flush` writes it.
 
         Raises :class:`WireError` on an unencodable message (nothing is
         queued, the connection stays usable) and
@@ -972,7 +831,7 @@ class FrameConnection(asyncio.Protocol):
         """
         if self.closed:
             raise ConnectionError("connection is closed")
-        self.encoder.add(msg, self.version)
+        self.encoder.add(msg)
 
     def flush(self) -> None:
         """Write every pending frame now, unless paused or closed."""

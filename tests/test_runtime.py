@@ -11,7 +11,7 @@ import gc
 import socket
 import struct
 import warnings
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import given, settings
@@ -48,7 +48,6 @@ from repro.runtime.wire import (
     MAGIC,
     MAX_FRAME,
     WIRE_VERSION,
-    WIRE_VERSION_BINARY,
     FrameConnection,
     FrameEncoder,
     FrameError,
@@ -56,15 +55,13 @@ from repro.runtime.wire import (
     WireError,
     decode_message,
     encode_message,
-    message_from_dict,
-    message_to_dict,
 )
 
 # ---------------------------------------------------------------------------
 # wire codec: round trips
 # ---------------------------------------------------------------------------
 
-json_scalars = st.one_of(
+wire_scalars = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(min_value=-(2**53), max_value=2**53),
@@ -72,8 +69,8 @@ json_scalars = st.one_of(
     st.text(max_size=40),
     st.binary(max_size=40),
 )
-json_payloads = st.recursive(
-    json_scalars,
+wire_payloads = st.recursive(
+    wire_scalars,
     lambda inner: st.one_of(
         st.lists(inner, max_size=4),
         st.dictionaries(st.text(max_size=10), inner, max_size=4),
@@ -86,7 +83,7 @@ messages = st.builds(
     src=st.integers(min_value=-2, max_value=2**31 - 1),
     dst=st.integers(min_value=-2, max_value=2**31 - 1),
     file=st.text(max_size=60),
-    payload=json_payloads,
+    payload=wire_payloads,
     version=st.integers(min_value=0, max_value=2**31 - 1),
     hops=st.integers(min_value=0, max_value=1000),
     origin=st.integers(min_value=-1, max_value=2**31 - 1),
@@ -110,71 +107,141 @@ class TestWireRoundTrip:
     def test_encode_decode_is_identity(self, msg):
         assert decode_message(encode_message(msg)) == msg
 
-    @settings(max_examples=60)
-    @given(messages)
-    def test_dict_form_is_json_object(self, msg):
-        data = message_to_dict(msg)
-        assert isinstance(data, dict)
-        assert message_from_dict(data) == msg
-
     def test_tuple_payload_round_trips_as_list(self):
         msg = Message(kind=MessageKind.GET, src=0, dst=1, payload=(1, (2, 3)))
         decoded = decode_message(encode_message(msg))
         assert decoded.payload == [1, [2, 3]]
 
     def test_bytes_payload_survives(self):
-        blob = bytes(range(256))
+        # No payload shape is reserved: next to real bytes, a dict that
+        # looks like a bytes tag stays a dict.
+        payload = {"data": bytes(range(256)), "tagged": {"__b64__": "aGk="}}
         msg = Message(kind=MessageKind.INSERT, src=-1, dst=3, file="x",
-                      payload={"data": blob})
-        assert decode_message(encode_message(msg)).payload == {"data": blob}
+                      payload=payload)
+        assert decode_message(encode_message(msg)).payload == payload
 
 
 # ---------------------------------------------------------------------------
-# binary codec (v2): equivalence with v1
+# the binary codec: generic body
 # ---------------------------------------------------------------------------
 
 class TestBinaryCodec:
     @settings(max_examples=120)
     @given(messages)
     def test_binary_encode_decode_is_identity(self, msg):
-        assert decode_message(encode_message(msg, WIRE_VERSION_BINARY)) == msg
-
-    @settings(max_examples=80)
-    @given(messages)
-    def test_codecs_decode_to_the_same_message(self, msg):
-        via_json = decode_message(encode_message(msg, WIRE_VERSION))
-        via_binary = decode_message(encode_message(msg, WIRE_VERSION_BINARY))
-        assert via_json == via_binary
+        assert decode_message(encode_message(msg, fixed=False)) == msg
 
     @pytest.mark.parametrize("kind", list(MessageKind))
     def test_every_kind_round_trips_through_both_codecs(self, kind):
+        """Both body codecs of the one wire version: the fixed lane
+        where it applies, and the generic body."""
         msg = Message(
             kind=kind, src=3, dst=12, file="every-kind.dat",
             payload={"n": [1, 2.5, None, b"\x00\xff"], "s": "text"},
             version=4, hops=2, origin=3, request_id=991,
         )
-        for version in (WIRE_VERSION, WIRE_VERSION_BINARY):
-            assert decode_message(encode_message(msg, version)) == msg
+        for fixed in (True, False):
+            assert decode_message(encode_message(msg, fixed=fixed)) == msg
 
     def test_binary_tuple_payload_round_trips_as_list(self):
         msg = Message(kind=MessageKind.GET, src=0, dst=1, payload=(1, (2, 3)))
-        decoded = decode_message(encode_message(msg, WIRE_VERSION_BINARY))
+        decoded = decode_message(encode_message(msg))
         assert decoded.payload == [1, [2, 3]]
 
     def test_binary_is_smaller_for_runtime_shaped_messages(self):
+        """The fixed lane is strictly smaller than the generic body for
+        the reply shape every GET ends in."""
         msg = Message(
             kind=MessageKind.GET_REPLY, src=3, dst=9, file="bench-00.dat",
             payload={"payload": "x" * 64, "server": 3},
             version=4, hops=3, origin=9, request_id=12345,
         )
-        small = encode_message(msg, WIRE_VERSION_BINARY)
-        big = encode_message(msg, WIRE_VERSION)
+        small = encode_message(msg)
+        big = encode_message(msg, fixed=False)
         assert len(small) < len(big)
 
     def test_huge_int_payload_round_trips(self):
         msg = Message(kind=MessageKind.ACK, src=0, dst=1,
                       payload={"big": 1 << 200, "neg": -(1 << 200)})
-        assert decode_message(encode_message(msg, WIRE_VERSION_BINARY)) == msg
+        assert decode_message(encode_message(msg)) == msg
+
+
+# ---------------------------------------------------------------------------
+# golden frames: the data plane's bytes, pinned
+# ---------------------------------------------------------------------------
+
+_GOLDEN_FIELDS = dict(src=3, dst=12, file="golden.dat", version=4, hops=2,
+                      origin=3, request_id=991)
+
+
+class TestGoldenFrames:
+    """Data-plane frames, byte for byte: every fixed layout (GET with
+    and without its subtree trailer, ACK, GET_REPLY with a str and a
+    bytes value, OVERLOAD) and one generic UPDATE.  A change here is a
+    change of the wire format."""
+
+    @pytest.mark.parametrize("msg, frame", [
+        pytest.param(
+            Message(kind=MessageKind.GET, **_GOLDEN_FIELDS),
+            "4c4c02010000003c0000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000a676f6c64656e"
+            "2e646174",
+            id="fixed-get",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.GET, payload=[1, 5, 7], **_GOLDEN_FIELDS),
+            "4c4c0201000000400000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000a676f6c64656e"
+            "2e64617403010507",
+            id="fixed-get-subtrees",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.ACK, **_GOLDEN_FIELDS),
+            "4c4c02020000003c0000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000a676f6c64656e"
+            "2e646174",
+            id="fixed-ack",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.GET_REPLY, **_GOLDEN_FIELDS,
+                    payload={"payload": "value", "server": 12}),
+            "4c4c02030000004e0000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000000000000000c"
+            "000a676f6c64656e2e646174010000000576616c7565",
+            id="fixed-reply-str",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.GET_REPLY, **_GOLDEN_FIELDS,
+                    payload={"payload": b"\x00\xff", "server": 12}),
+            "4c4c02030000004b0000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000000000000000c"
+            "000a676f6c64656e2e646174020000000200ff",
+            id="fixed-reply-bytes",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.OVERLOAD, **_GOLDEN_FIELDS,
+                    payload={"shed_by": 12, "redirect": 5}),
+            "4c4c02040000004c0000000000000003000000000000000c0000000000000004"
+            "0000000000000002000000000000000300000000000003df000000000000000c"
+            "0000000000000005000a676f6c64656e2e646174",
+            id="fixed-overload",
+        ),
+        pytest.param(
+            Message(kind=MessageKind.UPDATE, **_GOLDEN_FIELDS, payload={
+            "text": "x", "n": [1, 2.5, None, True, b"\x01"], "big": -(1 << 70),
+        }),
+            "4c4c020000000089050000000000000003000000000000000c00000000000000"
+            "040000000000000002000000000000000300000000000003df000a676f6c6465"
+            "6e2e64617408000000030000000474657874050000000178000000016e070000"
+            "0005030000000000000001044004000000000000000106000000010100000003"
+            "6269670900000009c00000000000000000",
+            id="generic-update",
+        ),
+    ])
+    def test_encode_is_byte_identical_and_decodes_back(self, msg, frame):
+        frame = bytes.fromhex(frame)
+        assert encode_message(msg) == frame
+        assert decode_message(frame) == msg
 
 
 class TestBinaryHardening:
@@ -182,24 +249,24 @@ class TestBinaryHardening:
         # fixed=False: these tests corrupt specific *generic*-codec body
         # offsets, so keep the frame off the fixed-layout fast lane.
         return encode_message(
-            Message(kind=MessageKind.GET, src=0, dst=1, file="abc", **kwargs),
-            WIRE_VERSION_BINARY,
-            fixed=False,
+            Message(kind=MessageKind.GET, src=0, dst=1, file="abc", **kwargs), fixed=False,
         )
 
     def _reframe(self, body: bytes) -> bytes:
-        return HEADER.pack(MAGIC, WIRE_VERSION_BINARY, 0, len(body)) + body
+        return HEADER.pack(MAGIC, WIRE_VERSION, 0, len(body)) + body
 
     def test_data_connection_rejects_a_v1_frame(self):
-        """A data-plane connection speaks binary v2 only: a JSON-v1
-        frame is broken framing, named by its version, and closes it
-        after the frames before it are delivered."""
+        """An unknown version byte — 1 included, the retired JSON
+        codec's — is broken framing, named by its version, and closes
+        the connection after the frames before it are delivered."""
         good = Message(kind=MessageKind.GET, src=0, dst=1, file="abc")
-        v1 = encode_message(good, WIRE_VERSION)
-        assert decode_message(v1) == good  # a well-formed v1 frame
-        conn, out, _errors = _feed([encode_message(good, WIRE_VERSION_BINARY) + v1])
+        frame = encode_message(good)
+        v1 = frame[:2] + bytes([1]) + frame[3:]
+        with pytest.raises(FrameError, match="unsupported wire version 1"):
+            decode_message(v1)
+        conn, out, _errors = _feed([frame + v1])
         assert out == [good] and isinstance(conn.error, FrameError)
-        assert str(conn.error) == f"unsupported wire version {WIRE_VERSION}"
+        assert str(conn.error) == "unsupported wire version 1"
         assert conn.closed and conn.transport.closed
 
     def test_unknown_kind_code_is_a_decode_error(self):
@@ -299,13 +366,13 @@ class TestFixedLayouts:
     """The struct-packed GET/ACK/GET_REPLY lane inside wire v2."""
 
     def _fixed_reframe(self, flags: int, body: bytes) -> bytes:
-        return HEADER.pack(MAGIC, WIRE_VERSION_BINARY, flags, len(body)) + body
+        return HEADER.pack(MAGIC, WIRE_VERSION, flags, len(body)) + body
 
     @settings(max_examples=120)
     @given(fixed_eligible)
     def test_fixed_decodes_identical_to_generic_v2(self, msg):
-        generic = encode_message(msg, WIRE_VERSION_BINARY, fixed=False)
-        fixed = encode_message(msg, WIRE_VERSION_BINARY)
+        generic = encode_message(msg, fixed=False)
+        fixed = encode_message(msg)
         assert fixed[3] == _FLAG_FOR_KIND[msg.kind]  # the lane is taken
         assert generic[3] == FRAME_GENERIC
         assert decode_message(fixed) == decode_message(generic) == msg
@@ -313,8 +380,8 @@ class TestFixedLayouts:
     @settings(max_examples=80)
     @given(fixed_eligible)
     def test_fixed_is_never_larger_than_generic(self, msg):
-        fixed = encode_message(msg, WIRE_VERSION_BINARY)
-        generic = encode_message(msg, WIRE_VERSION_BINARY, fixed=False)
+        fixed = encode_message(msg)
+        generic = encode_message(msg, fixed=False)
         assert len(fixed) <= len(generic)
 
     @pytest.mark.parametrize("msg", [
@@ -347,7 +414,7 @@ class TestFixedLayouts:
                 payload={"shed_by": 2, "redirect": 1 << 70}),
     ])
     def test_ineligible_messages_fall_back_to_generic(self, msg):
-        frame = encode_message(msg, WIRE_VERSION_BINARY)
+        frame = encode_message(msg)
         assert frame[3] == FRAME_GENERIC
         assert decode_message(frame) == msg
 
@@ -355,17 +422,10 @@ class TestFixedLayouts:
         # bytes() validates the trailer at C speed; bools ride through
         # as their int value, which compares equal end to end.
         msg = Message(kind=MessageKind.GET, src=0, dst=1, payload=[True, 0])
-        frame = encode_message(msg, WIRE_VERSION_BINARY)
+        frame = encode_message(msg)
         assert frame[3] == FRAME_GET
         decoded = decode_message(frame)
         assert decoded == msg and decoded.payload == [1, 0]
-
-    def test_v1_frames_carry_no_fixed_layouts(self):
-        msg = Message(kind=MessageKind.GET, src=0, dst=1, file="f")
-        body = encode_message(msg, WIRE_VERSION)[HEADER.size:]
-        frame = HEADER.pack(MAGIC, WIRE_VERSION, FRAME_GET, len(body)) + body
-        with pytest.raises(WireDecodeError, match="v1 frames carry no fixed"):
-            decode_message(frame)
 
     def test_truncated_fixed_body_is_a_decode_error(self):
         with pytest.raises(WireDecodeError, match="too short"):
@@ -378,30 +438,30 @@ class TestFixedLayouts:
     def test_overload_trailing_bytes_are_a_decode_error(self):
         msg = Message(kind=MessageKind.OVERLOAD, src=0, dst=1, file="f",
                       payload={"shed_by": 4, "redirect": -1})
-        body = encode_message(msg, WIRE_VERSION_BINARY)[HEADER.size:]
+        body = encode_message(msg)[HEADER.size:]
         with pytest.raises(WireDecodeError, match="trailing.*OVERLOAD"):
             decode_message(self._fixed_reframe(FRAME_OVERLOAD, body + b"\x00"))
 
     @settings(max_examples=80)
     @given(fixed_overloads)
     def test_overload_round_trips_on_both_codecs(self, msg):
-        # v2 takes the fixed lane; v1 carries the same payload as JSON.
-        v2 = encode_message(msg, WIRE_VERSION_BINARY)
-        assert v2[3] == FRAME_OVERLOAD
-        v1 = encode_message(msg, WIRE_VERSION)
-        assert v1[3] == FRAME_GENERIC
-        assert decode_message(v2) == decode_message(v1) == msg
+        # The fixed lane and the generic body carry the same message.
+        fixed = encode_message(msg)
+        assert fixed[3] == FRAME_OVERLOAD
+        generic = encode_message(msg, fixed=False)
+        assert generic[3] == FRAME_GENERIC
+        assert decode_message(fixed) == decode_message(generic) == msg
 
     def test_ack_trailing_bytes_are_a_decode_error(self):
         msg = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
-        body = encode_message(msg, WIRE_VERSION_BINARY)[HEADER.size:]
+        body = encode_message(msg)[HEADER.size:]
         with pytest.raises(WireDecodeError, match="trailing"):
             decode_message(self._fixed_reframe(FRAME_ACK, body + b"\x00"))
 
     def test_bad_subtree_trailer_is_a_decode_error(self):
         msg = Message(kind=MessageKind.GET, src=0, dst=1, file="f",
                       payload=[1, 2])
-        body = bytearray(encode_message(msg, WIRE_VERSION_BINARY)[HEADER.size:])
+        body = bytearray(encode_message(msg)[HEADER.size:])
         body[-3] = 9  # count byte claims 9 ids; only 2 follow
         with pytest.raises(WireDecodeError, match="subtree trailer"):
             decode_message(self._fixed_reframe(FRAME_GET, bytes(body)))
@@ -409,7 +469,7 @@ class TestFixedLayouts:
     def test_unknown_reply_payload_kind_is_a_decode_error(self):
         msg = Message(kind=MessageKind.GET_REPLY, src=0, dst=1, file="f",
                       payload={"payload": None, "server": 2})
-        body = bytearray(encode_message(msg, WIRE_VERSION_BINARY)[HEADER.size:])
+        body = bytearray(encode_message(msg)[HEADER.size:])
         body[-5] = 77  # the value-kind byte before the u32 length
         with pytest.raises(WireDecodeError, match="payload kind"):
             decode_message(self._fixed_reframe(FRAME_GET_REPLY, bytes(body)))
@@ -417,7 +477,7 @@ class TestFixedLayouts:
     def test_reply_none_payload_with_bytes_is_a_decode_error(self):
         msg = Message(kind=MessageKind.GET_REPLY, src=0, dst=1, file="f",
                       payload={"payload": b"x", "server": 2})
-        body = bytearray(encode_message(msg, WIRE_VERSION_BINARY)[HEADER.size:])
+        body = bytearray(encode_message(msg)[HEADER.size:])
         body[-6] = 0  # retag the 1-byte payload as None, bytes still follow
         with pytest.raises(WireDecodeError, match="carries bytes"):
             decode_message(self._fixed_reframe(FRAME_GET_REPLY, bytes(body)))
@@ -444,9 +504,9 @@ class TestFrameEncoder:
         ]
         enc = FrameEncoder()
         for m in msgs:
-            enc.add(m, WIRE_VERSION_BINARY)
+            enc.add(m)
         assert enc.pending == 5
-        singles = [encode_message(m, WIRE_VERSION_BINARY) for m in msgs]
+        singles = [encode_message(m) for m in msgs]
         assert enc.pending_bytes == sum(map(len, singles))
         assert enc.take_bytes() == b"".join(singles)
 
@@ -455,21 +515,21 @@ class TestFrameEncoder:
         bad = Message(kind=MessageKind.INSERT, src=0, dst=1,
                       payload={"obj": object()})
         enc = FrameEncoder()
-        enc.add(good, WIRE_VERSION_BINARY)
+        enc.add(good)
         with pytest.raises(WireError):
-            enc.add(bad, WIRE_VERSION_BINARY)
+            enc.add(bad)
         assert enc.pending == 1  # the bad frame left no partial bytes
-        enc.add(good, WIRE_VERSION_BINARY)
+        enc.add(good)
         blob = enc.take_bytes()
-        assert blob == encode_message(good, WIRE_VERSION_BINARY) * 2
+        assert blob == encode_message(good) * 2
 
     def test_encoder_is_reusable_after_flush(self):
         msg = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
         enc = FrameEncoder()
-        enc.add(msg, WIRE_VERSION_BINARY)
+        enc.add(msg)
         first = enc.take_bytes()
         assert enc.pending == 0 and enc.pending_bytes == 0
-        enc.add(msg, WIRE_VERSION_BINARY)
+        enc.add(msg)
         assert enc.take_bytes() == first
 
 
@@ -571,7 +631,7 @@ def _reference_frame(msg: Message, fixed: bool) -> bytes:
                 body = None
         if body is None:
             wire_module._encode_body_v2(buf, msg)
-    HEADER.pack_into(buf, 0, MAGIC, WIRE_VERSION_BINARY, flags,
+    HEADER.pack_into(buf, 0, MAGIC, WIRE_VERSION, flags,
                      len(buf) - HEADER.size)
     return bytes(buf)
 
@@ -674,7 +734,7 @@ class TestOnePackFrames:
     @staticmethod
     def _built(msg: Message, fixed: bool) -> bytes:
         encoder = FrameEncoder(fixed=fixed)
-        size = encoder.add(msg, WIRE_VERSION_BINARY)
+        size = encoder.add(msg)
         frame = encoder.take_bytes()
         assert size == len(frame) and encoder.pending == 0
         return frame
@@ -707,7 +767,7 @@ class TestOnePackFrames:
            st.booleans())
     def test_carried_frames_match_the_reference(self, msg, src, dst, hops, fixed):
         got = decode_message(
-            encode_message(replace(msg, hops=hops), WIRE_VERSION_BINARY, fixed=False)
+            encode_message(replace(msg, hops=hops), fixed=False)
         )
         hop = got.forwarded(src, dst)
         assert WIRE_BODY in hop.__dict__
@@ -721,12 +781,12 @@ def _fixed_frame(flags: int, ints: int, name: bytes = b"f", tail: bytes = b"",
     body = struct.pack(
         f">{ints}qH", *range(ints), len(name) if name_len is None else name_len
     ) + name + tail
-    return HEADER.pack(MAGIC, WIRE_VERSION_BINARY, flags, len(body)) + body
+    return HEADER.pack(MAGIC, WIRE_VERSION, flags, len(body)) + body
 
 
 class TestMalformedFixedBodies:
     @pytest.mark.parametrize("frame", [
-        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_GET, 8)
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, FRAME_GET, 8)
                      + bytes(8), id="short-get"),
         pytest.param(_fixed_frame(FRAME_GET_REPLY, 6), id="short-reply"),
         pytest.param(_fixed_frame(FRAME_OVERLOAD, 7), id="short-overload"),
@@ -760,8 +820,8 @@ class TestMalformedFixedBodies:
         before = Message(kind=MessageKind.GET, src=0, dst=1, file="a")
         after = Message(kind=MessageKind.GET_REPLY, src=1, dst=0, file="b",
                         payload={"payload": "v", "server": 1})
-        blob = (encode_message(before, WIRE_VERSION_BINARY) + frame
-                + encode_message(after, WIRE_VERSION_BINARY))
+        blob = (encode_message(before) + frame
+                + encode_message(after))
         for chunks in ([blob], [blob[i:i + 5] for i in range(0, len(blob), 5)]):
             conn, out, errors = _feed(chunks)
             assert conn.error is None
@@ -819,7 +879,7 @@ class TestFrameReader:
     @given(st.lists(messages, min_size=1, max_size=6),
            st.integers(min_value=1, max_value=64))
     def test_batch_decode_survives_any_chunking(self, msgs, chunk):
-        blob = b"".join(encode_message(m, WIRE_VERSION_BINARY) for m in msgs)
+        blob = b"".join(encode_message(m) for m in msgs)
         out, errors = self._drain(blob, chunk)
         assert out == msgs and errors == 0
 
@@ -829,7 +889,7 @@ class TestFrameReader:
             for i in range(3)
         ]
         frames = [
-            bytearray(encode_message(m, WIRE_VERSION_BINARY, fixed=False))
+            bytearray(encode_message(m, fixed=False))
             for m in msgs
         ]
         frames[1][-1] = 250  # the payload's single tag byte: unknown tag
@@ -842,7 +902,7 @@ class TestFrameReader:
                       payload={"shed_by": 2, "redirect": 5})
         after = Message(kind=MessageKind.GET, src=0, dst=3, file="c")
         frames = [
-            bytearray(encode_message(m, WIRE_VERSION_BINARY))
+            bytearray(encode_message(m))
             for m in (before, bad, after)
         ]
         assert frames[1][3] == FRAME_OVERLOAD
@@ -853,9 +913,7 @@ class TestFrameReader:
 
     def test_mid_frame_truncation_is_a_frame_error(self):
         blob = encode_message(
-            Message(kind=MessageKind.GET, src=0, dst=1, file="f"),
-            WIRE_VERSION_BINARY,
-        )[:-2]
+            Message(kind=MessageKind.GET, src=0, dst=1, file="f"))[:-2]
         with pytest.raises(FrameError, match="mid-frame"):
             self._drain(blob, chunk=5)
 
@@ -867,8 +925,8 @@ class TestFrameReader:
 
         # Split mid-frame so both decodes slice from the connection's
         # own buffer, which the second overwrites after the first.
-        blob1 = encode_message(first, WIRE_VERSION_BINARY)
-        blob2 = encode_message(second, WIRE_VERSION_BINARY)
+        blob1 = encode_message(first)
+        blob2 = encode_message(second)
         _conn, out, _errors = _feed(
             [blob1[:10], blob1[10:] + blob2[:10], blob2[10:]]
         )
@@ -879,7 +937,7 @@ class TestFrameReader:
 
 def _broken(frame: bytes) -> bytes:
     """``frame`` with one byte appended to its body and the header's
-    length to match: well framed, and no codec decodes it."""
+    length to match: well framed, and it does not decode."""
     body = frame[HEADER.size:] + b"\x00"
     return frame[:4] + len(body).to_bytes(4, "big") + body
 
@@ -889,13 +947,6 @@ lane_frames = st.one_of(
     st.tuples(messages, st.just("generic")),
     st.tuples(fixed_eligible, st.sampled_from(["generic", "fixed"])),
 )
-
-
-def _encode_as(msg: Message, version: int, lane: str) -> bytes:
-    """``msg`` framed by a link speaking ``version``: on the data plane
-    (v2) ``lane`` picks generic or fixed body, the control link (v1)
-    has one."""
-    return encode_message(msg, version, fixed=lane == "fixed")
 
 
 class TestFrameConnection:
@@ -909,9 +960,8 @@ class TestFrameConnection:
         """However the byte stream is cut, ``data_received`` yields the
         messages and decode-error count of one-shot decode; cut short
         inside a frame, it reports a ``FrameError`` after delivering
-        every frame that was complete.  Once per link kind: a data
-        connection fed v2 generic and fixed frames, a control
-        connection fed v1 frames."""
+        every frame that was complete.  Generic and fixed frames mix
+        on one stream."""
 
         def decodable(prefix):
             return [msg for (msg, _lane), broken in prefix if not broken]
@@ -923,38 +973,36 @@ class TestFrameConnection:
                 yield raw[pos:pos + step]
                 pos, turn = pos + step, turn + 1
 
-        for version in (WIRE_VERSION_BINARY, WIRE_VERSION):
-            frames = [
-                _broken(_encode_as(msg, version, lane)) if broken
-                else _encode_as(msg, version, lane)
-                for (msg, lane), broken in specs
-            ]
-            blob = b"".join(frames)
-            whole, out_whole, errors_whole = _feed([blob], version=version)
-            assert whole.error is None and whole.closed
-            assert out_whole == decodable(specs)
-            assert errors_whole == sum(broken for _spec, broken in specs)
-            conn, out, errors = _feed(chunked(blob), version=version)
-            assert conn.error is None
-            assert (out, errors) == (out_whole, errors_whole)
+        frames = []
+        for (msg, lane), broken in specs:
+            frame = encode_message(msg, fixed=lane == "fixed")
+            frames.append(_broken(frame) if broken else frame)
+        blob = b"".join(frames)
+        whole, out_whole, errors_whole = _feed([blob])
+        assert whole.error is None and whole.closed
+        assert out_whole == decodable(specs)
+        assert errors_whole == sum(broken for _spec, broken in specs)
+        conn, out, errors = _feed(chunked(blob))
+        assert conn.error is None
+        assert (out, errors) == (out_whole, errors_whole)
 
-            cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1))
-            ends = [sum(map(len, frames[:i + 1])) for i in range(len(frames))]
-            conn, out, errors = _feed(chunked(blob[:cut]), version=version)
-            assert out == decodable(specs[:sum(end <= cut for end in ends)])
-            if cut in ends:
-                assert conn.error is None
-            else:
-                assert isinstance(conn.error, FrameError)
-                assert "mid-frame" in str(conn.error)
-                assert conn.transport.closed
+        cut = data.draw(st.integers(min_value=1, max_value=len(blob) - 1))
+        ends = [sum(map(len, frames[:i + 1])) for i in range(len(frames))]
+        conn, out, errors = _feed(chunked(blob[:cut]))
+        assert out == decodable(specs[:sum(end <= cut for end in ends)])
+        if cut in ends:
+            assert conn.error is None
+        else:
+            assert isinstance(conn.error, FrameError)
+            assert "mid-frame" in str(conn.error)
+            assert conn.transport.closed
 
     def test_framing_damage_closes_after_delivering_what_decoded(self):
         good = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
         lost = []
         conn = FrameConnection(lambda *_a: None, lost.append)
         conn.connection_made(_FakeTransport())
-        conn.data_received(encode_message(good, WIRE_VERSION_BINARY) + b"XX\x02\x00")
+        conn.data_received(encode_message(good) + b"XX\x02\x00")
         conn.data_received(b"\x00\x00\x00\x00")
         assert isinstance(conn.error, FrameError) and "magic" in str(conn.error)
         assert conn.closed and conn.transport.closed and lost == [conn]
@@ -998,22 +1046,22 @@ class TestFrameConnection:
         assert out == msgs and errors == 0
 
     @pytest.mark.parametrize("header", [
-        pytest.param(HEADER.pack(b"XX", WIRE_VERSION_BINARY, FRAME_GENERIC, 0),
+        pytest.param(HEADER.pack(b"XX", WIRE_VERSION, FRAME_GENERIC, 0),
                      id="magic"),
         pytest.param(HEADER.pack(MAGIC, 0, FRAME_GENERIC, 0), id="version-0"),
         pytest.param(HEADER.pack(MAGIC, 3, FRAME_GENERIC, 0), id="version-3"),
-        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_OVERLOAD + 1, 0),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, FRAME_OVERLOAD + 1, 0),
                      id="flags-5"),
-        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, 255, 0),
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, 255, 0),
                      id="flags-255"),
-        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION_BINARY, FRAME_GET,
+        pytest.param(HEADER.pack(MAGIC, WIRE_VERSION, FRAME_GET,
                                  MAX_FRAME + 1), id="oversized"),
     ])
     def test_a_bad_header_fails_as_decode_message_does(self, header):
         """The inline header check of ``data_received`` raises the very
         ``FrameError`` ``decode_message`` does, after the frames before."""
         good = Message(kind=MessageKind.ACK, src=0, dst=1, file="f")
-        frame = encode_message(good, WIRE_VERSION_BINARY)
+        frame = encode_message(good)
         with pytest.raises(FrameError) as raised:
             decode_message(header)
         conn, out, errors = _feed([frame + header + frame])
@@ -1049,7 +1097,7 @@ class TestFrameConnection:
         conn.resume_writing()
         assert len(writes) == len(lanes) + 1
         assert writes[-1] == b"".join(
-            encode_message(msg, WIRE_VERSION_BINARY) for msg in lanes
+            encode_message(msg) for msg in lanes
         )
 
     def test_partial_socket_write_does_not_pin_the_scratch_buffer(self):
@@ -1314,80 +1362,73 @@ class TestCarriedBody:
     @settings(max_examples=120)
     @given(messages, _pids, _pids, st.integers(1, 40), st.booleans())
     def test_forwarded_frame_is_the_fresh_encode(self, msg, src, dst, cut, fixed):
-        frame = encode_message(msg, WIRE_VERSION_BINARY, fixed=False)
+        frame = encode_message(msg, fixed=False)
         _conn, out, _errors = _feed([frame[:cut], frame[cut:]])
         (got,) = out
         hop = got.forwarded(src, dst)
         fresh = _rebuilt(hop)
         assert hop == fresh and WIRE_BODY not in fresh.__dict__
         encoder = FrameEncoder(fixed=fixed)
-        encoder.add(hop, WIRE_VERSION_BINARY)
+        encoder.add(hop)
         patched = encoder.take_bytes()
-        assert patched == encode_message(fresh, WIRE_VERSION_BINARY, fixed=fixed)
+        assert patched == encode_message(fresh, fixed=fixed)
         assert decode_message(patched) == hop
-        # A v1 peer gets JSON, whatever the message carries.
-        assert encode_message(hop, WIRE_VERSION) == encode_message(fresh, WIRE_VERSION)
 
     def test_the_body_is_copied_not_encoded_again(self, full_encodes):
         update = Message(kind=MessageKind.UPDATE, src=3, dst=7, file="doc",
                          payload={"text": "x" * 40}, version=9, origin=3)
-        got = decode_message(encode_message(update, WIRE_VERSION_BINARY))
+        got = decode_message(encode_message(update))
         assert len(full_encodes) == 1
         encoder = FrameEncoder()
         for child in (1, 2, 4):
-            encoder.add(got.forwarded(7, child), WIRE_VERSION_BINARY)
+            encoder.add(got.forwarded(7, child))
         assert len(full_encodes) == 1  # three children, no further encode
         # Any other derivation drops the bytes and is encoded in full.
         for derived in (replace(got, dst=5), _rebuilt(got), got.reply(MessageKind.ACK)):
             assert WIRE_BODY not in derived.__dict__
-        encoder.add(replace(got, dst=5), WIRE_VERSION_BINARY)
-        assert len(full_encodes) == 2
-        # And so is a forwarded copy bound for a v1 peer (no v2 body at all).
-        encoder.add(got.forwarded(7, 1), WIRE_VERSION)
+        encoder.add(replace(got, dst=5))
         assert len(full_encodes) == 2
 
     def test_a_field_struct_rejects_falls_back_and_rolls_back(self, full_encodes):
         update = Message(kind=MessageKind.UPDATE, src=3, dst=7, file="doc",
                          payload=["p"], version=2)
-        got = decode_message(encode_message(update, WIRE_VERSION_BINARY))
+        got = decode_message(encode_message(update))
         last_hop = decode_message(
-            encode_message(replace(update, hops=2**63 - 1), WIRE_VERSION_BINARY)
+            encode_message(replace(update, hops=2**63 - 1))
         )
         encoder = FrameEncoder()
-        encoder.add(got.forwarded(7, 1), WIRE_VERSION_BINARY)
+        encoder.add(got.forwarded(7, 1))
         before = encoder.pending_bytes
         for bad in (got.forwarded(2**70, 1), got.forwarded(7, -(2**70)),
                     last_hop.forwarded(7, 1)):
             assert WIRE_BODY in bad.__dict__
             full_encodes.clear()
             with pytest.raises(WireDecodeError):
-                encoder.add(bad, WIRE_VERSION_BINARY)
+                encoder.add(bad)
             assert full_encodes == [bad]  # the full encode named the field
             assert (encoder.pending, encoder.pending_bytes) == (1, before)
-        encoder.add(got.forwarded(7, 2), WIRE_VERSION_BINARY)
+        encoder.add(got.forwarded(7, 2))
         assert encoder.take_bytes() == b"".join(
-            encode_message(_rebuilt(got.forwarded(7, child)), WIRE_VERSION_BINARY)
+            encode_message(_rebuilt(got.forwarded(7, child)))
             for child in (1, 2)
         )
 
     @settings(max_examples=60)
-    @given(fixed_eligible, messages)
-    def test_fixed_lane_and_v1_frames_carry_nothing(self, eligible, msg):
-        for frame in (encode_message(eligible, WIRE_VERSION_BINARY),
-                      encode_message(msg, WIRE_VERSION)):
-            got = decode_message(frame)
-            assert WIRE_BODY not in got.__dict__
-            assert WIRE_BODY not in got.forwarded(1, 2).__dict__
+    @given(fixed_eligible)
+    def test_fixed_lane_frames_carry_nothing(self, eligible):
+        got = decode_message(encode_message(eligible))
+        assert WIRE_BODY not in got.__dict__
+        assert WIRE_BODY not in got.forwarded(1, 2).__dict__
 
     @settings(max_examples=60)
     @given(messages)
     def test_equality_repr_and_dict_form_ignore_the_body(self, msg):
-        got = decode_message(encode_message(msg, WIRE_VERSION_BINARY, fixed=False))
+        got = decode_message(encode_message(msg, fixed=False))
         assert WIRE_BODY in got.__dict__
         plain = _rebuilt(got)
         assert got == plain and plain == got
         assert repr(got) == repr(plain)
-        assert message_to_dict(got) == message_to_dict(plain)
+        assert asdict(got) == asdict(plain)
 
 
 class _StubHost(NodeHost):
@@ -1437,9 +1478,7 @@ def _peer_get(rid: int, src: int = 5) -> bytes:
     or faults it, and either way makes exactly one ``host.send``."""
     return encode_message(
         Message(kind=MessageKind.GET, src=src, dst=2, file=f"nofile-{rid}",
-                origin=6, request_id=rid),
-        WIRE_VERSION_BINARY,
-    )
+                origin=6, request_id=rid))
 
 
 class _ClosableTransport(_FakeTransport):
@@ -1626,9 +1665,7 @@ class TestInlineDispatch:
             await _settle()
             conn.data_received(encode_message(
                 Message(kind=MessageKind.INSERT, src=CLIENT, dst=2, file="dup",
-                        payload="p", request_id=9),
-                WIRE_VERSION_BINARY,
-            ))
+                        payload="p", request_id=9)))
             await _settle()
             written = bytes(conn.transport.written)
             await node.shutdown()
@@ -1733,7 +1770,7 @@ class TestWireHardening:
             decode_message(frame)
 
     def test_oversized_length_is_a_frame_error(self):
-        header = HEADER.pack(MAGIC, 1, 0, 1 << 30)
+        header = HEADER.pack(MAGIC, WIRE_VERSION, 0, 1 << 30)
         with pytest.raises(FrameError, match="exceeds"):
             decode_message(header)
 
@@ -1744,40 +1781,6 @@ class TestWireHardening:
     def test_truncated_body_is_a_frame_error(self):
         with pytest.raises(FrameError, match="does not match"):
             decode_message(self._frame()[:-3])
-
-    def test_garbage_json_is_a_decode_error(self):
-        body = b"{nope"
-        frame = HEADER.pack(MAGIC, 1, 0, len(body)) + body
-        with pytest.raises(WireDecodeError, match="malformed"):
-            decode_message(frame)
-
-    def test_non_object_body_is_a_decode_error(self):
-        body = b"[1,2,3]"
-        frame = HEADER.pack(MAGIC, 1, 0, len(body)) + body
-        with pytest.raises(WireDecodeError, match="object"):
-            decode_message(frame)
-
-    def test_unknown_kind_is_a_decode_error(self):
-        data = message_to_dict(Message(kind=MessageKind.GET, src=0, dst=1))
-        data["kind"] = "teleport"
-        with pytest.raises(WireDecodeError, match="unknown message kind"):
-            message_from_dict(data)
-
-    def test_wrongly_typed_field_is_a_decode_error(self):
-        data = message_to_dict(Message(kind=MessageKind.GET, src=0, dst=1))
-        data["version"] = "seven"
-        with pytest.raises(WireDecodeError, match="integer"):
-            message_from_dict(data)
-
-    def test_missing_src_dst_is_a_decode_error(self):
-        with pytest.raises(WireDecodeError, match="src"):
-            message_from_dict({"kind": "get", "file": "x"})
-
-    def test_bad_base64_tag_is_a_decode_error(self):
-        data = message_to_dict(Message(kind=MessageKind.GET, src=0, dst=1))
-        data["payload"] = {"__b64__": "!!not-base64!!"}
-        with pytest.raises(WireDecodeError, match="base64"):
-            message_from_dict(data)
 
     @settings(max_examples=80)
     @given(st.binary(min_size=0, max_size=64))
@@ -2125,8 +2128,7 @@ def test_corrupt_frame_does_not_kill_the_connection():
             # Hand-deliver a well-framed but bogus body on the same wire:
             # a v2 generic frame naming no message kind.
             frame = bytearray(encode_message(
-                Message(kind=MessageKind.INSERT, src=-1, dst=0, file="x"),
-                WIRE_VERSION_BINARY, fixed=False,
+                Message(kind=MessageKind.INSERT, src=-1, dst=0, file="x"), fixed=False,
             ))
             frame[HEADER.size] = 200
             assert boot._conn is not None

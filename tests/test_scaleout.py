@@ -52,14 +52,21 @@ from repro.runtime.scaleout import (
     config_from_wire,
     config_to_wire,
 )
-from repro.runtime.scaleout.worker import WorkerRuntime, _BoundedCache, _book_from_wire
+from repro.runtime.scaleout.bootstrap import BootstrapServer, _Peer
+from repro.runtime.scaleout.worker import (
+    WorkerProcess,
+    WorkerRuntime,
+    _BoundedCache,
+    _book_from_wire,
+)
 from repro.runtime.wire import (
+    FRAME_OVERLOAD,
     HEADER,
     MAGIC,
     WIRE_VERSION,
     WIRE_VERSION_BINARY,
     FrameConnection,
-    FrameError,
+    decode_message,
     encode_message,
 )
 
@@ -83,14 +90,15 @@ class TestControlCodecs:
         )
         wired = config_to_wire(config)
         assert wired == json.loads(json.dumps(wired))
+        assert decode_message(_control_frame(wired)).payload == wired
         back = config_from_wire(wired)
         assert back == config
 
     def test_the_codec_is_a_constant_not_a_knob(self):
-        """What ``bench/layers.py`` reads off a config: the data plane's
-        one codec, fixed lane on — class constants, never fields."""
+        """What ``bench/layers.py`` reads off a config: the one wire
+        version, fixed lane on — class constants, never fields."""
         config = RuntimeConfig(m=3)
-        assert config.wire_version == WIRE_VERSION_BINARY
+        assert config.wire_version == WIRE_VERSION == WIRE_VERSION_BINARY
         assert config.fixed_frames is True
         assert "wire_version" not in config_to_wire(config)
         with pytest.raises(TypeError):
@@ -179,8 +187,7 @@ class TestControlLink:
             await _until(lambda: len(transport.writes) == 3)
             requests = []
             probe = FrameConnection(
-                lambda _c, frames, _e: requests.extend(m.payload for m in frames),
-                version=WIRE_VERSION,
+                lambda _c, frames, _e: requests.extend(m.payload for m in frames)
             )
             _Transport(probe)
             probe.data_received(b"".join(transport.writes))
@@ -281,32 +288,87 @@ class TestControlLink:
         _run(run())
 
     def test_a_v2_frame_closes_the_link_and_says_why(self):
-        """The control link speaks JSON v1 only: a binary-v2 frame —
-        well formed, and what every data-plane link sends — breaks it,
-        and the reason names the version."""
+        """A well-formed data-plane frame — a fixed-lane OVERLOAD, whose
+        payload is a dict too — is not a control body: it runs nothing
+        and breaks the link."""
         async def run():
             ops: list[str] = []
             link = ControlLink(_recording(ops), "a")
             transport = _Transport(link.conn)
             pending = asyncio.ensure_future(link.call("ping"))
             await asyncio.sleep(0)
-            link.conn.data_received(encode_message(
-                Message(kind=MessageKind.CONTROL, src=ADMIN, dst=ADMIN,
-                        payload={"op": "ping"}),
-                WIRE_VERSION_BINARY,
-            ))
-            with pytest.raises(ConnectionError, match="wire version 2"):
-                await asyncio.wait_for(pending, 5.0)
-            assert isinstance(link.conn.error, FrameError)
-            assert link.reason == (
-                f"FrameError: unsupported wire version {WIRE_VERSION_BINARY}"
+            frame = encode_message(
+                Message(kind=MessageKind.OVERLOAD, src=3, dst=ADMIN, file="f",
+                        payload={"shed_by": 3, "redirect": 5})
             )
+            assert frame[3] == FRAME_OVERLOAD
+            link.conn.data_received(frame)
+            with pytest.raises(ConnectionError, match="undecodable control body"):
+                await asyncio.wait_for(pending, 5.0)
+            assert link.conn.error is None
+            assert link.reason == "undecodable control body"
             assert transport.closed and ops == []
             await link.close()
 
         _run(run())
 
+    def test_fields_of_every_wire_type_arrive_unchanged(self):
+        """A ``call``'s fields cross the link exactly: a dict shaped
+        like a bytes tag stays a dict, bytes stay bytes, a big int and
+        nested lists keep their value."""
+        sent = {
+            "tagged": {"__b64__": "aGk="},
+            "blob": b"\x00hi\xff",
+            "big": -(1 << 100),
+            "nested": [[1, [2.5, None]], [], [True, "s", {"k": [b"x"]}]],
+        }
+        seen: list[dict] = []
+
+        async def keep(op, body):
+            seen.append(body)
+            return {"echo": {k: body[k] for k in sent}}
+
+        async def run():
+            a, b = await _pair(_recording([]), keep)
+            reply = await a.call("carry", **sent)
+            await a.close()
+            await b.close()
+            return reply
+
+        reply = _run(run())
+        (body,) = seen
+        assert {k: body[k] for k in sent} == sent
+        assert reply["echo"] == sent
+
+    def test_an_admin_deliver_reaches_the_worker_unchanged(self):
+        """The bootstrap's ``deliver`` cast carries the admin frame's own
+        bytes; the worker decodes them and hands ``deliver_local`` the
+        message that was sent, bytes payload included."""
+        msg = Message(kind=MessageKind.REPLICATE, src=ADMIN, dst=1,
+                      file="blob.dat", payload={"payload": b"\x00\xffdata"},
+                      version=3)
+        worker = WorkerProcess()
+        worker.runtime = _bare_runtime(pid=1)
+        delivered: list[Message] = []
+        worker.runtime.node.deliver_local = delivered.append
+
+        async def run():
+            server = BootstrapServer(RuntimeConfig(m=3, b=1), n_nodes=8)
+            a, b = await _pair(_recording([]), worker._handle)
+            server._workers[1] = _Peer(link=a, kind="worker", pid=1)
+            server._deliver(msg)
+            await _until(lambda: delivered)
+            await a.close()
+            await b.close()
+
+        _run(run())
+        assert delivered == [msg]
+        assert delivered[0].payload["payload"] == b"\x00\xffdata"
+        assert worker.runtime.recv_from == {ADMIN: 1}
+
     @pytest.mark.parametrize("blob, reason", [
+        (HEADER.pack(MAGIC, 1, 0, 5) + b"{nope",
+         "FrameError: unsupported wire version 1"),
         (HEADER.pack(MAGIC, WIRE_VERSION, 0, 5) + b"{nope",
          "undecodable control body"),
         (_control_frame("not a dict"), "undecodable control body"),

@@ -46,6 +46,17 @@ class TestRoundTrip:
         assert restored.get("a.txt", entry=0).payload == b"binary\x00payload"
         assert restored.get("b.txt", entry=0).payload == {"nested": [4]}
         assert restored.get("c.txt", entry=0).payload == "plain string"
+        # Dicts shaped like the bytes tag (or its escape) stay dicts.
+        original = loaded_system()
+        tagged = {
+            "d.txt": {"__bytes__": "aGk="},
+            "e.txt": {"__escaped__": {"__bytes__": "aGk="}},
+        }
+        for name, payload in tagged.items():
+            original.insert(name, payload=payload)
+        restored = restore_from_json(snapshot_to_json(original))
+        for name, payload in tagged.items():
+            assert restored.get(name, entry=0).payload == payload
 
     def test_origins_and_counters_survive(self):
         original = loaded_system()
