@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """A live LessLog cluster: real frames, real sockets, oracle-checked.
 
-Boots 16 asyncio node servers exchanging length-prefixed JSON frames,
+Boots 16 asyncio node servers exchanging length-prefixed binary frames,
 drives them with a client over the wire (insert / get / update), crashes
 a home node mid-service, and lets a Zipf burst trip the per-node load
 monitors into autonomous replication.  At the end, the cluster's

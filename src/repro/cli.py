@@ -708,13 +708,11 @@ def _cmd_loadgen(args: "argparse.Namespace") -> int:
 
     from .runtime import (
         ChurnInjector,
-        LiveCluster,
         LoadGenerator,
-        RuntimeClient,
+        Op,
         RuntimeConfig,
         WorkloadShape,
-        diff_states,
-        replay_oplog,
+        run_live,
     )
 
     if args.processes > 0 or args.bootstrap is not None:
@@ -726,64 +724,55 @@ def _cmd_loadgen(args: "argparse.Namespace") -> int:
               "processes cannot reach it")
         return 2
 
-    async def run() -> int:
-        config = RuntimeConfig(
-            m=args.m, b=args.b, seed=args.seed, tcp=args.tcp,
-            capacity=args.capacity, service_time=args.service_time,
-            inflight_limit=16, **_overload_fields(args),
-        )
-        cluster = await LiveCluster.start(config)
-        try:
-            files = [f"file-{i}.dat" for i in range(args.files)]
-            boot = await RuntimeClient(cluster, min(cluster.nodes)).connect()
-            for name in files:
-                await boot.insert(name, f"payload of {name}")
-            await boot.close()
-            await cluster.drain()
-            shape = WorkloadShape(kind=args.workload, s=args.zipf_s)
-            gen = LoadGenerator(cluster, files, shape, seed=args.seed,
-                                redirects=args.redirects)
-            injector = None
-            if (args.churn_kills or args.churn_crashes
-                    or args.churn_joins or args.churn_leaves):
-                injector = ChurnInjector.scheduled(
-                    cluster, args.duration,
-                    kills=args.churn_kills, crashes=args.churn_crashes,
-                    joins=args.churn_joins, leaves=args.churn_leaves,
-                    seed=args.seed, min_live=args.churn_min_live,
-                )
-                injector.start()
-            if args.closed_loop > 0:
-                report = await gen.run_closed_loop(
-                    args.closed_loop, max(1, int(args.rps * args.duration))
-                )
-            else:
-                report = await gen.run_open_loop(args.rps, args.duration)
-            await gen.close()
-            if injector is not None:
-                applied = await injector.finalize()
-                fired = [e for e in applied if e["pid"] is not None]
-                print(f"churn: {len(fired)} event(s) applied: " + ", ".join(
-                    f"{e['action']}@P({e['pid']})" for e in fired))
-            await cluster.quiesce()
-            mode = "tcp" if args.tcp else "in-process streams"
-            print(f"loadgen over {mode}: m={args.m}, b={args.b}, "
-                  f"workload={args.workload}, seed={args.seed}")
-            for key, value in report.as_dict().items():
-                print(f"  {key:15} {value}")
-            print(f"  {'replicas':15} {cluster.replicas_created()}")
-            if args.conformance:
-                system = replay_oplog(cluster.oplog, config, cluster.initial_live)
-                system.check_invariants()
-                conformance = diff_states(cluster, system)
-                print(conformance.render())
-                if not conformance.ok:
-                    return 1
-            return 0
-        finally:
-            await cluster.shutdown()
+    config = RuntimeConfig(
+        m=args.m, b=args.b, seed=args.seed, tcp=args.tcp,
+        capacity=args.capacity, service_time=args.service_time,
+        inflight_limit=16, **_overload_fields(args),
+    )
+    files = [f"file-{i}.dat" for i in range(args.files)]
+    script = [Op(kind="insert", name=name, payload=f"payload of {name}")
+              for name in files]
 
-    return asyncio.run(run())
+    async def load(cluster):
+        shape = WorkloadShape(kind=args.workload, s=args.zipf_s)
+        gen = LoadGenerator(cluster, files, shape, seed=args.seed,
+                            redirects=args.redirects)
+        injector = None
+        if (args.churn_kills or args.churn_crashes
+                or args.churn_joins or args.churn_leaves):
+            injector = ChurnInjector.scheduled(
+                cluster, args.duration,
+                kills=args.churn_kills, crashes=args.churn_crashes,
+                joins=args.churn_joins, leaves=args.churn_leaves,
+                seed=args.seed, min_live=args.churn_min_live,
+            )
+            injector.start()
+        if args.closed_loop > 0:
+            report = await gen.run_closed_loop(
+                args.closed_loop, max(1, int(args.rps * args.duration))
+            )
+        else:
+            report = await gen.run_open_loop(args.rps, args.duration)
+        await gen.close()
+        if injector is not None:
+            applied = await injector.finalize()
+            fired = [e for e in applied if e["pid"] is not None]
+            print(f"churn: {len(fired)} event(s) applied: " + ", ".join(
+                f"{e['action']}@P({e['pid']})" for e in fired))
+        return report
+
+    conformance, report = asyncio.run(run_live(config, script, load))
+    mode = "tcp" if args.tcp else "in-process streams"
+    print(f"loadgen over {mode}: m={args.m}, b={args.b}, "
+          f"workload={args.workload}, seed={args.seed}")
+    for key, value in report.as_dict().items():
+        print(f"  {key:15} {value}")
+    print(f"  {'replicas':15} {conformance.replicas}")
+    if args.conformance:
+        print(conformance.render())
+        if not conformance.ok:
+            return 1
+    return 0
 
 
 class _StackSampler:

@@ -38,6 +38,7 @@ from .conformance import (
     generate_ops,
     replay_oplog,
     run_conformance,
+    run_live,
     snapshot_of,
     verify_snapshot,
 )
@@ -128,6 +129,7 @@ __all__ = [
     "policy_grid",
     "replay_oplog",
     "run_conformance",
+    "run_live",
     "snapshot_of",
     "start_listener",
     "verify_snapshot",

@@ -25,13 +25,18 @@ oracle cannot express.  :func:`apply_ops` therefore drains the cluster
 between operations; load *bursts* (many concurrent GETs) are fine —
 GETs do not mutate placement, and recorded rates/seeds make the
 sweeper's autonomous decisions replayable.
+
+:func:`run_live` is the one in-process run every caller shares — the
+conformance driver, ``lesslog loadgen`` and the fuzzer's
+``live_cluster`` op: boot, apply a script, optionally drive load,
+quiesce once, and return the oracle verdict.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from ..cluster.system import LessLogSystem
 from ..core.errors import ConfigurationError
@@ -51,6 +56,7 @@ __all__ = [
     "diff_states",
     "verify_snapshot",
     "ConformanceReport",
+    "run_live",
     "run_conformance",
 ]
 
@@ -130,6 +136,8 @@ async def apply_ops(cluster: LiveCluster, ops: list[Op], seed: int = 0) -> None:
     Client operations enter at a seeded live node over a real client
     connection; OVERLOAD ops resolve their holder deterministically
     (sorted holders, indexed by the op seed) and fire the admin knob.
+    Autonomous replication stays on: :func:`run_live` quiesces once,
+    after any load that follows the script.
     """
     rng = random.Random(seed ^ 0x5EED)
     for op in ops:
@@ -161,7 +169,6 @@ async def apply_ops(cluster: LiveCluster, ops: list[Op], seed: int = 0) -> None:
             await cluster.crash(op.pid)
         else:  # pragma: no cover - generator never emits others
             raise ConfigurationError(f"unknown op kind {op.kind!r}")
-    await cluster.quiesce()
 
 
 def replay_oplog(
@@ -322,13 +329,41 @@ def diff_states(cluster: LiveCluster, system: LessLogSystem) -> ConformanceRepor
     return diff_snapshot(snapshot_of(cluster), system)
 
 
+async def run_live(
+    config: RuntimeConfig,
+    script: list[Op],
+    load: Callable[[LiveCluster], Awaitable[Any]] | None = None,
+    *,
+    on_boot: Callable[[LiveCluster], None] | None = None,
+) -> tuple[ConformanceReport, Any]:
+    """Boot a cluster, run ``script`` then ``load``, and diff it.
+
+    In order: boot a `LiveCluster` (handed to ``on_boot`` first, if
+    given), apply the scripted ops with :func:`apply_ops`, await
+    ``load(cluster)`` (a burst plus any churn schedule), quiesce once,
+    and replay the oplog through the oracle.  Returns the conformance
+    report and whatever ``load`` returned (``None`` without one); the
+    cluster is shut down however the run ends.
+    """
+    cluster = await LiveCluster.start(config)
+    try:
+        if on_boot is not None:
+            on_boot(cluster)
+        await apply_ops(cluster, script, seed=config.seed)
+        result = None if load is None else await load(cluster)
+        await cluster.quiesce()
+        return verify_snapshot(snapshot_of(cluster)), result
+    finally:
+        await cluster.shutdown()
+
+
 async def run_conformance(
     spec: WorkloadSpec, config: RuntimeConfig | None = None
 ) -> ConformanceReport:
     """End to end: generate, run live, replay through the oracle, diff.
 
-    ``config`` overrides the cluster's runtime knobs (codec pinning,
-    batching, ...); its ``m``/``b``/``seed`` must match the
+    ``config`` overrides the cluster's runtime knobs (batching,
+    service time, ...); its ``m``/``b``/``seed`` must match the
     spec's so the generated workload stays legal.
     """
     if config is None:
@@ -337,11 +372,5 @@ async def run_conformance(
         raise ConfigurationError(
             "run_conformance: config m/b/seed must match the workload spec"
         )
-    cluster = await LiveCluster.start(config)
-    try:
-        await apply_ops(cluster, generate_ops(spec), seed=spec.seed)
-        system = replay_oplog(cluster.oplog, config, cluster.initial_live)
-        system.check_invariants()
-        return diff_states(cluster, system)
-    finally:
-        await cluster.shutdown()
+    report, _ = await run_live(config, generate_ops(spec))
+    return report

@@ -38,20 +38,22 @@ The default registry encodes the paper's claims:
                                OVERLOAD-shed and churn loss are
                                distinct terminal states with their own
                                letter queues
-``runtime-oracle-conformance`` a ``live_segment`` event's asyncio
-                               cluster must replay to the synchronous
-                               oracle's exact final state
-``overload-shed-conservation`` a ``live_overload`` /
-                               ``live_churn_overload`` burst must keep
-                               the client-side ledger conserved
+``runtime-oracle-conformance`` a ``live_cluster`` / ``live_scaleout``
+                               event's live cluster must replay to the
+                               synchronous oracle's exact final state,
+                               with no handler or decode error counted
+``overload-shed-conservation`` every burst such an event fires must
+                               keep the client-side ledger conserved
                                (requests == completed + faults +
                                errors + timeouts + shed + churn_lost)
-                               and the cluster oracle-conformant
 ``stale-redirect``             no admitted request terminally sheds
                                *solely* because its redirect hint named
                                a dead node — a stale hint is a reroute
                                (FINDLIVENODE) or a churn loss, never a
                                wasted attempt
+``scaleout-lifecycle-conservation`` every worker a ``live_scaleout``
+                               burst did not kill ships a goodbye
+                               snapshot on the clean shutdown path
 =============================  ==========================================
 """
 
@@ -66,7 +68,6 @@ from ..cluster.audit import metric_trace_reconciliation
 from ..cluster.snapshot import restore_from_json, snapshot_to_dict, snapshot_to_json
 from ..core.subtree import SubtreeView, SvidLiveness, identity_tree, subtree_of_pid
 from ..engine.fluid import FluidSimulation
-from ..node.storage import FileOrigin
 from .scenario import ScenarioEvent, ScenarioHarness
 
 __all__ = [
@@ -529,121 +530,87 @@ class RequestLifecycle(Invariant):
             )
 
 
-#: Fuzzer ops that append a ConformanceReport to ``live_reports``.
-_CONFORMANCE_OPS = ("live_segment", "live_scaleout")
+class _LiveRecords(Invariant):
+    """Audits the records a live op appended to one harness list.
+
+    ``observe_before`` notes the list's length, so ``check`` sees only
+    this event's records — none when the event was skipped or fired no
+    burst.
+    """
+
+    records = "live_reports"
+    ops = ("live_cluster", "live_scaleout")
+
+    def observe_before(self, ctx: AuditContext) -> None:
+        ctx.before[self.records] = len(getattr(ctx.harness, self.records))
+
+    def check(self, ctx: AuditContext) -> None:
+        if ctx.event is None or ctx.event.op not in self.ops:
+            return
+        for record in getattr(ctx.harness, self.records)[ctx.before[self.records]:]:
+            self.audit(ctx, record)
+
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        raise NotImplementedError
 
 
-class RuntimeConformance(Invariant):
+def _burst_name(ledger: dict[str, Any]) -> str:
+    """How a violation names the burst behind a ledger."""
+    if "cell" in ledger:
+        return f"overload burst ({ledger['cell']})"
+    return f"scale-out burst ({ledger['nodes']} workers)"
+
+
+class RuntimeConformance(_LiveRecords):
     """A live-runtime event must land in the oracle's exact state.
 
     The harness records one :class:`~repro.runtime.conformance.ConformanceReport`
-    per applied ``live_segment`` (in-process asyncio cluster) or
-    ``live_scaleout`` (fleet of real worker OS processes); a report
-    with mismatches means the live runtime (wire codec,
+    per applied ``live_cluster`` (in-process asyncio cluster) or
+    ``live_scaleout`` (fleet of real worker OS processes) event; a
+    report with mismatches means the live runtime (wire codec,
     batching, cached routing, cross-process coordination and all)
-    diverged from the synchronous model on that seeded workload.
+    diverged from the synchronous model on that seeded workload — or
+    swallowed an error it only counted: a nonzero ``handler_errors``
+    or ``wire_decode_errors`` counter is a mismatch too.
     """
 
     name = "runtime-oracle-conformance"
 
-    def check(self, ctx: AuditContext) -> None:
-        if ctx.event is None or ctx.event.op not in _CONFORMANCE_OPS:
-            return
-        reports = getattr(ctx.harness, "live_reports", None)
-        if not reports:
-            return  # the segment was skipped
-        report = reports[-1]
-        if not report.ok:
-            self.fail(ctx, report.render())
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        if not record.ok:
+            self.fail(ctx, record.render())
 
 
-class ScaleoutLifecycle(Invariant):
-    """A scale-out burst conserves requests and worker lifecycles.
+class OverloadAccounting(_LiveRecords):
+    """A live burst must conserve the client-side ledger.
 
-    The harness records one ledger per applied ``live_scaleout`` burst.
-    Two conservation laws must hold across the process boundary: every
-    fired request lands in exactly one terminal bucket (even with a
-    ``kill -9`` mid-burst), and every worker that was *not* killed
-    terminates through the clean path — SIGTERM, local drain, goodbye
-    snapshot shipped to the bootstrap.  A missing goodbye means a
-    worker died outside the supervisor's accounting.
-    """
-
-    name = "scaleout-lifecycle-conservation"
-
-    def check(self, ctx: AuditContext) -> None:
-        if ctx.event is None or ctx.event.op != "live_scaleout":
-            return
-        reports = getattr(ctx.harness, "scaleout_reports", None)
-        if not reports:
-            return  # the burst was skipped
-        report = reports[-1]
-        if not report["conserved"]:
-            self.fail(
-                ctx,
-                f"scale-out burst ({report['nodes']} workers) leaked "
-                f"requests: requests({report['requests']}) != "
-                f"completed({report['completed']}) + faults({report['faults']}) "
-                f"+ errors({report['errors']}) + timeouts({report['timeouts']}) "
-                f"+ shed({report['shed']}) + churn_lost({report['churn_lost']})",
-            )
-        if report["goodbyes"] != report["expected_goodbyes"]:
-            self.fail(
-                ctx,
-                f"scale-out burst expected {report['expected_goodbyes']} "
-                f"goodbye snapshot(s) (killed: {report['killed']}) but "
-                f"collected {report['goodbyes']} — a worker died outside "
-                f"the clean SIGTERM-drain-goodbye path",
-            )
-
-
-#: Fuzzer ops that append a burst record for the overload invariants.
-_BURST_OPS = ("live_overload", "live_churn_overload")
-
-
-class OverloadAccounting(Invariant):
-    """An overload burst must conserve the client-side ledger.
-
-    The harness records one report dict per applied ``live_overload`` /
-    ``live_churn_overload`` burst (policy cell, the
-    :class:`~repro.runtime.client.LoadReport` ledger, and the
-    conformance verdict).  Shedding is load *control*, not load *loss*,
-    and churn is membership *movement*, not accounting leakage: every
-    fired request must land in exactly one terminal bucket
+    The harness records one ledger (the
+    :class:`~repro.runtime.client.LoadReport` counters) per burst a
+    ``live_cluster`` or ``live_scaleout`` event fires.  Shedding is
+    load *control*, not load *loss*; churn — a silent kill, a ``kill
+    -9``ed worker — is membership *movement*, not accounting leakage:
+    every fired request must land in exactly one terminal bucket
     (``requests == completed + faults + errors + timeouts + shed +
-    churn_lost``) and the cluster must still replay to the oracle's
-    exact state — a shed GET never mutates durable state, and a
-    mid-burst crash must close its oplog halves before the diff.
+    churn_lost``).  That the cluster still replays to the oracle is
+    ``runtime-oracle-conformance``'s to check.
     """
 
     name = "overload-shed-conservation"
+    records = "load_reports"
 
-    def check(self, ctx: AuditContext) -> None:
-        if ctx.event is None or ctx.event.op not in _BURST_OPS:
-            return
-        reports = getattr(ctx.harness, "overload_reports", None)
-        if not reports:
-            return  # the burst was skipped
-        report = reports[-1]
-        if not report["conserved"]:
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        if not record["conserved"]:
             self.fail(
                 ctx,
-                f"overload burst ({report['cell']}) leaked requests: "
-                f"requests({report['requests']}) != "
-                f"completed({report['completed']}) + faults({report['faults']}) "
-                f"+ errors({report['errors']}) + timeouts({report['timeouts']}) "
-                f"+ shed({report['shed']}) + "
-                f"churn_lost({report.get('churn_lost', 0)})",
-            )
-        if not report["conformant"]:
-            self.fail(
-                ctx,
-                f"overload burst ({report['cell']}) diverged from the "
-                f"oracle: {report['conformance_detail']}",
+                f"{_burst_name(record)} leaked requests: "
+                f"requests({record['requests']}) != "
+                f"completed({record['completed']}) + faults({record['faults']}) "
+                f"+ errors({record['errors']}) + timeouts({record['timeouts']}) "
+                f"+ shed({record['shed']}) + churn_lost({record['churn_lost']})",
             )
 
 
-class StaleRedirect(Invariant):
+class StaleRedirect(_LiveRecords):
     """A dead redirect hint is a reroute, never a terminal shed.
 
     Under churn a shedder's hint can name a node that died after the
@@ -652,28 +619,50 @@ class StaleRedirect(Invariant):
     yet.  The admitted request must not pay for that staleness with its
     life: the client reroutes to a live entry (consuming redirect
     budget) or, when no live node remains, terminates as a churn loss.
-    The burst records count ``stale_sheds`` — requests that terminally
-    shed *solely* because their hint was dead — and this invariant
-    pins that count to zero.
+    A ``live_cluster`` burst's ledger counts ``stale_sheds`` — requests
+    that terminally shed *solely* because their hint was dead — and
+    this invariant pins that count to zero.
     """
 
     name = "stale-redirect"
+    records = "load_reports"
+    ops = ("live_cluster",)
 
-    def check(self, ctx: AuditContext) -> None:
-        if ctx.event is None or ctx.event.op not in _BURST_OPS:
-            return
-        reports = getattr(ctx.harness, "overload_reports", None)
-        if not reports:
-            return  # the burst was skipped
-        report = reports[-1]
-        stale = report.get("stale_sheds", 0)
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        stale = record["stale_sheds"]
         if stale:
             self.fail(
                 ctx,
-                f"overload burst ({report['cell']}) terminally shed "
+                f"{_burst_name(record)} terminally shed "
                 f"{stale} request(s) solely because their redirect hint "
-                f"named a dead node (churn: {report.get('churn', [])}) — "
+                f"named a dead node (churn: {record.get('churn', [])}) — "
                 f"a stale hint must reroute or churn-lose, never shed",
+            )
+
+
+class ScaleoutLifecycle(_LiveRecords):
+    """Every worker a scale-out burst did not kill leaves cleanly.
+
+    A ``live_scaleout`` ledger counts the goodbye snapshots the
+    bootstrap collected: every worker that was *not* ``kill -9``ed
+    must terminate through the clean path — SIGTERM, local drain,
+    goodbye snapshot shipped to the bootstrap.  A missing goodbye means
+    a worker died outside the supervisor's accounting.  (The burst's
+    request conservation is ``overload-shed-conservation``'s.)
+    """
+
+    name = "scaleout-lifecycle-conservation"
+    records = "load_reports"
+    ops = ("live_scaleout",)
+
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        if record["goodbyes"] != record["expected_goodbyes"]:
+            self.fail(
+                ctx,
+                f"scale-out burst expected {record['expected_goodbyes']} "
+                f"goodbye snapshot(s) (killed: {record['killed']}) but "
+                f"collected {record['goodbyes']} — a worker died outside "
+                f"the clean SIGTERM-drain-goodbye path",
             )
 
 

@@ -58,6 +58,11 @@ MUTATIONS = (
     "drop-admin-frame",
 )
 
+#: Runtime counters a live op must leave at zero.  The runtime counts
+#: a node handler that raised, or a frame that would not decode, and
+#: carries on; a probe that ignored them would pass a swallowed bug.
+_FAULT_COUNTERS = ("handler_errors", "wire_decode_errors")
+
 
 @dataclass(frozen=True)
 class ScenarioEvent:
@@ -175,14 +180,13 @@ class ScenarioHarness:
         self.skipped = 0
         self.last_replica_target: int | None = None
         self.live_reports: list[Any] = []
-        """Conformance reports from ``live_segment`` events, in order
-        (audited by the runtime-oracle-conformance invariant)."""
-        self.overload_reports: list[dict[str, Any]] = []
-        """Accounting records from ``live_overload`` events, in order
-        (audited by the overload-shed-conservation invariant)."""
-        self.scaleout_reports: list[dict[str, Any]] = []
-        """Lifecycle ledgers from ``live_scaleout`` events, in order
-        (audited by the scaleout-lifecycle-conservation invariant)."""
+        """One conformance report per applied ``live_cluster`` /
+        ``live_scaleout`` event, in order (audited by the
+        runtime-oracle-conformance invariant)."""
+        self.load_reports: list[dict[str, Any]] = []
+        """One client-side ledger per burst those events fired, in order
+        (audited by overload-shed-conservation, stale-redirect and
+        scaleout-lifecycle-conservation)."""
 
     def _client_edge(self, message: Message) -> None:
         """The client endpoint: any reply settles its tracked request.
@@ -336,293 +340,147 @@ class ScenarioHarness:
                 pass  # surfaced by the routing invariant
         return True
 
-    def _apply_live_segment(self, event: ScenarioEvent) -> bool:
-        """Run a seeded segment through the *live asyncio runtime*.
+    def _apply_live_cluster(self, event: ScenarioEvent) -> bool:
+        """One seeded probe of the *live asyncio runtime*.
 
-        The runtime-driven fuzzer op: boots a small `LiveCluster`
-        (independent of the DES system under test — the segment is a
-        self-contained probe), drives a generated op sequence over real
-        wire frames, replays the cluster's op log through the
-        synchronous oracle, and records the conformance report for the
-        ``runtime-oracle-conformance`` invariant to audit.  A parameter
-        selects the inbox batch depth, so fuzzing covers batched
-        configurations.
-        """
-        import asyncio
+        Boots a small `LiveCluster` (independent of the DES system under
+        test — the probe is self-contained) through
+        :func:`~repro.runtime.conformance.run_live`: a script over real
+        wire frames, an optional burst, one quiesce, and the oracle
+        replay of the cluster's op log.
 
-        from ..runtime.cluster import LiveCluster, RuntimeConfig
-        from ..runtime.conformance import (
-            WorkloadSpec,
-            apply_ops,
-            diff_states,
-            generate_ops,
-            replay_oplog,
-        )
+        The script is a generated op sequence when the event names
+        ``ops`` (``script_churn``, on by default, mixes in joins, leaves
+        and crashes; ``batch_max`` sets the inbox batch depth), else one
+        insert per file.  With ``rps`` a hot-skewed open-loop burst
+        follows, against bounded inboxes under a shed × queue × victim
+        policy cell.  ``burst_churn`` pre-seeds a replica of the hottest
+        file (a recorded admin overload trigger) and silently kills
+        every holder but one mid-burst — no REGISTER_DEAD goes out, so
+        the survivor's shed hints name corpses until discovery catches
+        up; ``crash`` / ``join`` add announced events to the same
+        seeded schedule.  The autopsies run before the replay.
 
-        params = event.params
-        m = max(2, min(int(params.get("m", 3)), 3))
-        b = int(params.get("b", 1))
-        if not 0 <= b < m:
-            b = 0
-        spec = WorkloadSpec(
-            m=m,
-            b=b,
-            seed=int(params.get("seed", 0)),
-            files=max(1, min(int(params.get("files", 3)), 6)),
-            ops=max(0, min(int(params.get("ops", 12)), 24)),
-            churn=bool(params.get("churn", True)),
-        )
-        config = RuntimeConfig(
-            m=m,
-            b=b,
-            seed=spec.seed,
-            batch_max=max(1, int(params.get("batch_max", 16))),
-        )
-
-        async def segment():
-            cluster = await LiveCluster.start(config)
-            try:
-                if self.scenario.mutation == "drop-admin-frame":
-                    self._mutated_drop_admin_frame(cluster)
-                await apply_ops(cluster, generate_ops(spec), seed=spec.seed)
-                system = replay_oplog(cluster.oplog, config, cluster.initial_live)
-                system.check_invariants()
-                return diff_states(cluster, system)
-            finally:
-                await cluster.shutdown()
-
-        self.live_reports.append(asyncio.run(segment()))
-        return True
-
-    def _apply_live_overload(self, event: ScenarioEvent) -> bool:
-        """A flash-crowd burst against a bounded-inbox *live cluster*.
-
-        Boots a small ``LiveCluster`` with admission control armed
-        (tiny ``inbox_limit``, a generated shed × queue × victim policy
-        cell), fires a hot-skewed open-loop burst through the load
-        generator, and records the client-side ledger plus the oracle
-        conformance verdict for the ``overload-shed-conservation``
-        invariant to audit: every fired request must land in exactly one
-        terminal bucket even when most of them are refused, and shed
-        GETs must leave durable state untouched.
-        """
-        import asyncio
-
-        from ..runtime.client import LoadGenerator, RuntimeClient, WorkloadShape
-        from ..runtime.cluster import LiveCluster, RuntimeConfig
-        from ..runtime.conformance import diff_states, replay_oplog
-        from ..runtime.overload import OverloadPolicy
-
-        params = event.params
-        try:
-            policy = OverloadPolicy(
-                shed=str(params.get("shed", "conservative")),
-                queue=str(params.get("queue", "fcfs")),
-                victim=str(params.get("victim", "lifo")),
-            )
-        except ValueError:
-            return False
-        m = max(2, min(int(params.get("m", 3)), 3))
-        b = int(params.get("b", 1))
-        if not 0 <= b < m:
-            b = 0
-        config = RuntimeConfig(
-            m=m,
-            b=b,
-            seed=int(params.get("seed", 0)),
-            inbox_limit=max(1, min(int(params.get("inbox_limit", 4)), 32)),
-            shed_policy=policy.shed,
-            queue_policy=policy.queue,
-            victim_policy=policy.victim,
-            slo_budget=float(params.get("slo_budget", 0.05)),
-            service_time=max(0.0, min(float(params.get("service_time", 0.002)), 0.01)),
-        )
-        files = max(1, min(int(params.get("files", 2)), 4))
-        rps = max(20.0, min(float(params.get("rps", 400.0)), 1200.0))
-        duration = max(0.05, min(float(params.get("duration", 0.2)), 0.5))
-
-        async def burst():
-            cluster = await LiveCluster.start(config)
-            try:
-                names = [f"hot-{i}.dat" for i in range(files)]
-                boot = await RuntimeClient(cluster, min(cluster.nodes)).connect()
-                for name in names:
-                    await boot.insert(name, f"payload of {name}")
-                await boot.close()
-                await cluster.drain()
-                gen = LoadGenerator(
-                    cluster,
-                    names,
-                    WorkloadShape(kind="zipf", s=2.0),
-                    seed=config.seed,
-                    timeout=2.0,
-                )
-                report = await gen.run_open_loop(rps=rps, duration=duration)
-                await gen.close()
-                await cluster.quiesce()
-                system = replay_oplog(cluster.oplog, config, cluster.initial_live)
-                system.check_invariants()
-                return report, diff_states(cluster, system)
-            finally:
-                await cluster.shutdown()
-
-        report, conformance = asyncio.run(burst())
-        record = self._overload_record(policy, report, conformance, churn=[])
-        if self.scenario.mutation == "phantom-shed":
-            # Bug injection: account a shed that never happened, so the
-            # terminal buckets over-count the fired requests.
-            record["shed"] += 1
-        self._seal_overload_record(record)
-        return True
-
-    def _overload_record(
-        self, policy, report, conformance, churn: list[str]
-    ) -> dict[str, Any]:
-        """The shared client-side ledger for an overload burst record."""
-        return {
-            "cell": policy.cell,
-            "requests": report.requests,
-            "completed": report.completed,
-            "faults": report.faults,
-            "errors": report.errors,
-            "timeouts": report.timeouts,
-            "shed": report.shed,
-            "churn_lost": report.churn_lost,
-            "stale_sheds": report.stale_sheds,
-            "overloads": report.overloads,
-            "redirected": report.redirected,
-            "rerouted": report.rerouted,
-            "churn": churn,
-            "conformant": conformance.ok,
-            "conformance_detail": "" if conformance.ok else conformance.render(),
-        }
-
-    def _seal_overload_record(self, record: dict[str, Any]) -> None:
-        """Close the ledger: the five terminals (plus churn loss) must
-        cover every fired request exactly once."""
-        record["conserved"] = record["requests"] == (
-            record["completed"]
-            + record["faults"]
-            + record["errors"]
-            + record["timeouts"]
-            + record["shed"]
-            + record["churn_lost"]
-        )
-        self.overload_reports.append(record)
-
-    def _apply_live_churn_overload(self, event: ScenarioEvent) -> bool:
-        """A flash-crowd burst with mid-burst churn against a live cluster.
-
-        Extends ``live_overload`` with the churn regime: the hottest
-        file gets a pre-seeded replica (via the recorded admin overload
-        trigger), then its *home* is silently killed mid-burst
-        (``crash(announce=False)``) — no REGISTER_DEAD goes out, so the
-        surviving replica keeps shedding with redirect hints that name
-        the corpse until its own FINDLIVENODE discovery catches up.
-        Optional announced crash/join events ride the same seeded
-        :class:`~repro.runtime.churn.ChurnInjector` schedule.  The
-        autopsy (announce broadcast, recovery, ``recover`` oplog record,
-        inherited-load attribution) runs after the burst, before the
-        oracle replay, so the conformance diff sees a self-organized
-        membership.  The record feeds the ``overload-shed-conservation``
-        invariant (terminals now include ``churn_lost``) and the
-        ``stale-redirect`` invariant: an admitted request must never
-        terminally shed solely because its hint was dead.
+        Records the conformance report (``runtime-oracle-conformance``)
+        and, with a burst, the client-side ledger
+        (``overload-shed-conservation``, ``stale-redirect``).
         """
         import asyncio
 
         from ..runtime.churn import ChurnEvent, ChurnInjector
-        from ..runtime.client import LoadGenerator, RuntimeClient, WorkloadShape
-        from ..runtime.cluster import LiveCluster, RuntimeConfig
-        from ..runtime.conformance import diff_states, replay_oplog
-        from ..runtime.overload import OverloadPolicy
+        from ..runtime.client import LoadGenerator, WorkloadShape
+        from ..runtime.cluster import RuntimeConfig
+        from ..runtime.conformance import Op, WorkloadSpec, generate_ops, run_live
 
         params = event.params
-        try:
-            policy = OverloadPolicy(
-                shed=str(params.get("shed", "conservative")),
-                queue=str(params.get("queue", "fcfs")),
-                victim=str(params.get("victim", "lifo")),
-            )
-        except ValueError:
-            return False
         m = max(2, min(int(params.get("m", 3)), 3))
         b = int(params.get("b", 1))
         if not 0 <= b < m:
             b = 0
-        config = RuntimeConfig(
-            m=m,
-            b=b,
-            seed=int(params.get("seed", 0)),
-            inbox_limit=max(1, min(int(params.get("inbox_limit", 4)), 32)),
-            shed_policy=policy.shed,
-            queue_policy=policy.queue,
-            victim_policy=policy.victim,
-            slo_budget=float(params.get("slo_budget", 0.05)),
-            service_time=max(0.0, min(float(params.get("service_time", 0.002)), 0.01)),
-        )
+        seed = int(params.get("seed", 0))
         files = max(1, min(int(params.get("files", 2)), 4))
+        burst = "rps" in params
+        knobs: dict[str, Any] = {}
+        if burst:
+            knobs = dict(
+                inbox_limit=max(1, min(int(params.get("inbox_limit", 4)), 32)),
+                shed_policy=str(params.get("shed", "conservative")),
+                queue_policy=str(params.get("queue", "fcfs")),
+                victim_policy=str(params.get("victim", "lifo")),
+                slo_budget=float(params.get("slo_budget", 0.05)),
+                service_time=max(
+                    0.0, min(float(params.get("service_time", 0.002)), 0.01)
+                ),
+            )
+        try:
+            config = RuntimeConfig(
+                m=m, b=b, seed=seed,
+                batch_max=max(1, int(params.get("batch_max", 16))), **knobs,
+            )
+        except ConfigurationError:
+            return False  # e.g. an unknown policy cell
+        if "ops" in params:
+            script = generate_ops(WorkloadSpec(
+                m=m, b=b, seed=seed, files=files,
+                ops=max(0, min(int(params["ops"]), 24)),
+                churn=bool(params.get("script_churn", True)),
+            ))
+        else:
+            script = [
+                Op(kind="insert", name=name, payload=f"payload of {name}")
+                for name in (f"hot-{i}.dat" for i in range(files))
+            ]
+        names = [op.name for op in script if op.kind == "insert"]
+        churn = burst and bool(params.get("burst_churn"))
+        if churn:
+            script.append(Op(kind="overload", name=names[0], seed=seed))
         rps = max(20.0, min(float(params.get("rps", 400.0)), 1200.0))
-        duration = max(0.1, min(float(params.get("duration", 0.25)), 0.5))
+        duration = max(0.05, min(float(params.get("duration", 0.2)), 0.5))
 
-        async def burst():
-            cluster = await LiveCluster.start(config)
-            try:
-                names = [f"hot-{i}.dat" for i in range(files)]
-                boot = await RuntimeClient(cluster, min(cluster.nodes)).connect()
-                for name in names:
-                    await boot.insert(name, f"payload of {name}")
-                await boot.close()
-                await cluster.drain()
-                hot = names[0]
-                home = min(cluster.holders(hot))
-                # Pre-seed replicas of the hot file (a recorded,
-                # replayable decision), then silently kill every holder
-                # but one mid-burst: the survivor's fresh holder view
-                # goes empty, so its shed hints fall back on cached —
-                # now stale — knowledge, and no status word was ever
-                # told.  Exactly the regime the client-side reroute
-                # must absorb.
-                await cluster.trigger_overload(home, hot, config.seed)
-                await cluster.drain()
-                victims = sorted(cluster.holders(hot))[:-1]
-                events = [
+        async def load(cluster):
+            schedule = []
+            if churn:
+                # Kill every holder of the hot file but one: the
+                # survivor's fresh holder view goes empty, so its shed
+                # hints fall back on cached — now stale — knowledge.
+                victims = sorted(cluster.holders(names[0]))[:-1]
+                schedule = [
                     ChurnEvent(at=(0.3 + 0.1 * i) * duration, action="kill", pid=v)
                     for i, v in enumerate(victims)
                 ]
                 if params.get("crash"):
-                    events.append(ChurnEvent(at=0.55 * duration, action="crash"))
+                    schedule.append(ChurnEvent(at=0.55 * duration, action="crash"))
                 if params.get("join"):
-                    events.append(ChurnEvent(at=0.7 * duration, action="join"))
-                injector = ChurnInjector(
-                    cluster, events, seed=config.seed, min_live=3
-                )
-                gen = LoadGenerator(
-                    cluster,
-                    names,
-                    WorkloadShape(kind="zipf", s=2.0),
-                    seed=config.seed,
-                    timeout=2.0,
-                    churn_reroute=self.scenario.mutation != "stale-hint",
-                )
-                injector.start()
-                report = await gen.run_open_loop(rps=rps, duration=duration)
-                await gen.close()
-                applied = await injector.finalize()
-                await cluster.quiesce()
-                system = replay_oplog(cluster.oplog, config, cluster.initial_live)
-                system.check_invariants()
-                return report, diff_states(cluster, system), applied
-            finally:
-                await cluster.shutdown()
+                    schedule.append(ChurnEvent(at=0.7 * duration, action="join"))
+            injector = ChurnInjector(cluster, schedule, seed=seed, min_live=3)
+            gen = LoadGenerator(
+                cluster, names, WorkloadShape(kind="zipf", s=2.0), seed=seed,
+                timeout=2.0,
+                churn_reroute=self.scenario.mutation != "stale-hint",
+            )
+            injector.start()
+            report = await gen.run_open_loop(rps=rps, duration=duration)
+            await gen.close()
+            return report, await injector.finalize()
 
-        report, conformance, applied = asyncio.run(burst())
-        churn = [
-            f"{e['action']}@P({e['pid']})" for e in applied if e["pid"] is not None
-        ]
-        record = self._overload_record(policy, report, conformance, churn=churn)
-        self._seal_overload_record(record)
+        booted = []
+
+        def on_boot(cluster) -> None:
+            booted.append(cluster)
+            if self.scenario.mutation == "drop-admin-frame":
+                self._mutated_drop_admin_frame(cluster)
+
+        conformance, result = asyncio.run(
+            run_live(config, script, load if burst else None, on_boot=on_boot)
+        )
+        self._record_live(conformance, booted[0].counters)
+        if result is not None:
+            report, applied = result
+            if self.scenario.mutation == "phantom-shed":
+                # Bug injection: account a shed that never happened, so
+                # the terminal buckets over-count the fired requests.
+                report.shed += 1
+            self._record_burst(
+                report,
+                cell=config.overload_policy().cell,
+                churn=[f"{e['action']}@P({e['pid']})"
+                       for e in applied if e["pid"] is not None],
+            )
         return True
+
+    def _record_live(self, conformance, counters: dict[str, int]) -> None:
+        """Keep a live op's verdict, failing it on a swallowed error."""
+        conformance.mismatches += [
+            f"{name}: {counters[name]} swallowed by the runtime"
+            for name in _FAULT_COUNTERS if counters.get(name)
+        ]
+        self.live_reports.append(conformance)
+
+    def _record_burst(self, report, **extra: Any) -> None:
+        """Keep a burst's client-side ledger: the report's counters."""
+        self.load_reports.append({
+            **report.to_wire()["counters"], "conserved": report.conserved, **extra,
+        })
 
     def _apply_live_scaleout(self, event: ScenarioEvent) -> bool:
         """A burst against a fleet of *real worker OS processes*.
@@ -633,10 +491,10 @@ class ScenarioHarness:
         mid-burst, with the §5 autopsy after), then collects the
         central snapshot and replays its decision-ordered oplog through
         the oracle.  The conformance report feeds the
-        ``runtime-oracle-conformance`` invariant; the worker lifecycle
-        ledger (request conservation + goodbye snapshots from every
-        cleanly terminated worker) feeds
-        ``scaleout-lifecycle-conservation``.
+        ``runtime-oracle-conformance`` invariant; the burst ledger feeds
+        ``overload-shed-conservation`` (request conservation) and
+        ``scaleout-lifecycle-conservation`` (a goodbye snapshot from
+        every cleanly terminated worker).
 
         With ``client_shards >= 2`` the burst is driven by a
         :class:`ShardedLoadDriver` — K forked load processes over
@@ -725,35 +583,26 @@ class ScenarioHarness:
                 for victim in killed:
                     await supervisor.bootstrap.announce_crash(victim)
                 await endpoint.quiesce()
-                snapshot, _stats = await supervisor.bootstrap.collect_snapshot()
-                return report, verify_snapshot(snapshot), killed
+                snapshot, stats = await supervisor.bootstrap.collect_snapshot()
+                return report, verify_snapshot(snapshot), stats.counters, killed
             finally:
                 await endpoint.close()
                 await supervisor.shutdown()
 
         try:
-            report, conformance, killed = asyncio.run(burst())
+            report, conformance, counters, killed = asyncio.run(burst())
         finally:
             if driver is not None:
                 driver.kill()
-        self.live_reports.append(conformance)
-        self.scaleout_reports.append({
-            "nodes": n_nodes,
-            "client_shards": client_shards if driver is not None else 1,
-            "requests": report.requests,
-            "completed": report.completed,
-            "faults": report.faults,
-            "errors": report.errors,
-            "timeouts": report.timeouts,
-            "shed": report.shed,
-            "churn_lost": report.churn_lost,
-            "conserved": report.conserved,
-            "killed": killed,
-            "expected_goodbyes": n_nodes - len(killed),
-            "goodbyes": len(supervisor.bootstrap.goodbyes),
-            "conformant": conformance.ok,
-            "conformance_detail": "; ".join(conformance.mismatches[:3]),
-        })
+        self._record_live(conformance, counters)
+        self._record_burst(
+            report,
+            nodes=n_nodes,
+            client_shards=client_shards if driver is not None else 1,
+            killed=killed,
+            expected_goodbyes=n_nodes - len(killed),
+            goodbyes=len(supervisor.bootstrap.goodbyes),
+        )
         return True
 
     def _sync_endpoints(self, handler_factory) -> None:
@@ -1004,6 +853,9 @@ def generate_scenario(
     counter = 0
     events: list[ScenarioEvent] = []
 
+    # Draw labels, not event ops: the three in-process live_* labels
+    # all emit ``live_cluster`` events, but keep their own entries and
+    # weights so every seed draws the stream it always drew.
     ops = ["insert", "get", "update", "replicate", "remove_replica",
            "join", "leave", "fail", "workload", "net", "reliable_workload",
            "live_segment", "live_overload", "live_churn_overload",
@@ -1083,40 +935,25 @@ def generate_scenario(
                     },
                 )
             )
-        elif op == "live_overload":  # flash-crowd probe, one policy cell
-            events.append(
-                ScenarioEvent(
-                    "live_overload",
-                    {
-                        "shed": rng.choice(["conservative", "aggressive"]),
-                        "queue": rng.choice(["fcfs", "priority"]),
-                        "victim": rng.choice(["lifo", "fifo", "random"]),
-                        "inbox_limit": rng.randint(2, 8),
-                        "files": rng.randint(1, 3),
-                        "rps": float(rng.choice([200, 400, 800])),
-                        "duration": 0.15,
-                        "seed": rng.randrange(1 << 30),
-                    },
+        elif op in ("live_overload", "live_churn_overload"):
+            # A flash-crowd burst against one policy cell; the churned
+            # label adds mid-burst kills (and maybe a crash or a join).
+            params = {
+                "shed": rng.choice(["conservative", "aggressive"]),
+                "queue": rng.choice(["fcfs", "priority"]),
+                "victim": rng.choice(["lifo", "fifo", "random"]),
+                "inbox_limit": rng.randint(2, 8),
+                "files": rng.randint(1, 3),
+                "rps": float(rng.choice([200, 400, 800])),
+                "duration": 0.15,
+            }
+            if op == "live_churn_overload":
+                params.update(
+                    duration=0.25, burst_churn=True,
+                    crash=rng.random() < 0.5, join=rng.random() < 0.3,
                 )
-            )
-        elif op == "live_churn_overload":  # burst + mid-burst churn probe
-            events.append(
-                ScenarioEvent(
-                    "live_churn_overload",
-                    {
-                        "shed": rng.choice(["conservative", "aggressive"]),
-                        "queue": rng.choice(["fcfs", "priority"]),
-                        "victim": rng.choice(["lifo", "fifo", "random"]),
-                        "inbox_limit": rng.randint(2, 8),
-                        "files": rng.randint(1, 3),
-                        "rps": float(rng.choice([200, 400, 800])),
-                        "duration": 0.25,
-                        "crash": rng.random() < 0.5,
-                        "join": rng.random() < 0.3,
-                        "seed": rng.randrange(1 << 30),
-                    },
-                )
-            )
+            params["seed"] = rng.randrange(1 << 30)
+            events.append(ScenarioEvent("live_cluster", params))
         elif op == "live_scaleout":  # real worker OS processes over TCP
             params = {
                 "nodes": rng.randint(4, 6),
@@ -1132,7 +969,7 @@ def generate_scenario(
             # seed-pinned regressions.
             params["client_shards"] = 2 if params["seed"] % 3 == 0 else 0
             events.append(ScenarioEvent("live_scaleout", params))
-        else:  # live_segment — a self-contained live-runtime probe
+        else:  # live_segment — a scripted live-runtime probe
             params = {
                 "m": 3,
                 "b": rng.choice([0, 1]),
@@ -1145,7 +982,7 @@ def generate_scenario(
             rng.random()
             rng.choice([0, 4096])
             params["seed"] = rng.randrange(1 << 30)
-            events.append(ScenarioEvent("live_segment", params))
+            events.append(ScenarioEvent("live_cluster", params))
     return Scenario(
         m=m, b=b, seed=seed, dead=dead, mutation=mutation, events=events
     )

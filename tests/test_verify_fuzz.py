@@ -5,6 +5,7 @@ violation-free; an injected placement bug is caught, delta-debugged to
 a handful of events, serialized, and replays deterministically.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -55,6 +56,25 @@ class TestScenarioModel:
         assert not harness.apply(ScenarioEvent("join", {"pid": 1}))  # already live
         assert harness.skipped == 4 and harness.applied == 0
 
+    def test_generator_stream_is_pinned(self):
+        # sha256 of every event's (op, params), seeds 0-4, at two
+        # shapes.  Pinned before the in-process live ops merged into
+        # ``live_cluster`` (that rename and the churned bursts'
+        # ``burst_churn`` flag applied): a changed draw anywhere shifts
+        # every seed-pinned scenario after it.
+        golden = [
+            ({}, "2b7ade2ac997a03e466463f729ab9526f6c200f2a9697062ccd3618e4d575567"),
+            ({"m": 4, "b": 1, "n_events": 40},
+             "9be90f1934020b50d542a4ec4b02af9fe03ade606ba6c62f09e2f0a9076620d9"),
+        ]
+        for shape, digest in golden:
+            h = hashlib.sha256()
+            for seed in range(5):
+                events = generate_scenario(seed=seed, **shape).events
+                h.update(json.dumps([[e.op, e.params] for e in events],
+                                    sort_keys=True).encode())
+            assert h.hexdigest() == digest, shape
+
     def test_same_scenario_same_trajectory(self):
         scenario = generate_scenario(seed=12, m=5, b=1, n_events=40)
         from repro.cluster.snapshot import snapshot_to_json
@@ -89,6 +109,16 @@ class TestFuzzSmoke:
             assert report.ok, report.render()
 
 
+def _live_cluster_params(seeds):
+    """The params of every ``live_cluster`` event over ``seeds`` seeds."""
+    return [
+        event.params
+        for seed in range(seeds)
+        for event in generate_scenario(seed=seed, m=5, b=1, n_events=40).events
+        if event.op == "live_cluster"
+    ]
+
+
 class TestLiveSegmentOp:
     """The runtime-driven fuzzer op: seeded segments through the live
     asyncio runtime, audited for oracle conformance."""
@@ -96,22 +126,17 @@ class TestLiveSegmentOp:
     def test_scripted_segment_records_a_conformant_report(self):
         harness = ScenarioHarness(Scenario(m=4, b=1, seed=0))
         event = ScenarioEvent(
-            "live_segment",
+            "live_cluster",
             {"m": 3, "b": 1, "files": 2, "ops": 6, "seed": 42},
         )
         assert harness.apply(event)
         assert len(harness.live_reports) == 1
         report = harness.live_reports[-1]
         assert report.ok, report.render()
+        assert not harness.load_reports  # no rps, no burst
 
     def test_generator_emits_live_segments(self):
-        ops = [
-            event.op
-            for seed in range(6)
-            for event in generate_scenario(seed=seed, m=5, b=1,
-                                           n_events=40).events
-        ]
-        assert "live_segment" in ops
+        assert any("ops" in p for p in _live_cluster_params(6))
 
     def test_conformance_invariant_audits_the_last_report(self):
         from repro.verify.invariants import RuntimeConformance
@@ -134,31 +159,27 @@ class TestLiveOverloadOp:
             "duration": 0.15, "seed": 13,
         }
         params.update(overrides)
-        return ScenarioEvent("live_overload", params)
+        return ScenarioEvent("live_cluster", params)
 
     def test_scripted_burst_records_a_conserved_report(self):
         harness = ScenarioHarness(Scenario(m=4, b=1, seed=0))
         assert harness.apply(self._event())
-        assert len(harness.overload_reports) == 1
-        record = harness.overload_reports[-1]
+        assert len(harness.load_reports) == 1
+        record = harness.load_reports[-1]
         assert record["cell"] == "conservative/fcfs/lifo"
         assert record["requests"] > 0
         assert record["conserved"], record
-        assert record["conformant"], record
+        assert len(harness.live_reports) == 1
+        assert harness.live_reports[-1].ok, harness.live_reports[-1].render()
 
     def test_unknown_policy_cell_is_skipped_not_raised(self):
         harness = ScenarioHarness(Scenario(m=4, b=1, seed=0))
         assert not harness.apply(self._event(shed="nope"))
-        assert harness.skipped == 1 and not harness.overload_reports
+        assert harness.skipped == 1 and not harness.load_reports
 
     def test_generator_emits_live_overload(self):
-        ops = [
-            event.op
-            for seed in range(8)
-            for event in generate_scenario(seed=seed, m=5, b=1,
-                                           n_events=40).events
-        ]
-        assert "live_overload" in ops
+        assert any("rps" in p and not p.get("burst_churn")
+                   for p in _live_cluster_params(8))
 
     def test_overload_invariant_is_registered(self):
         from repro.verify.invariants import OverloadAccounting, default_invariants
@@ -167,13 +188,7 @@ class TestLiveOverloadOp:
         assert OverloadAccounting.name in names
 
     def test_generator_emits_live_churn_overload(self):
-        ops = [
-            event.op
-            for seed in range(8)
-            for event in generate_scenario(seed=seed, m=5, b=1,
-                                           n_events=40).events
-        ]
-        assert "live_churn_overload" in ops
+        assert any(p.get("burst_churn") for p in _live_cluster_params(8))
 
     def test_stale_redirect_invariant_is_registered(self):
         from repro.verify.invariants import StaleRedirect, default_invariants
@@ -194,7 +209,7 @@ class TestChurnedBurstsFuzzClean:
         # on >= 3 distinct seeds rather than vacuously passing.
         churned_seeds = [
             seed for seed in range(7)
-            if any(e.op == "live_churn_overload"
+            if any(e.op == "live_cluster" and e.params.get("burst_churn")
                    for e in generate_scenario(seed=seed, m=5, b=1,
                                               n_events=40).events)
         ]
@@ -219,11 +234,11 @@ class TestStaleHintCaught:
             events=[
                 ScenarioEvent("insert", {"file": "f0"}),
                 ScenarioEvent("get", {"file": "f0", "entry": 1}),
-                ScenarioEvent("live_churn_overload", {
+                ScenarioEvent("live_cluster", {
                     "shed": "conservative", "queue": "fcfs",
                     "victim": "lifo", "inbox_limit": 2, "files": 1,
                     "rps": 800, "duration": 0.3, "seed": 7,
-                    "service_time": 0.005,
+                    "service_time": 0.005, "burst_churn": True,
                 }),
             ],
         )
@@ -235,7 +250,7 @@ class TestStaleHintCaught:
         assert "hint named a dead node" in violation.message
 
         minimized, shrunk = Shrinker().shrink(violation.scenario, violation)
-        assert [e.op for e in minimized.events] == ["live_churn_overload"]
+        assert [e.op for e in minimized.events] == ["live_cluster"]
         assert shrunk.invariant == violation.invariant
 
         path = save_repro(tmp_path / "stale.json", minimized, shrunk)
@@ -256,7 +271,7 @@ class TestPhantomShedCaught:
             events=[
                 ScenarioEvent("insert", {"file": "f0"}),
                 ScenarioEvent("get", {"file": "f0", "entry": 1}),
-                ScenarioEvent("live_overload", {
+                ScenarioEvent("live_cluster", {
                     "shed": "aggressive", "queue": "priority",
                     "victim": "fifo", "inbox_limit": 2, "files": 1,
                     "rps": 400, "duration": 0.15, "seed": 13,
@@ -271,7 +286,7 @@ class TestPhantomShedCaught:
         assert "shed" in violation.message
 
         minimized, shrunk = Shrinker().shrink(violation.scenario, violation)
-        assert [e.op for e in minimized.events] == ["live_overload"]
+        assert [e.op for e in minimized.events] == ["live_cluster"]
         assert shrunk.invariant == violation.invariant
 
         path = save_repro(tmp_path / "shed.json", minimized, shrunk)
@@ -318,13 +333,13 @@ class TestMutationCaught:
         # The coordinator's mirror and oplog agree by construction; what
         # conformance still checks is that the frames it issued reached
         # the real stores.  Swallow one and the placement diff must say
-        # so, shrunk to the one live segment that lost the copy.
+        # so, shrunk to the one live probe that lost the copy.
         violation = self._first_violation("drop-admin-frame")
         assert violation.invariant == "runtime-oracle-conformance"
         assert "placement" in violation.message
 
         minimized, shrunk = Shrinker().shrink(violation.scenario, violation)
-        assert [e.op for e in minimized.events] == ["live_segment"]
+        assert [e.op for e in minimized.events] == ["live_cluster"]
         assert shrunk.invariant == violation.invariant
 
         path = save_repro(tmp_path / "dropped.json", minimized, shrunk)
@@ -376,6 +391,33 @@ class TestShrinker:
         loaded, expected = load_repro(path)
         assert loaded.events == violation.scenario.events
         assert expected["invariant"] == violation.invariant
+
+
+class TestSwallowedHandlerErrorCaught:
+    """The runtime counts a node handler that raised and carries on; a
+    live probe must still fail on it, naming the counter."""
+
+    def test_raising_get_handler_fails_the_live_probe(self, monkeypatch):
+        from repro.runtime.node import NodeServer
+
+        serve = NodeServer._handle_get
+
+        async def serve_then_raise(self, msg, conn):
+            await serve(self, msg, conn)  # the client still gets its reply
+            raise RuntimeError("injected handler fault")
+
+        monkeypatch.setattr(NodeServer, "_handle_get", serve_then_raise)
+        scenario = Scenario(
+            m=4, b=1, seed=0,
+            events=[ScenarioEvent(
+                "live_cluster",
+                {"m": 3, "b": 1, "files": 2, "ops": 6, "seed": 42},
+            )],
+        )
+        violation = ScenarioFuzzer().run_scenario(scenario)
+        assert violation is not None, "a swallowed handler error passed"
+        assert violation.invariant == "runtime-oracle-conformance"
+        assert "handler_errors" in violation.message
 
 
 class TestCrashTreatedAsViolation:

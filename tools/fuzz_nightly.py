@@ -31,11 +31,17 @@ from repro.verify import (  # noqa: E402
     save_repro,
 )
 
-#: Live-runtime burst ops whose per-cell coverage the summary reports:
-#: the overload and churned-overload invariants (overload-shed
-#: conservation, stale-redirect) only audit scenarios that actually
-#: contain these events, so the nightly proves they ran.
-LIVE_BURST_OPS = ("live_overload", "live_churn_overload")
+def burst_kind(event) -> str | None:
+    """Which coverage bucket a ``live_cluster`` event's burst falls in.
+
+    The in-process burst invariants (overload-shed conservation,
+    stale-redirect) only audit scenarios whose ``live_cluster`` events
+    fire a burst (``rps``), with or without mid-burst churn, so the
+    nightly counts both kinds to prove they ran.
+    """
+    if event.op != "live_cluster" or "rps" not in event.params:
+        return None
+    return "churned" if event.params.get("burst_churn") else "plain"
 
 DEFAULT_GRID = ((4, 0), (4, 1), (5, 0), (5, 1), (5, 2), (6, 1), (6, 2), (7, 2))
 
@@ -79,17 +85,13 @@ def main(argv: list[str] | None = None) -> int:
         cell["elapsed_s"] = round(elapsed, 2)
         # Generation is seed-deterministic: re-derive the campaign's
         # scenarios to tally how many live bursts each cell carried.
-        cell["live_burst_coverage"] = {
-            op: sum(
-                1
-                for s in range(args.base_seed, args.base_seed + args.seeds)
-                for e in generate_scenario(
-                    seed=s, m=m, b=b, n_events=args.events
-                ).events
-                if e.op == op
-            )
-            for op in LIVE_BURST_OPS
-        }
+        coverage = {"plain": 0, "churned": 0}
+        for s in range(args.base_seed, args.base_seed + args.seeds):
+            for e in generate_scenario(seed=s, m=m, b=b, n_events=args.events).events:
+                kind = burst_kind(e)
+                if kind is not None:
+                    coverage[kind] += 1
+        cell["live_burst_coverage"] = coverage
         cell["repros"] = []
         for violation in report.violations:
             total_violations += 1
@@ -109,12 +111,11 @@ def main(argv: list[str] | None = None) -> int:
             )
         cells.append(cell)
         status = "ok" if report.ok else f"{len(report.violations)} VIOLATIONS"
-        coverage = cell["live_burst_coverage"]
         print(
             f"m={m} b={b}: {report.scenarios} scenarios, "
             f"{report.checks} checks, "
-            f"{coverage['live_overload']} overload / "
-            f"{coverage['live_churn_overload']} churned bursts, "
+            f"{coverage['plain']} plain / "
+            f"{coverage['churned']} churned bursts, "
             f"{elapsed:.1f}s — {status}"
         )
 
