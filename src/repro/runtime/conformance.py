@@ -10,7 +10,8 @@ the oracle — and :func:`diff_states` compares final state field by
 field, with placement and per-node words read off the real node stores:
 
 * **replica placement** — file → {holder PID → inserted/replicated},
-* **version map** — file → catalog version,
+* **version map** — file → catalog version, and the version each real
+  holder keeps against its oracle copy (a missed UPDATE shows here),
 * **membership** — the authoritative §5 status word, and every live
   node's own word (broadcasts must have converged),
 * **faults** — files lost to churn.
@@ -231,11 +232,14 @@ class ClusterStateSnapshot:
     placement: dict[str, dict[int, str]]
     faults: list[str]
     replicas_created: int = 0
+    held: dict[str, dict[int, int]] = field(default_factory=dict)
+    """File → {holder PID → the version its real store keeps}."""
 
 
 def snapshot_of(cluster: LiveCluster) -> ClusterStateSnapshot:
     """Freeze a quiesced in-process cluster for the conformance diff."""
     mirror = cluster.coordinator.mirror
+    placement = cluster.placement()
     return ClusterStateSnapshot(
         config=cluster.config,
         initial_live=cluster.initial_live,
@@ -247,9 +251,16 @@ def snapshot_of(cluster: LiveCluster) -> ClusterStateSnapshot:
         },
         catalog=set(mirror.catalog),
         versions=cluster.version_map(),
-        placement=cluster.placement(),
+        placement=placement,
         faults=list(mirror.faults),
         replicas_created=cluster.replicas_created(),
+        held={
+            name: {
+                pid: cluster.nodes[pid].store.get(name, count_access=False).version
+                for pid in holders
+            }
+            for name, holders in placement.items()
+        },
     )
 
 
@@ -304,6 +315,15 @@ def diff_snapshot(
                 f"placement: {name!r} live {snap.placement.get(name, {})} != "
                 f"oracle {oracle_holders}"
             )
+        for pid, version in sorted(snap.held.get(name, {}).items()):
+            if pid not in oracle_holders:
+                continue
+            want = system.stores[pid].get(name, count_access=False).version
+            if version != want:
+                bad.append(
+                    f"version: {name!r} at P({pid}) live v{version} != "
+                    f"oracle v{want}"
+                )
 
     if sorted(snap.faults) != sorted(system.faults):
         bad.append(

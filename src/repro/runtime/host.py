@@ -10,7 +10,9 @@ coordination call into an RPC to the bootstrap.
 
 from __future__ import annotations
 
+import traceback
 from abc import ABC, abstractmethod
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from ..core.hashing import Psi
@@ -28,6 +30,9 @@ __all__ = ["NodeHost", "PSI_CACHE_CAP"]
 PSI_CACHE_CAP = 4096
 """Upper bound on memoized ψ values per host — a wide catalog must not
 grow memory without limit."""
+
+HANDLER_TRACEBACKS_KEPT = 8
+"""Most recent handler tracebacks a host keeps beside its counter."""
 
 
 class _BoundedCache(dict):
@@ -65,6 +70,10 @@ class NodeHost(ABC):
         self.replication_enabled = True
         """Gate on the nodes' *autonomous* (sweeper) replication."""
         self.counters: dict[str, int] = {}
+        self.handler_tracebacks: deque[tuple[int, str]] = deque(
+            maxlen=HANDLER_TRACEBACKS_KEPT
+        )
+        """``(pid, traceback)`` of the last handler errors, oldest first."""
         self.stage_seconds: dict[str, float] = {
             "encode": 0.0, "decode": 0.0, "route": 0.0, "serve": 0.0,
         }
@@ -96,7 +105,10 @@ class NodeHost(ABC):
         self.count("wire_decode_errors")
 
     def note_handler_error(self, pid: int) -> None:
+        """Count a handler that raised and keep its traceback; call it
+        from the ``except`` block that caught the exception."""
         self.count("handler_errors")
+        self.handler_tracebacks.append((pid, traceback.format_exc()))
 
     # -- data plane ---------------------------------------------------------
 
@@ -134,7 +146,9 @@ class NodeHost(ABC):
         self, name: str, holder: int, seed: int, rates: dict[int, float]
     ) -> int | None:
         """One placement decision; the target's copy travels as the
-        coordinator's REPLICATE frame, not from the deciding node."""
+        coordinator's REPLICATE frame, not from the deciding node.
+        Returns the target (``None``: no target); raises
+        ``ConnectionError`` when the outcome cannot be learned."""
 
     @abstractmethod
     async def record_removal(self, name: str, pid: int) -> None:

@@ -30,9 +30,12 @@ algebra* — the same :mod:`repro.core.subtree` decisions
   subtree, acking the client once every home confirmed.
 * **UPDATE** (§2.2) broadcasts top-down from
   :func:`~repro.core.subtree.update_starts` (each subtree root, a dead
-  one bypassed to its children list); holders re-broadcast to
-  :func:`~repro.core.subtree.subtree_children_list` of their own word,
-  non-holders discard.  Every child's frame is the one the holder
+  one bypassed to its children list); a holder re-broadcasts to the
+  members of :func:`~repro.core.subtree.subtree_children_list` of its
+  own word on which it placed a copy — its per-file *placed set*, kept
+  from its own INSERT/REPLICATE/decision history, no log — or to the
+  whole list while that set is unknown (a TRANSFER, a changed word, a
+  decision in flight).  Every child's frame is the one the holder
   received, copied and re-addressed (the wire's carried body).
 * **REPLICATE** (§2.2/§3): an overloaded holder reports its seed and
   observed forwarder rates to the coordination plane, which runs
@@ -189,6 +192,13 @@ class NodeServer:
         # knowledge _redirect_hint falls back on when the fresh holder
         # view offers no alternative.
         self._hint_cache: dict[str, tuple[int, ...]] = {}
+        self._placed: dict[str, set[int]] = {}
+        """File → the members of this node's children list it placed a
+        copy on; no entry means unknown.  Read through :meth:`_placement`,
+        which forgets every set once the word's ``epoch`` moves."""
+        self._placed_epoch = self.word.epoch
+        self._deciding: dict[str, int] = {}
+        """File → placement decisions awaiting their outcome."""
         self._access_marks: dict[str, tuple[int, float]] = {}
         self._conns: set[FrameConnection] = set()
         self._tasks: set[asyncio.Task] = set()
@@ -406,6 +416,7 @@ class NodeServer:
                 )
         elif kind is MessageKind.REMOVE:
             self.store.discard(msg.file)
+            self._placed.pop(msg.file, None)
         elif kind is MessageKind.REGISTER_LIVE:
             self.word.register_live(int(msg.payload["pid"]))
         elif kind is MessageKind.REGISTER_DEAD:
@@ -650,6 +661,7 @@ class NodeServer:
                 msg.file, msg.payload, msg.version, FileOrigin.INSERTED,
                 now=asyncio.get_running_loop().time(),
             )
+            self._placement()[msg.file] = set()
             await self._send(
                 fast_message(
                     MessageKind.ACK, self.pid, msg.origin, msg.file, None,
@@ -681,6 +693,7 @@ class NodeServer:
                 name, msg.payload, 1, FileOrigin.INSERTED,
                 now=asyncio.get_running_loop().time(),
             )
+            self._placement()[name] = set()
         stamped = fast_message(
             msg.kind, msg.src, msg.dst, name, msg.payload, 1, msg.hops,
             self.pid, msg.request_id,
@@ -731,6 +744,10 @@ class NodeServer:
             children = subtree_children_list(
                 cluster.tree(cluster.psi_of(name)), self.b, self.pid, self.word
             )
+            placed = self._placement().get(name)
+            if placed is not None and name not in self._deciding:
+                # Only where this node put a copy: the rest would discard.
+                children = [child for child in children if child in placed]
             # ``forwarded`` hands each child's copy the body this frame
             # arrived in: one encode (the sender's) per fan-out.
             for child in children:
@@ -769,14 +786,51 @@ class NodeServer:
             msg.file, payload.get("payload"), msg.version,
             FileOrigin.REPLICATED, now=asyncio.get_running_loop().time(),
         )
+        self._placement()[msg.file] = set()
 
     def _handle_transfer(self, msg: Message) -> None:
-        """§5 churn migration: adopt an original copy as its new home."""
+        """§5 churn migration: adopt an original copy as its new home.
+        The copies below it were not placed here: the set is unknown."""
         payload = msg.payload if isinstance(msg.payload, dict) else {}
         self.store.store(
             msg.file, payload.get("payload"), msg.version,
             FileOrigin.INSERTED, now=asyncio.get_running_loop().time(),
         )
+        self._placed.pop(msg.file, None)
+
+    def _placement(self) -> dict[str, set[int]]:
+        """The per-file placed sets, valid for this node's current word.
+
+        Invariant: while ``word.epoch`` reads what it read when a set
+        was started, the set holds every member of this node's children
+        list that holds the file — copies there are only ever placed by
+        this node's own decisions.  Any word change (a splice after a
+        death, a join, a failed send) forgets every set; the epoch only
+        grows, so an old set can never look current again.
+        """
+        epoch = self.word.epoch
+        if epoch != self._placed_epoch:
+            self._placed.clear()
+            self._placed_epoch = epoch
+        return self._placed
+
+    def _note_placed(self, name: str, target: int) -> None:
+        """Record a decision's target in ``name``'s placed set.
+
+        A target outside this node's children list that is not an
+        update start means the coordinator's membership and this node's
+        word disagree: the set can no longer vouch for the list, so it
+        is forgotten.
+        """
+        placed = self._placement().get(name)
+        if placed is None:
+            return
+        cluster = self.cluster
+        tree = cluster.tree(cluster.psi_of(name))
+        if target in subtree_children_list(tree, self.b, self.pid, self.word):
+            placed.add(target)
+        elif target not in update_starts(tree, self.b, self.word):
+            del self._placed[name]
 
     async def _replicate_decision(self, name: str, seed: int | None = None) -> int | None:
         """One placement decision for this (overloaded) holder.
@@ -796,7 +850,24 @@ class NodeServer:
         self._decision_count += 1
         now = asyncio.get_running_loop().time()
         rates = dict(self.monitor.source_rates(name, now))
-        return await self.cluster.decide_replication(name, self.pid, seed, rates)
+        # While the outcome is out, the target may already hold its copy:
+        # ``name``'s UPDATEs fan out to the whole children list.
+        deciding = self._deciding
+        deciding[name] = deciding.get(name, 0) + 1
+        try:
+            target = await self.cluster.decide_replication(
+                name, self.pid, seed, rates
+            )
+        except ConnectionError:
+            self._placed.pop(name, None)  # the outcome never came back
+            return None
+        finally:
+            left = deciding.pop(name) - 1
+            if left:
+                deciding[name] = left
+        if target is not None:
+            self._note_placed(name, target)
+        return target
 
     # -- overload sweeper ---------------------------------------------------
 

@@ -66,6 +66,8 @@ class ScaleoutStats:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     counters: dict[str, int] = field(default_factory=dict)
     decisions: dict[int, int] = field(default_factory=dict)
+    handler_tracebacks: list[tuple[int, str]] = field(default_factory=list)
+    """Each worker's last handler tracebacks, ``(pid, traceback)``."""
 
 
 @dataclass
@@ -419,11 +421,13 @@ class BootstrapServer:
         )
         snaps = dict(zip(live, raw))
         placement: dict[str, dict[int, str]] = {name: {} for name in self.mirror.catalog}
+        held: dict[str, dict[int, int]] = {}
         stats = ScaleoutStats()
         for pid in live:
             snap = snaps[pid]
-            for name, _payload, _version, origin in snap.get("store", []):
+            for name, _payload, version, origin in snap.get("store", []):
                 placement.setdefault(name, {})[pid] = origin
+                held.setdefault(name, {})[pid] = int(version)
             stats.served_by_node[pid] = int(snap.get("served", 0))
             stats.decisions[pid] = int(snap.get("decisions", 0))
             for key, value in (snap.get("stage") or {}).items():
@@ -432,6 +436,10 @@ class BootstrapServer:
                 )
             for key, value in (snap.get("counters") or {}).items():
                 stats.counters[key] = stats.counters.get(key, 0) + int(value)
+            stats.handler_tracebacks += [
+                (int(where), str(text))
+                for where, text in snap.get("handler_tracebacks", [])
+            ]
         snapshot = ClusterStateSnapshot(
             config=self.config,
             initial_live=self.initial_live,
@@ -446,6 +454,7 @@ class BootstrapServer:
                 1 for rec in self.oplog
                 if rec.kind == "replicate" and rec.target is not None
             ),
+            held=held,
         )
         return snapshot, stats
 

@@ -187,8 +187,10 @@ class WorkerRuntime(NodeHost):
                 "decide", name=name, holder=holder, seed=seed,
                 rates={str(src): rate for src, rate in rates.items()},
             )
-        except (ConnectionError, RuntimeError):
-            return None
+        except RuntimeError as exc:
+            # The bootstrap may have decided before it failed: the
+            # outcome is as unknown as on a dead link.
+            raise ConnectionError(str(exc)) from None
         if "holders" in reply:
             self.note_holders(name, reply["holders"])
         target = reply.get("target")
@@ -223,6 +225,7 @@ class WorkerRuntime(NodeHost):
             "decisions": node._decision_count,
             "stage": dict(self.stage_seconds),
             "counters": dict(self.counters),
+            "handler_tracebacks": list(self.handler_tracebacks),
         }
 
     def probe_body(self) -> dict[str, Any]:

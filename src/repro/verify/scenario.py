@@ -56,12 +56,21 @@ MUTATIONS = (
     "phantom-shed",
     "stale-hint",
     "drop-admin-frame",
+    "forget-placement",
 )
 
 #: Runtime counters a live op must leave at zero.  The runtime counts
 #: a node handler that raised, or a frame that would not decode, and
 #: carries on; a probe that ignored them would pass a swallowed bug.
 _FAULT_COUNTERS = ("handler_errors", "wire_decode_errors")
+
+
+def _traceback_tail(text: str) -> str:
+    """A formatted traceback's last frame and exception line, joined."""
+    lines = text.strip().splitlines()
+    frames = [line.strip() for line in lines if line.lstrip().startswith("File ")]
+    tail = lines[-1] if lines else "?"
+    return f"{frames[-1]}: {tail}" if frames else tail
 
 
 @dataclass(frozen=True)
@@ -449,11 +458,15 @@ class ScenarioHarness:
             booted.append(cluster)
             if self.scenario.mutation == "drop-admin-frame":
                 self._mutated_drop_admin_frame(cluster)
+            elif self.scenario.mutation == "forget-placement":
+                self._mutated_forget_placement(cluster)
 
         conformance, result = asyncio.run(
             run_live(config, script, load if burst else None, on_boot=on_boot)
         )
-        self._record_live(conformance, booted[0].counters)
+        self._record_live(
+            conformance, booted[0].counters, booted[0].handler_tracebacks
+        )
         if result is not None:
             report, applied = result
             if self.scenario.mutation == "phantom-shed":
@@ -468,12 +481,19 @@ class ScenarioHarness:
             )
         return True
 
-    def _record_live(self, conformance, counters: dict[str, int]) -> None:
-        """Keep a live op's verdict, failing it on a swallowed error."""
-        conformance.mismatches += [
-            f"{name}: {counters[name]} swallowed by the runtime"
-            for name in _FAULT_COUNTERS if counters.get(name)
-        ]
+    def _record_live(
+        self, conformance, counters: dict[str, int], tracebacks
+    ) -> None:
+        """Keep a live op's verdict, failing it on a swallowed error;
+        a handler error names where the first kept traceback raised."""
+        for name in _FAULT_COUNTERS:
+            if not counters.get(name):
+                continue
+            line = f"{name}: {counters[name]} swallowed by the runtime"
+            if name == "handler_errors" and tracebacks:
+                pid, text = tracebacks[0]
+                line += f" (first, P({pid}): {_traceback_tail(text)})"
+            conformance.mismatches.append(line)
         self.live_reports.append(conformance)
 
     def _record_burst(self, report, **extra: Any) -> None:
@@ -584,17 +604,18 @@ class ScenarioHarness:
                     await supervisor.bootstrap.announce_crash(victim)
                 await endpoint.quiesce()
                 snapshot, stats = await supervisor.bootstrap.collect_snapshot()
-                return report, verify_snapshot(snapshot), stats.counters, killed
+                return (report, verify_snapshot(snapshot),
+                        (stats.counters, stats.handler_tracebacks), killed)
             finally:
                 await endpoint.close()
                 await supervisor.shutdown()
 
         try:
-            report, conformance, counters, killed = asyncio.run(burst())
+            report, conformance, faults, killed = asyncio.run(burst())
         finally:
             if driver is not None:
                 driver.kill()
-        self._record_live(conformance, counters)
+        self._record_live(conformance, *faults)
         self._record_burst(
             report,
             nodes=n_nodes,
@@ -776,6 +797,22 @@ class ScenarioHarness:
             await send(src, msg)
 
         cluster.send = lossy_send
+
+    @staticmethod
+    def _mutated_forget_placement(cluster) -> None:
+        """Make every placement decision answer "no target" to its node.
+
+        The copy is still placed, but the decider's placed set never
+        records it, so its UPDATE fan-out skips the new holder — which
+        keeps a stale version that the conformance diff must find.
+        """
+        decide = cluster.decide_replication
+
+        async def forgetful_decide(name, holder, seed, rates):
+            await decide(name, holder, seed, rates)
+            return None
+
+        cluster.decide_replication = forgetful_decide
 
     def _mutated_drop_timeout(self, policy: RetryPolicy) -> None:
         """Issue a doomed request, then lose its timeout event.

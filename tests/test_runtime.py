@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.subtree import subtree_children_list
 from repro.net.message import WIRE_BODY, Message, MessageKind, fast_message
 from repro.node.membership import StatusWord
 from repro.runtime import (
@@ -1679,6 +1680,167 @@ class TestInlineDispatch:
         assert "dup" not in node.store and host.order == []
 
 
+class _PlacingHost(_StubHost):
+    """A `_StubHost` that keeps every frame it was asked to send and
+    answers placement decisions from ``decide``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.sent: list[Message] = []
+        self.decide = None  # async (name) -> target, or None: no target
+
+    async def send(self, src, msg):
+        self.sent.append(msg)
+
+    async def decide_replication(self, name, holder, seed, rates):
+        return None if self.decide is None else await self.decide(name)
+
+
+def _frame(kind: MessageKind, version: int = 1, **fields) -> Message:
+    base = dict(src=5, dst=0, file="f", payload="v", version=version,
+                origin=5, request_id=1)
+    base.update(fields)
+    return Message(kind=kind, **base)
+
+
+class TestPlacedSet:
+    """A holder's UPDATE fan-out goes to the children it placed a copy
+    on, and to its whole children list whenever that set is unknown."""
+
+    @staticmethod
+    def _holder():
+        """A node at the file's root position, and its children list."""
+        host = _PlacingHost()
+        pid = host.psi_of("f")
+        node = NodeServer(pid, host)
+        children = list(subtree_children_list(
+            host.tree(pid), node.b, pid, node.word
+        ))
+        return host, node, pid, children
+
+    @staticmethod
+    async def _store(node, pid, how):
+        if how == "insert":  # a remote home receiving its copy
+            await node._dispatch(_frame(MessageKind.INSERT, dst=pid), None)
+        elif how == "entry-insert":  # the entry node is itself the home
+            await node._dispatch(
+                _frame(MessageKind.INSERT, src=CLIENT, dst=pid, origin=-1), None
+            )
+        else:
+            await node._dispatch(_frame(
+                getattr(MessageKind, how.upper()), src=-2, dst=pid,
+                payload={"payload": "v"},
+            ), None)
+        assert "f" in node.store
+
+    @staticmethod
+    async def _fan_out(host, node, pid, version) -> list[int]:
+        host.sent.clear()
+        await node._dispatch(
+            _frame(MessageKind.UPDATE, version=version, dst=pid, src=7), None
+        )
+        assert node.store.get("f", count_access=False).version == version
+        return [m.dst for m in host.sent if m.kind is MessageKind.UPDATE]
+
+    @pytest.mark.parametrize("how", ["insert", "entry-insert", "replicate"])
+    def test_a_stored_copy_starts_known_empty(self, how):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, how)
+            assert len(children) >= 2
+            assert await self._fan_out(host, node, pid, 2) == []
+
+        asyncio.run(run())
+
+    def test_fan_out_goes_to_placed_children_only(self):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, "insert")
+            picks = iter([children[1], children[0], None])
+
+            async def decide(name):
+                return next(picks)
+
+            host.decide = decide
+            for _ in range(3):
+                await node._replicate_decision("f", seed=1)
+            assert await self._fan_out(host, node, pid, 2) == children[:2]
+            # REMOVE drops the copy and its set: the next UPDATE discards.
+            await node._dispatch(_frame(MessageKind.REMOVE, src=-2, dst=pid), None)
+            host.sent.clear()
+            await node._dispatch(
+                _frame(MessageKind.UPDATE, version=3, dst=pid, src=7), None
+            )
+            assert host.sent == [] and host.counters["update_discards"] == 1
+
+        asyncio.run(run())
+
+    def test_transfer_makes_the_set_unknown(self):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, "insert")
+            await self._store(node, pid, "transfer")
+            assert await self._fan_out(host, node, pid, 2) == children
+
+        asyncio.run(run())
+
+    def test_a_word_change_makes_every_set_unknown(self):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, "insert")
+            outsider = next(p for p in range(8) if p != pid and p not in children)
+            await node._dispatch(_frame(
+                MessageKind.REGISTER_DEAD, src=-2, dst=pid, payload={"pid": outsider},
+            ), None)
+            now = list(subtree_children_list(
+                host.tree(pid), node.b, pid, node.word
+            ))
+            assert await self._fan_out(host, node, pid, 2) == now
+            # A decision after the change does not make the set known.
+            async def decide(name):
+                return now[0]
+
+            host.decide = decide
+            await node._replicate_decision("f", seed=1)
+            assert await self._fan_out(host, node, pid, 3) == now
+
+        asyncio.run(run())
+
+    def test_a_decision_in_flight_fans_out_to_the_whole_list(self):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, "insert")
+            gate = asyncio.Event()
+
+            async def decide(name):
+                await gate.wait()
+                return children[2]
+
+            host.decide = decide
+            deciding = asyncio.ensure_future(node._replicate_decision("f", seed=1))
+            await _settle()
+            assert await self._fan_out(host, node, pid, 2) == children
+            gate.set()
+            assert await deciding == children[2]
+            assert await self._fan_out(host, node, pid, 3) == [children[2]]
+
+        asyncio.run(run())
+
+    def test_a_failed_decide_makes_the_set_unknown(self):
+        async def run():
+            host, node, pid, children = self._holder()
+            await self._store(node, pid, "insert")
+
+            async def decide(name):
+                raise ConnectionError("control link closed")
+
+            host.decide = decide
+            assert await node._replicate_decision("f", seed=1) is None
+            assert await self._fan_out(host, node, pid, 2) == children
+
+        asyncio.run(run())
+
+
 class TestSweeperStart:
     """A node starts its load sweeper only when the config gives the
     sweeper a trigger; a 20 ms tick with nothing to trip on is idle cost."""
@@ -2108,6 +2270,162 @@ def test_update_broadcast_splices_a_silently_dead_child():
             system.check_invariants()
             conformance = diff_states(cluster, system)
             assert conformance.ok, conformance.render()
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+async def _place_chain(cluster, name: str, links: int, seed: int) -> list[int]:
+    """Replicate ``name`` from its home down a chain of ``links``
+    copies, each placed by the previous one's decision, plus one more
+    copy off the home.  Returns the chain, home first."""
+    chain = sorted(cluster.holders(name))[:1]
+    for i in range(links):
+        await cluster.trigger_overload(chain[-1], name, seed=seed + i)
+        await cluster.drain()
+        assert cluster.oplog[-1].kind == "replicate"
+        chain.append(cluster.oplog[-1].target)
+    await cluster.trigger_overload(chain[0], name, seed=seed + links)
+    await cluster.drain()
+    assert None not in chain and cluster.oplog[-1].target is not None
+    return chain
+
+
+async def _update_all(client, names: list[str], rounds: int, tag: str) -> None:
+    for i in range(rounds):
+        for name in names:
+            assert (await client.update(name, f"{tag}{i}:{name}")).ok
+
+
+def _assert_coherent_and_conformant(cluster, config) -> None:
+    versions = cluster.version_map()
+    stale = [
+        (name, pid)
+        for name, holders in cluster.placement().items()
+        for pid in holders
+        if cluster.nodes[pid].store.get(name, count_access=False).version
+        != versions[name]
+    ]
+    assert not stale
+    assert cluster.counters.get("handler_errors", 0) == 0
+    system = replay_oplog(cluster.oplog, config, cluster.initial_live)
+    system.check_invariants()
+    conformance = diff_states(cluster, system)
+    assert conformance.ok, conformance.render()
+
+
+@pytest.mark.runtime
+def test_updates_to_a_placed_chain_discard_no_frame():
+    """Every copy was placed by its broadcast parent, so each holder's
+    placed set is exact: the UPDATEs reach every holder and no node
+    without a copy is sent one."""
+
+    async def run():
+        config = RuntimeConfig(m=5, seed=11)
+        cluster = await LiveCluster.start(config)
+        try:
+            client = await RuntimeClient(cluster, 3).connect()
+            names = ["doc", "memo", "note"]
+            for name in names:
+                assert (await client.insert(name, f"v1:{name}")).ok
+            await cluster.drain()
+            chain = await _place_chain(cluster, "doc", links=3, seed=1)
+            await _place_chain(cluster, "memo", links=1, seed=9)
+            assert len(set(chain)) == 4
+            await _update_all(client, names, rounds=4, tag="w")
+            await cluster.drain()
+            await client.close()
+            assert cluster.counters.get("update_discards", 0) == 0
+            await cluster.quiesce()
+            _assert_coherent_and_conformant(cluster, config)
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
+def test_placed_sets_survive_an_announced_crash_and_a_join_mid_script():
+    """Churn changes every node's word, so every placed set is forgotten
+    and fan-outs take the whole children list again: the UPDATEs after
+    a mid-chain holder's announced crash and its rejoin still reach
+    every holder."""
+
+    async def run():
+        config = RuntimeConfig(m=5, seed=12)
+        cluster = await LiveCluster.start(config)
+        try:
+            client = await RuntimeClient(cluster, 3).connect()
+            names = ["doc", "memo"]
+            for name in names:
+                assert (await client.insert(name, f"v1:{name}")).ok
+            await cluster.drain()
+            chain = await _place_chain(cluster, "doc", links=3, seed=1)
+            await _update_all(client, names, rounds=2, tag="a")
+            await cluster.drain()
+            assert cluster.counters.get("update_discards", 0) == 0
+            victim = chain[1]
+            assert victim != 3
+            await cluster.crash(victim)
+            await _update_all(client, names, rounds=2, tag="b")
+            await cluster.drain()
+            _assert_coherent_and_conformant(cluster, config)
+            await cluster.join(victim)
+            await _update_all(client, names, rounds=2, tag="c")
+            await cluster.drain()
+            _assert_coherent_and_conformant(cluster, config)
+            await client.close()
+            await cluster.quiesce()
+            _assert_coherent_and_conformant(cluster, config)
+        finally:
+            await cluster.shutdown()
+
+    asyncio.run(run())
+
+
+@pytest.mark.runtime
+def test_a_target_the_holder_cannot_see_makes_its_set_unknown():
+    """A non-holder child of the home dies unannounced.  The coordinator
+    already counts it dead and places the next copy on one of its
+    children, which the home's own word does not list as a child: the
+    home forgets its placed set, so its UPDATE goes to the whole list,
+    the failed send marks the dead child, and the next UPDATE reaches
+    the copy below it (as it did before placed sets)."""
+
+    async def run():
+        config = RuntimeConfig(m=4, seed=5)
+        cluster = await LiveCluster.start(config)
+        try:
+            home = cluster.psi("doc")
+            client = await RuntimeClient(cluster, home).connect()
+            assert (await client.insert("doc", "v1")).ok
+            await cluster.drain()
+            tree = cluster.tree(home)
+            own = list(subtree_children_list(tree, 0, home, cluster.word))
+            dead = [p for p in own if subtree_children_list(tree, 0, p, cluster.word)][-1]
+            for seed in range(own.index(dead)):
+                await cluster.trigger_overload(home, "doc", seed=seed)
+                await cluster.drain()
+            assert "doc" not in cluster.nodes[dead].store
+            await cluster.crash(dead, announce=False)
+            for seed in range(10, 10 + len(own) + 4):
+                await cluster.trigger_overload(home, "doc", seed=seed)
+                await cluster.drain()
+                hidden = cluster.oplog[-1].target
+                if hidden not in own:
+                    break
+            assert hidden is not None and hidden not in own
+            for version in (2, 3):
+                assert (await client.update("doc", f"v{version}")).ok
+                await cluster.drain()
+            assert not cluster.nodes[home].word.is_live(dead)
+            kept = cluster.nodes[hidden].store.get("doc", count_access=False)
+            assert kept.version == 3
+            await cluster.announce_crash(dead)
+            await client.close()
+            await cluster.quiesce()
+            _assert_coherent_and_conformant(cluster, config)
         finally:
             await cluster.shutdown()
 

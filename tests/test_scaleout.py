@@ -703,6 +703,57 @@ class TestFleetInsert:
 
 
 @pytest.mark.runtime
+class TestFleetUpdate:
+    def test_updates_to_a_replica_chain_discard_no_frame(self):
+        """Each copy of a chain is placed by its broadcast parent's
+        ``decide`` RPC, whose reply names the target: the UPDATEs sent
+        through the endpoint reach every holder, and no worker without
+        a copy is sent one."""
+        config = _fleet_config(b=0)
+        supervisor = ScaleoutSupervisor(config, n_nodes=8, mode="fork")
+        host, port = supervisor.launch()
+        bootstrap = supervisor.bootstrap
+
+        async def drive() -> tuple:
+            await supervisor.start(boot_timeout=60.0)
+            endpoint = await ScaleoutEndpoint.connect(host, port)
+            try:
+                client = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
+                for name in ("doc", "memo"):
+                    await client.insert(name, payload=f"v1:{name}")
+                await endpoint.drain()
+                chain = list(bootstrap.mirror.holders_of("doc"))
+                for seed in (1, 2, 3):
+                    before = len(bootstrap.oplog)
+                    await bootstrap.trigger_overload(chain[-1], "doc", seed)
+                    await _until(lambda: len(bootstrap.oplog) > before)
+                    await endpoint.drain()
+                    target = bootstrap.oplog[-1].target
+                    if target is None:
+                        break
+                    chain.append(target)
+                for i in range(4):
+                    for name in ("doc", "memo"):
+                        assert (await client.update(name, f"v{i + 2}:{name}")).ok
+                await client.close()
+                await endpoint.quiesce()
+                snapshot, stats = await bootstrap.collect_snapshot()
+                return chain, snapshot, stats
+            finally:
+                await endpoint.close()
+                await supervisor.shutdown()
+
+        chain, snapshot, stats = asyncio.run(drive())
+        assert len(chain) >= 3, chain
+        conformance = verify_snapshot(snapshot)
+        assert conformance.ok, conformance.mismatches
+        assert sorted(snapshot.placement["doc"]) == sorted(chain)
+        assert set(snapshot.held["doc"].values()) == {5}
+        assert stats.counters.get("update_discards", 0) == 0
+        assert stats.counters.get("handler_errors", 0) == 0
+
+
+@pytest.mark.runtime
 class TestShutdownDeadline:
     def test_sigstopped_worker_ends_in_a_typed_error_inside_the_deadline(self):
         """A worker that cannot answer SIGTERM (stopped, here) must not

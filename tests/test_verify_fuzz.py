@@ -345,6 +345,22 @@ class TestMutationCaught:
         path = save_repro(tmp_path / "dropped.json", minimized, shrunk)
         assert replay_file(path).reproduced
 
+    def test_forgotten_placement_caught_shrunk_and_replayed(self, tmp_path):
+        # A decider that does not learn its target leaves the new copy
+        # out of its placed set, so its UPDATE fan-out skips it: the
+        # holder keeps a stale version, found by the conformance diff
+        # and shrunk to the one live probe that placed and updated.
+        violation = self._first_violation("forget-placement")
+        assert violation.invariant == "runtime-oracle-conformance"
+        assert "version:" in violation.message and " at P(" in violation.message
+
+        minimized, shrunk = Shrinker().shrink(violation.scenario, violation)
+        assert [e.op for e in minimized.events] == ["live_cluster"]
+        assert shrunk.invariant == violation.invariant
+
+        path = save_repro(tmp_path / "forgotten.json", minimized, shrunk)
+        assert replay_file(path).reproduced
+
     def test_dropped_timeout_caught(self):
         # The mutation cancels a doomed request's deadline event: it can
         # neither complete nor expire, so once the engine drains the
@@ -397,7 +413,8 @@ class TestSwallowedHandlerErrorCaught:
     """The runtime counts a node handler that raised and carries on; a
     live probe must still fail on it, naming the counter."""
 
-    def test_raising_get_handler_fails_the_live_probe(self, monkeypatch):
+    @staticmethod
+    def _violation(monkeypatch):
         from repro.runtime.node import NodeServer
 
         serve = NodeServer._handle_get
@@ -414,10 +431,22 @@ class TestSwallowedHandlerErrorCaught:
                 {"m": 3, "b": 1, "files": 2, "ops": 6, "seed": 42},
             )],
         )
-        violation = ScenarioFuzzer().run_scenario(scenario)
+        return ScenarioFuzzer().run_scenario(scenario)
+
+    def test_raising_get_handler_fails_the_live_probe(self, monkeypatch):
+        violation = self._violation(monkeypatch)
         assert violation is not None, "a swallowed handler error passed"
         assert violation.invariant == "runtime-oracle-conformance"
         assert "handler_errors" in violation.message
+
+    def test_the_violation_quotes_the_kept_traceback(self, monkeypatch):
+        # The counter alone says that a handler raised; the host also
+        # keeps the traceback, and the mismatch names the raising frame
+        # and the exception.
+        violation = self._violation(monkeypatch)
+        assert violation is not None, "a swallowed handler error passed"
+        assert "in serve_then_raise" in violation.message
+        assert "RuntimeError: injected handler fault" in violation.message
 
 
 class TestCrashTreatedAsViolation:
