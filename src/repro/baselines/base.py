@@ -17,13 +17,14 @@ from __future__ import annotations
 import random
 from collections.abc import Collection, Mapping
 from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from ..core.liveness import LivenessView
 from ..core.routing import RoutingTable
 from ..core.tree import LookupTree
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["PlacementContext", "ReplicationPolicy"]
 

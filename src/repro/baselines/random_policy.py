@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from collections.abc import Collection
 
-import numpy as np
-
 from ..core.liveness import LivenessView
 from ..core.tree import LookupTree
 from .base import PlacementContext
@@ -39,6 +37,8 @@ class RandomPolicy:
             # PID) and rng consumption are identical to the list path:
             # both ``choice`` and ``randrange`` draw one ``_randbelow``
             # over the candidate count.
+            import numpy as np
+
             live = context.table.live_pids_asc
             blocked = context.holder_mask
             if blocked is None:

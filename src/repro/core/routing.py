@@ -22,8 +22,7 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from collections.abc import Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import vid as V
 from .bits import mask
@@ -31,6 +30,9 @@ from .children import advanced_children_list
 from .errors import NoLiveNodeError
 from .liveness import LivenessView, cache_token
 from .tree import LookupTree, VirtualTree
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = [
     "first_alive_ancestor",
@@ -190,6 +192,8 @@ class RoutingTable:
     )
 
     def __init__(self, tree: LookupTree, liveness: LivenessView) -> None:
+        import numpy as np
+
         m, n = tree.m, tree.size
         self.m, self.n, self.root = m, n, tree.root
         self.liveness_epoch = getattr(liveness, "epoch", None)
@@ -301,6 +305,8 @@ class RoutingTable:
             return int(pid)
         floor = self._live_floor
         if floor is None:
+            import numpy as np
+
             live_by_vid = self.live[self.vids]  # involution: index by VID
             floor = np.maximum.accumulate(
                 np.where(live_by_vid, np.arange(self.n, dtype=np.int64), -1)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import vid as V
 from .bits import check_id, check_width, complement, mask, to_binary
+
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["VirtualTree", "LookupTree"]
 
@@ -79,6 +81,8 @@ class VirtualTree:
         Property 2 vectorized: set the leftmost 0 bit, found by
         propagating the leading-ones run.  O(m) numpy passes.
         """
+        import numpy as np
+
         vids = np.arange(self.size, dtype=np.int64)
         runs = self.leading_ones_array()
         # The leftmost zero sits just below the leading-ones run.
@@ -88,6 +92,8 @@ class VirtualTree:
 
     def leading_ones_array(self) -> np.ndarray:
         """Length of the leading-ones run of every VID (Property 1)."""
+        import numpy as np
+
         vids = np.arange(self.size, dtype=np.int64)
         runs = np.zeros(self.size, dtype=np.int64)
         ongoing = np.ones(self.size, dtype=bool)
@@ -99,6 +105,8 @@ class VirtualTree:
 
     def depth_array(self) -> np.ndarray:
         """Depth of every VID — its number of 0 bits, vectorized."""
+        import numpy as np
+
         vids = np.arange(self.size, dtype=np.int64)
         ones = np.zeros(self.size, dtype=np.int64)
         for bit in range(self.m):
@@ -107,6 +115,8 @@ class VirtualTree:
 
     def subtree_low_mask_array(self) -> np.ndarray:
         """Per-VID mask of the bits fixed across its subtree."""
+        import numpy as np
+
         runs = self.leading_ones_array()
         return (np.int64(1) << (self.m - runs)) - 1
 
@@ -237,6 +247,8 @@ class LookupTree:
 
         The involution means the same array also maps VID → PID.
         """
+        import numpy as np
+
         return np.arange(self.size, dtype=np.int64) ^ np.int64(self.xor_key)
 
     def render(self, max_nodes: int = 64) -> str:

@@ -10,8 +10,6 @@ from __future__ import annotations
 import random
 from typing import Protocol, runtime_checkable
 
-import numpy as np
-
 __all__ = [
     "LatencyModel",
     "ConstantLatency",
@@ -74,8 +72,12 @@ class CoordinateLatency:
             raise ValueError(f"need a positive node count, got {n}")
         if base < 0 or scale < 0:
             raise ValueError("base and scale must be non-negative")
+        import numpy as np
+
         rng = np.random.default_rng(seed)
         self._coords = rng.random((n, 2))
+        # Bound once so ``delay`` (called per message) imports nothing.
+        self._minimum, self._hypot = np.minimum, np.hypot
         self.base = base
         self.scale = scale
         self.n = n
@@ -85,6 +87,6 @@ class CoordinateLatency:
             return 0.0
         if not (0 <= src < self.n and 0 <= dst < self.n):
             raise ValueError(f"PID out of range for {self.n}-point topology")
-        diff = np.abs(self._coords[src] - self._coords[dst])
-        torus = np.minimum(diff, 1.0 - diff)
-        return self.base + self.scale * float(np.hypot(*torus))
+        diff = abs(self._coords[src] - self._coords[dst])
+        torus = self._minimum(diff, 1.0 - diff)
+        return self.base + self.scale * float(self._hypot(*torus))

@@ -41,6 +41,8 @@ oplogged), so conformance is unaffected.
 from __future__ import annotations
 
 import asyncio
+import traceback
+from collections import deque
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any
@@ -51,6 +53,7 @@ from ..addressing import Address
 from ..cluster import RuntimeConfig
 from ..conformance import ClusterStateSnapshot
 from ..coordinator import ADMIN, Coordinator
+from ..host import HANDLER_TRACEBACKS_KEPT
 from ..node import CLIENT
 from ..wire import FrameConnection, encode_message
 from .control import ControlLink, config_to_wire
@@ -67,7 +70,8 @@ class ScaleoutStats:
     counters: dict[str, int] = field(default_factory=dict)
     decisions: dict[int, int] = field(default_factory=dict)
     handler_tracebacks: list[tuple[int, str]] = field(default_factory=list)
-    """Each worker's last handler tracebacks, ``(pid, traceback)``."""
+    """Each worker's last handler tracebacks, ``(pid, traceback)``, then
+    the bootstrap's own control handlers' under ``ADMIN``."""
 
 
 @dataclass
@@ -111,6 +115,10 @@ class BootstrapServer:
         self._goodbyes: dict[int, dict[str, Any]] = {}
         self._book_epoch = 0
         self._server: asyncio.base_events.Server | None = None
+        self._link_errors = 0
+        self._link_tracebacks: deque[tuple[int, str]] = deque(
+            maxlen=HANDLER_TRACEBACKS_KEPT
+        )
 
     # -- serving ------------------------------------------------------------
 
@@ -138,7 +146,14 @@ class BootstrapServer:
         """Protocol factory: one control link per accepted connection."""
         peer = _Peer(link=None)  # type: ignore[arg-type]
         peer.link = ControlLink(partial(self._handle, peer), label="bootstrap")
+        peer.link.on_error = self._note_link_error
         return peer.link.conn
+
+    def _note_link_error(self) -> None:
+        """A bootstrap control handler raised: count it as a handler
+        error and keep its traceback for :meth:`collect_snapshot`."""
+        self._link_errors += 1
+        self._link_tracebacks.append((ADMIN, traceback.format_exc()))
 
     # -- the control protocol ----------------------------------------------
 
@@ -440,6 +455,11 @@ class BootstrapServer:
                 (int(where), str(text))
                 for where, text in snap.get("handler_tracebacks", [])
             ]
+        if self._link_errors:
+            stats.counters["handler_errors"] = (
+                stats.counters.get("handler_errors", 0) + self._link_errors
+            )
+            stats.handler_tracebacks += self._link_tracebacks
         snapshot = ClusterStateSnapshot(
             config=self.config,
             initial_live=self.initial_live,

@@ -43,11 +43,14 @@ from __future__ import annotations
 
 import asyncio
 import itertools
+import traceback
+from collections import deque
 from dataclasses import fields as dataclass_fields
 from typing import Any, Awaitable, Callable
 
 from ...net.message import MessageKind, fast_message
 from ..cluster import ADMIN, RuntimeConfig
+from ..host import HANDLER_TRACEBACKS_KEPT
 from ..wire import FrameConnection
 
 __all__ = ["ControlLink", "config_to_wire", "config_from_wire"]
@@ -90,6 +93,12 @@ class ControlLink:
     ``create_server``.  Once the link is down, :attr:`closed` is set
     and :attr:`reason` says why: the connection's ``FrameError``, an
     undecodable control body, the peer closing, or :meth:`close`.
+
+    A handler that raises answers a call with an ``error`` reply; a
+    cast has nobody to answer, so every raise is also recorded: through
+    :attr:`on_error` when the owner set one (called inside the
+    ``except`` block, so ``traceback.format_exc()`` sees the
+    exception), else in :attr:`handler_tracebacks`.
     """
 
     def __init__(self, handler: Handler, label: str = "") -> None:
@@ -101,6 +110,10 @@ class ControlLink:
         self._rid = itertools.count(1)
         self._waiters: dict[int, asyncio.Future] = {}
         self._inflight: set[asyncio.Task] = set()
+        self.on_error: Callable[[], None] | None = None
+        self.handler_tracebacks: deque[str] = deque(maxlen=HANDLER_TRACEBACKS_KEPT)
+        """Tracebacks of the last handlers that raised while
+        :attr:`on_error` was unset, oldest first."""
 
     # -- read side ------------------------------------------------------------
 
@@ -135,6 +148,10 @@ class ControlLink:
         except asyncio.CancelledError:  # pragma: no cover
             raise
         except Exception as exc:
+            if self.on_error is not None:
+                self.on_error()
+            else:
+                self.handler_tracebacks.append(traceback.format_exc())
             result = {"error": f"{type(exc).__name__}: {exc}"}
         if rid is not None:
             self._post({"re": rid, **(result or {})})

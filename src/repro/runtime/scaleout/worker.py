@@ -26,6 +26,7 @@ from __future__ import annotations
 import asyncio
 import os
 import signal
+from functools import partial
 from typing import Any
 
 from ...net.message import Message
@@ -312,6 +313,7 @@ class WorkerProcess:
         pid = int(hello["pid"])
         runtime = WorkerRuntime(config, pid, list(hello["live"]), link)
         self.runtime = runtime
+        link.on_error = partial(runtime.note_handler_error, pid)
         node = NodeServer(pid, runtime)
         runtime.node = node
         self.node = node

@@ -8,11 +8,14 @@ NumPy only at summary time.
 
 from __future__ import annotations
 
+import bisect
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:  # pragma: no cover
+    import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "TimeSeries", "MetricsRegistry"]
 
@@ -78,6 +81,8 @@ class Histogram:
     def mean(self) -> float:
         if not self._samples:
             return float("nan")
+        import numpy as np
+
         return float(np.mean(self._samples))
 
     def quantile(self, q: float) -> float:
@@ -85,6 +90,8 @@ class Histogram:
             raise ValueError(f"quantile must be in [0, 1], got {q}")
         if not self._samples:
             return float("nan")
+        import numpy as np
+
         return float(np.quantile(self._samples, q))
 
     def max(self) -> float:
@@ -132,11 +139,13 @@ class TimeSeries:
         return self.values[-1]
 
     def as_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        import numpy as np
+
         return np.asarray(self.times), np.asarray(self.values)
 
     def value_at(self, time: float) -> float:
         """Step-function evaluation: last value recorded at or before t."""
-        idx = int(np.searchsorted(np.asarray(self.times), time, side="right")) - 1
+        idx = bisect.bisect_right(self.times, time) - 1
         if idx < 0:
             raise ValueError(f"no sample at or before t={time}")
         return self.values[idx]

@@ -24,6 +24,7 @@ import signal
 import socket
 import time
 from dataclasses import MISSING, fields
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -311,6 +312,78 @@ class TestControlLink:
             await link.close()
 
         _run(run())
+
+    def test_a_raising_cast_handler_leaves_a_traceback(self):
+        """A cast has nobody to answer, so a handler that raises on one
+        is recorded; a call still gets its error reply."""
+        async def boom(op, body):
+            raise LookupError(f"no such thing: {op}")
+
+        async def run():
+            link = ControlLink(boom, "a")
+            transport = _Transport(link.conn)
+            link.conn.data_received(_control_frame({"op": "cast-op"}))
+            await _until(lambda: link.handler_tracebacks)
+            link.conn.data_received(_control_frame({"op": "call-op", "rid": 7}))
+            await _until(lambda: transport.writes)
+            probe_bodies = []
+            probe = FrameConnection(
+                lambda _c, frames, _e: probe_bodies.extend(m.payload for m in frames)
+            )
+            _Transport(probe)
+            probe.data_received(transport.writes[0])
+            await link.close()
+            return list(link.handler_tracebacks), probe_bodies
+
+        tracebacks, replies = _run(run())
+        assert len(tracebacks) == 2
+        assert "LookupError: no such thing: cast-op" in tracebacks[0]
+        assert replies == [{"re": 7, "error": "LookupError: no such thing: call-op"}]
+
+    def test_a_worker_deliver_that_fails_to_decode_is_a_handler_error(self):
+        """The worker routes its link's errors through
+        ``NodeHost.note_handler_error``: counted, traceback kept, and
+        shipped in ``snapshot_body``."""
+        worker = WorkerProcess()
+        worker.runtime = runtime = _bare_runtime(pid=1)
+
+        async def run():
+            link = ControlLink(worker._handle, "worker")
+            link.on_error = partial(runtime.note_handler_error, 1)
+            _Transport(link.conn)
+            link.conn.data_received(
+                _control_frame({"op": "deliver", "msg": b"not a frame"})
+            )
+            await _until(lambda: runtime.handler_tracebacks)
+            await link.close()
+            return link
+
+        link = _run(run())
+        assert not link.handler_tracebacks
+        assert runtime.counters["handler_errors"] == 1
+        body = runtime.snapshot_body()
+        assert body["counters"]["handler_errors"] == 1
+        [(pid, text)] = body["handler_tracebacks"]
+        assert pid == 1
+        last = text.strip().splitlines()[-1]
+        assert last.endswith("FrameError: bad magic b'no' (expected b'LL')")
+
+    def test_a_bootstrap_handler_error_reaches_the_scaleout_stats(self):
+        async def run():
+            server = BootstrapServer(RuntimeConfig(m=3, b=1), n_nodes=8)
+            conn = server._accept()
+            _Transport(conn)
+            conn.data_received(_control_frame({"op": "catalog_claim"}))
+            await _until(lambda: server._link_errors)
+            _snapshot, stats = await server.collect_snapshot()
+            await server.shutdown()
+            return stats
+
+        stats = _run(run())
+        assert stats.counters["handler_errors"] == 1
+        [(pid, text)] = stats.handler_tracebacks
+        assert pid == ADMIN
+        assert text.strip().splitlines()[-1] == "KeyError: 'name'"
 
     def test_fields_of_every_wire_type_arrive_unchanged(self):
         """A ``call``'s fields cross the link exactly: a dict shaped

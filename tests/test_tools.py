@@ -1,4 +1,4 @@
-"""Tests for repository tooling (tools/gen_api_docs.py)."""
+"""Tests for repository tooling (tools/gen_api_docs.py, tools/import_closure.py)."""
 
 import subprocess
 import sys
@@ -38,3 +38,25 @@ def test_api_doc_generator_runs(tmp_path, monkeypatch):
         "repro.cluster.system",
     ):
         assert f"## `{module}`" in text
+
+
+def test_import_closure_report_runs():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "import_closure.py")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rows = {
+        line.split("|")[1].strip(): line.split("|")[2].strip()
+        for line in proc.stdout.splitlines()
+        if line.startswith("| `")
+    }
+    # One row per entry module plus the contrast; only the contrast
+    # names NumPy among its third-party packages.
+    assert rows["`repro.runtime.scaleout`"] == "—"
+    assert rows["`repro.cli`"] == "—"
+    assert rows["`bench.workloads`"] == "—"
+    assert "numpy" in rows["`repro.engine.fluid` (contrast)"]
+    assert "modules no entry module loads" in proc.stdout
