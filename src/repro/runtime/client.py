@@ -44,6 +44,10 @@ overdue request, instead of a timer handle per request.  A timeout may
 fire up to one sweep period late — noise against the multi-second
 request timeouts, and thousands of heap pushes per second cheaper."""
 
+_LOST = object()
+"""What a pending reply future resolves with when its connection drops
+(a timeout resolves it with ``None``): the ``lost`` terminal."""
+
 __all__ = [
     "ClientError",
     "RequestOutcome",
@@ -65,7 +69,7 @@ class RequestOutcome:
     """Terminal state of one client request."""
 
     ok: bool
-    kind: str  # reply | fault | error | timeout | overload
+    kind: str  # reply | fault | error | timeout | lost | overload
     payload: Any = None
     version: int = 0
     server: int = -1
@@ -144,16 +148,16 @@ class RuntimeClient:
         The failed send is the liveness protocol (FINDLIVENODE): a
         closed connection reveals the peer's death immediately, so
         pending requests must not sit out their full timeout before
-        the caller learns.  Each future resolves with ``None`` — the
-        same terminal a timeout produces — and the caller's dead-entry
-        check classifies it (churn loss when the entry has left the
-        membership, timeout otherwise).
+        the caller learns.  Each future resolves with ``_LOST``, not
+        the ``None`` of a timeout: the request is a churn loss whatever
+        the caller's membership view says, since that view can lag the
+        reset.
         """
         self._deadlines.clear()
         futures, self._futures = self._futures, {}
         for future in futures.values():
             if not future.done():
-                future.set_result(None)
+                future.set_result(_LOST)
 
     def _sweep_deadlines(self) -> None:
         """Resolve every overdue request as a timeout; reschedule."""
@@ -182,7 +186,8 @@ class RuntimeClient:
         before returning (write-through; a paused connection keeps it
         in the encoder until the transport drains), arms the shared
         deadline sweep, and returns the reply future — resolved with
-        the reply :class:`Message`, or ``None`` on timeout.  No write
+        the reply :class:`Message`, ``None`` on timeout, or ``_LOST``
+        when the connection drops first.  No write
         backpressure is applied here; callers that may queue faster
         than the transport drains should check the write buffer first.
         """
@@ -220,6 +225,8 @@ class RuntimeClient:
         latency = loop.time() - start
         if reply is None:
             return RequestOutcome(ok=False, kind="timeout", latency=latency)
+        if reply is _LOST:
+            return RequestOutcome(ok=False, kind="lost", latency=latency)
         if reply.kind is MessageKind.GET_FAULT:
             return RequestOutcome(ok=False, kind="fault", latency=latency)
         if reply.kind is MessageKind.ERROR:
@@ -443,9 +450,9 @@ class LoadReport:
     usable redirect, or the redirect budget ran out)."""
     churn_lost: int = 0
     """Requests lost to churn: the entry or redirect target died under
-    the request (connection refused, or a timeout at a node that is no
-    longer serving) and no live alternative remained — the fourth
-    terminal next to completed/timeout/shed."""
+    the request (connection refused or dropped, or a timeout at a node
+    that is no longer serving) and no live alternative remained — the
+    fourth terminal next to completed/timeout/shed."""
     stale_sheds: int = 0
     """Terminal sheds caused *solely* by a dead redirect hint while
     redirect budget remained.  With the FINDLIVENODE-style client
@@ -459,6 +466,10 @@ class LoadReport:
     rerouted: int = 0
     """Redirect retries whose hint named a dead node and were rerouted
     to a seeded live entry instead (FINDLIVENODE at the client)."""
+    timeout_min_s: float | None = None
+    """The shortest latency of a request counted in ``timeouts``;
+    ``None`` when none timed out.  A deadline cannot expire early, so
+    this is never below the request timeout."""
     duration: float = 0.0
     latencies: list[float] = field(default_factory=list)
     served_by_node: dict[int, int] = field(default_factory=dict)
@@ -503,6 +514,12 @@ class LoadReport:
         self._quantile_cache = (len(lat), p50, p99)
         return p50, p99
 
+    def timed_out(self, latency: float) -> None:
+        """Count one request that sat out its deadline."""
+        self.timeouts += 1
+        if self.timeout_min_s is None or latency < self.timeout_min_s:
+            self.timeout_min_s = latency
+
     @property
     def p50(self) -> float:
         return self._quantiles()[0]
@@ -521,15 +538,20 @@ class LoadReport:
 
         Every field is mergeable by construction: the terminal counters
         add, the raw latency samples concatenate, the log-linear
-        histogram adds bucket-wise, per-node serve totals add, and the
-        duration is the max (shards run the same wall-clock window in
-        parallel, not back to back).  Conservation is preserved exactly:
+        histogram adds bucket-wise, per-node serve totals add, the
+        shortest timeout is the min, and the duration is the max
+        (shards run the same wall-clock window in parallel, not back to
+        back).  Conservation is preserved exactly:
         each side's ledger balances, and addition keeps it balanced —
         so the union's identity and the p99-SLO criterion hold over K
         driver processes with no approximation.
         """
         for attr in self._COUNTERS:
             setattr(self, attr, getattr(self, attr) + getattr(other, attr))
+        shortest = [
+            t for t in (self.timeout_min_s, other.timeout_min_s) if t is not None
+        ]
+        self.timeout_min_s = min(shortest, default=None)
         self.latencies.extend(other.latencies)
         self.hist.merge(other.hist)
         for pid, count in other.served_by_node.items():
@@ -544,13 +566,16 @@ class LoadReport:
         payload, which drops the raw samples), this round-trips the
         latency list exactly: ``json.dumps`` emits ``repr(float)``,
         which parses back to the identical double."""
-        return {
+        wire = {
             "counters": {a: getattr(self, a) for a in self._COUNTERS},
             "duration": self.duration,
             "latencies": self.latencies,
             "served_by_node": {str(k): v for k, v in self.served_by_node.items()},
             "hist": self.hist.as_dict(),
         }
+        if self.timeout_min_s is not None:
+            wire["timeout_min_s"] = self.timeout_min_s
+        return wire
 
     @classmethod
     def from_wire(cls, data: dict[str, Any]) -> "LoadReport":
@@ -559,6 +584,8 @@ class LoadReport:
             if attr in cls._COUNTERS:
                 setattr(report, attr, int(value))
         report.duration = float(data.get("duration", 0.0))
+        if "timeout_min_s" in data:
+            report.timeout_min_s = float(data["timeout_min_s"])
         report.latencies = [float(x) for x in data.get("latencies", [])]
         report.served_by_node = {
             int(k): int(v) for k, v in data.get("served_by_node", {}).items()
@@ -708,7 +735,9 @@ class LoadGenerator:
             return
         if outcome.kind == "overload":
             await self._follow_redirects(outcome, name, report, start, loop)
-        elif outcome.kind == "timeout" and entry not in self.cluster.nodes:
+        elif outcome.kind == "lost" or (
+            outcome.kind == "timeout" and entry not in self.cluster.nodes
+        ):
             report.churn_lost += 1  # the entry died holding our request
         else:
             self._classify(outcome, report, loop.time() - start)
@@ -780,7 +809,7 @@ class LoadGenerator:
             except (ConnectionError, OSError):
                 report.churn_lost += 1
                 return
-        if (
+        if outcome.kind == "lost" or (
             outcome.kind == "timeout"
             and target is not None
             and target not in self.cluster.nodes
@@ -801,7 +830,7 @@ class LoadGenerator:
         elif outcome.kind == "fault":
             report.faults += 1
         elif outcome.kind == "timeout":
-            report.timeouts += 1
+            report.timed_out(latency)
         elif outcome.kind == "overload":
             report.shed += 1
         else:
@@ -854,7 +883,9 @@ class LoadGenerator:
             if entry not in self.cluster.nodes:
                 report.churn_lost += 1  # the entry died holding our request
             else:
-                report.timeouts += 1
+                report.timed_out(loop.time() - start)
+        elif reply is _LOST:
+            report.churn_lost += 1  # the connection dropped under it
         elif reply.kind is MessageKind.GET_REPLY:
             latency = loop.time() - start
             report.completed += 1
@@ -880,14 +911,26 @@ class LoadGenerator:
             report.errors += 1
 
     async def run_open_loop(self, rps: float, duration: float) -> LoadReport:
-        """Fire at ``rps`` for ``duration`` seconds, ignoring completions."""
+        """Fire at ``rps`` for ``duration`` seconds, ignoring completions.
+
+        Memory is O(in flight): the loop holds a fire only until it
+        settles, and a completed request leaves one latency float in
+        the report.  When the window closes it waits out what is still
+        in flight, then the redirect chases those started.  A fire
+        that raised is kept, so that wait re-raises it.
+        """
         if rps <= 0 or duration <= 0:
             raise ConfigurationError("rps and duration must be positive")
         loop = asyncio.get_running_loop()
         report = LoadReport()
         start = loop.time()
         interval = 1.0 / rps
-        tasks: list[asyncio.Future] = []
+        pending: set[asyncio.Future] = set()
+
+        def settled(fire: asyncio.Future) -> None:
+            if fire.cancelled() or fire.exception() is None:
+                pending.discard(fire)
+
         next_fire = start
         while True:
             now = loop.time()
@@ -896,9 +939,11 @@ class LoadGenerator:
             if now < next_fire:
                 await asyncio.sleep(next_fire - now)
             next_fire += interval
-            tasks.append(self._fire_nowait(report, loop))
-        if tasks:
-            await asyncio.gather(*tasks)
+            fire = self._fire_nowait(report, loop)
+            pending.add(fire)
+            fire.add_done_callback(settled)
+        if pending:
+            await asyncio.gather(*pending)
         while self._retry_tasks:
             await asyncio.gather(*list(self._retry_tasks))
         report.duration = loop.time() - start

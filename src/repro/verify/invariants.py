@@ -640,6 +640,34 @@ class StaleRedirect(_LiveRecords):
             )
 
 
+class TimeoutTakesItsTime(_LiveRecords):
+    """No request counts as a timeout before its deadline.
+
+    A request resolved by a dropped connection is a churn loss, whatever
+    the client's membership view says at that moment; only a request
+    that sat out its deadline is a timeout.  A burst's ledger carries
+    its shortest timed-out latency (``timeout_min_s``) and its request
+    timeout: the first may not undercut the second.
+    """
+
+    name = "timeout-takes-its-time"
+    records = "load_reports"
+
+    #: Slack for the clock reads either side of the deadline.
+    SLACK_S = 1e-3
+
+    def audit(self, ctx: AuditContext, record: Any) -> None:
+        shortest = record.get("timeout_min_s")
+        if shortest is not None and shortest < record["timeout"] - self.SLACK_S:
+            self.fail(
+                ctx,
+                f"{_burst_name(record)} counted {record['timeouts']} "
+                f"timeout(s), the shortest after {shortest:.3f} s, against a "
+                f"{record['timeout']:.1f} s deadline — a request resolved "
+                f"early is a churn loss, not a timeout",
+            )
+
+
 class ScaleoutLifecycle(_LiveRecords):
     """Every worker a scale-out burst did not kill leaves cleanly.
 
@@ -682,5 +710,6 @@ def default_invariants() -> list[Invariant]:
         RuntimeConformance(),
         OverloadAccounting(),
         StaleRedirect(),
+        TimeoutTakesItsTime(),
         ScaleoutLifecycle(),
     ]

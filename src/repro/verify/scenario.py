@@ -64,6 +64,10 @@ MUTATIONS = (
 #: carries on; a probe that ignored them would pass a swallowed bug.
 _FAULT_COUNTERS = ("handler_errors", "wire_decode_errors")
 
+#: Request timeouts (seconds) of the in-process and fleet bursts.
+_LIVE_CLUSTER_TIMEOUT = 2.0
+_LIVE_SCALEOUT_TIMEOUT = 5.0
+
 
 def _traceback_tail(text: str) -> str:
     """A formatted traceback's last frame and exception line, joined."""
@@ -444,7 +448,7 @@ class ScenarioHarness:
             injector = ChurnInjector(cluster, schedule, seed=seed, min_live=3)
             gen = LoadGenerator(
                 cluster, names, WorkloadShape(kind="zipf", s=2.0), seed=seed,
-                timeout=2.0,
+                timeout=_LIVE_CLUSTER_TIMEOUT,
                 churn_reroute=self.scenario.mutation != "stale-hint",
             )
             injector.start()
@@ -475,6 +479,7 @@ class ScenarioHarness:
                 report.shed += 1
             self._record_burst(
                 report,
+                timeout=_LIVE_CLUSTER_TIMEOUT,
                 cell=config.overload_policy().cell,
                 churn=[f"{e['action']}@P({e['pid']})"
                        for e in applied if e["pid"] is not None],
@@ -497,9 +502,11 @@ class ScenarioHarness:
         self.live_reports.append(conformance)
 
     def _record_burst(self, report, **extra: Any) -> None:
-        """Keep a burst's client-side ledger: the report's counters."""
+        """Keep a burst's client-side ledger: the report's counters and
+        its shortest timeout (``extra`` names the request timeout)."""
         self.load_reports.append({
-            **report.to_wire()["counters"], "conserved": report.conserved, **extra,
+            **report.to_wire()["counters"], "conserved": report.conserved,
+            "timeout_min_s": report.timeout_min_s, **extra,
         })
 
     def _apply_live_scaleout(self, event: ScenarioEvent) -> bool:
@@ -561,7 +568,7 @@ class ScenarioHarness:
             driver = ShardedLoadDriver(
                 host, port, names, shards=client_shards,
                 rps=rps, duration=duration, seed=config.seed,
-                timeout=5.0,
+                timeout=_LIVE_SCALEOUT_TIMEOUT,
                 inherited_sockets=[supervisor.listen_socket],
             )
             driver.launch()
@@ -592,7 +599,7 @@ class ScenarioHarness:
                     report = await driver.collect()
                 else:
                     gen = LoadGenerator(endpoint, names, seed=config.seed,
-                                        timeout=5.0)
+                                        timeout=_LIVE_SCALEOUT_TIMEOUT)
                     run = asyncio.ensure_future(
                         gen.run_open_loop(rps=rps, duration=duration)
                     )
@@ -618,6 +625,7 @@ class ScenarioHarness:
         self._record_live(conformance, *faults)
         self._record_burst(
             report,
+            timeout=_LIVE_SCALEOUT_TIMEOUT,
             nodes=n_nodes,
             client_shards=client_shards if driver is not None else 1,
             killed=killed,

@@ -11,7 +11,9 @@ import gc
 import socket
 import struct
 import warnings
+import weakref
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,6 +38,7 @@ from repro.runtime import (
 from repro.runtime import LatencyHistogram
 from repro.runtime import wire as wire_module
 from repro.runtime.addressing import dial_node
+from repro.runtime.client import LoadReport
 from repro.runtime.host import NodeHost
 from repro.runtime.node import CLIENT, NodeServer
 from repro.runtime.scaleout.control import ControlLink
@@ -1951,6 +1954,111 @@ class TestWireHardening:
             decode_message(blob)
         except (FrameError, WireDecodeError):
             pass  # precise rejection is the contract; crashing is not
+
+
+class TestOpenLoopMemory:
+    """`run_open_loop` holds a fire only while it is in flight: a
+    settled reply and its future are garbage before the window ends."""
+
+    def test_settled_fires_are_released_during_the_window(self):
+        async def run():
+            cluster = await LiveCluster.start(RuntimeConfig(m=3, seed=11))
+            try:
+                files = [f"mem-{i}" for i in range(3)]
+                boot = await RuntimeClient(cluster, 0).connect()
+                for name in files:
+                    await boot.insert(name, name)
+                await boot.close()
+                await cluster.drain()
+                gen = LoadGenerator(cluster, files, seed=11)
+                loop = asyncio.get_running_loop()
+                fires = []  # (weakref to the fire, [when it settled])
+                fire_nowait = gen._fire_nowait
+
+                def tracked(report, loop):
+                    fire = fire_nowait(report, loop)
+                    settled = []
+                    fire.add_done_callback(lambda _f: settled.append(loop.time()))
+                    fires.append((weakref.ref(fire), settled))
+                    return fire
+
+                gen._fire_nowait = tracked
+                checked = alive = 0
+
+                async def probe():
+                    nonlocal checked, alive
+                    while True:
+                        await asyncio.sleep(0.05)
+                        now = loop.time()
+                        for ref, settled in fires:
+                            if settled and now - settled[0] >= 0.1:
+                                checked += 1
+                                alive += ref() is not None
+
+                prober = loop.create_task(probe())
+                try:
+                    report = await gen.run_open_loop(rps=300, duration=0.8)
+                finally:
+                    prober.cancel()
+                await gen.close()
+                return report, len(fires), checked, alive
+            finally:
+                await cluster.shutdown()
+
+        report, fired, checked, alive = asyncio.run(asyncio.wait_for(run(), 30.0))
+        assert checked > 0, "no fire settled 100 ms before a probe"
+        assert alive == 0, f"{alive} of {checked} probes found a settled fire alive"
+        assert report.conserved and report.requests == fired
+
+
+class _ClientOnlyCluster:
+    """What a `LoadGenerator` and its clients touch on a cluster —
+    membership, its epoch, a dial — over socket-free transports."""
+
+    def __init__(self, pids):
+        self.nodes = dict.fromkeys(pids)
+        self.word = SimpleNamespace(epoch=0)
+        self.conns = []
+
+    def count_client_send(self, pid):
+        pass
+
+    async def open_connection(self, pid, factory):
+        conn = factory()
+        conn.connection_made(_FakeTransport())
+        self.conns.append(conn)
+        return conn
+
+
+class TestLostTerminal:
+    """A request whose connection drops is a churn loss, not a timeout,
+    even while the entry is still listed in `cluster.nodes`: in the
+    fleet that view can lag the reset."""
+
+    @pytest.mark.parametrize("path", ["no-task", "task"])
+    def test_a_dropped_connection_is_a_churn_loss(self, path):
+        cluster = _ClientOnlyCluster([0])
+
+        async def run():
+            gen = LoadGenerator(cluster, ["f"], seed=0)
+            loop = asyncio.get_running_loop()
+            report = LoadReport()
+            if path == "no-task":
+                gen._clients[0] = await RuntimeClient(cluster, 0).connect()
+            fire = gen._fire_nowait(report, loop)
+            assert isinstance(fire, asyncio.Task) == (path == "task")
+            while not (cluster.conns and cluster.conns[0].transport.written):
+                await asyncio.sleep(0)  # the task path dials, then writes
+            (conn,) = cluster.conns
+            conn.connection_lost(None)  # the entry reset the connection
+            await fire
+            await gen.close()
+            return report
+
+        report = asyncio.run(asyncio.wait_for(run(), 10.0))
+        assert 0 in cluster.nodes
+        assert (report.requests, report.churn_lost, report.timeouts) == (1, 1, 0)
+        assert report.conserved
 
 
 def test_percentile_interpolates():

@@ -510,6 +510,9 @@ class TestMergeExactness:
             ))
             for field_name in _COUNTER_FIELDS:
                 setattr(part, field_name, data.draw(counter_val))
+            part.timeout_min_s = data.draw(
+                st.none() | st.floats(min_value=0.5, max_value=10.0)
+            )
             for s in samples:
                 part.latencies.append(s)
                 part.hist.record(s)
@@ -519,7 +522,13 @@ class TestMergeExactness:
         for part in parts:
             merged.merge(part)
 
-        whole = LoadReport(duration=max(p.duration for p in parts))
+        whole = LoadReport(
+            duration=max(p.duration for p in parts),
+            timeout_min_s=min(
+                (p.timeout_min_s for p in parts if p.timeout_min_s is not None),
+                default=None,
+            ),
+        )
         for field_name in _COUNTER_FIELDS:
             setattr(whole, field_name, sum(getattr(p, field_name) for p in parts))
         for part in parts:
@@ -530,19 +539,23 @@ class TestMergeExactness:
         assert merged.to_wire() == whole.to_wire()
         assert merged.p50 == whole.p50 and merged.p99 == whole.p99
 
-    @given(shards=shard_samples)
+    @given(
+        shards=shard_samples,
+        shortest=st.none() | st.floats(min_value=0.5, max_value=10.0),
+    )
     @settings(max_examples=30, deadline=None)
-    def test_wire_round_trip_is_exact_through_json(self, shards):
+    def test_wire_round_trip_is_exact_through_json(self, shards, shortest):
         """`to_wire` -> JSON text -> `from_wire` loses nothing: floats
         round-trip doubles exactly, so a shard's report survives its
-        result pipe bit-for-bit."""
-        report = LoadReport(duration=1.0)
+        result pipe bit-for-bit.  No timeout, no `timeout_min_s` key."""
+        report = LoadReport(duration=1.0, timeout_min_s=shortest)
         for samples in shards:
             for s in samples:
                 report.latencies.append(s)
                 report.hist.record(s)
         report.requests = report.completed = len(report.latencies)
         report.served_by_node = {1: 4, 6: 2}
+        assert ("timeout_min_s" in report.to_wire()) == (shortest is not None)
         back = LoadReport.from_wire(json.loads(json.dumps(report.to_wire())))
         assert back.to_wire() == report.to_wire()
         assert back.latencies == report.latencies

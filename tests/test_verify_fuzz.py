@@ -196,6 +196,23 @@ class TestLiveOverloadOp:
         names = [inv.name for inv in default_invariants()]
         assert StaleRedirect.name in names
 
+    def test_a_timeout_before_its_deadline_fails_the_burst(self):
+        from repro.verify.invariants import (
+            AuditContext,
+            InvariantViolation,
+            TimeoutTakesItsTime,
+            default_invariants,
+        )
+
+        invariant = TimeoutTakesItsTime()
+        assert invariant.name in [inv.name for inv in default_invariants()]
+        ctx = AuditContext(harness=ScenarioHarness(Scenario(m=4, b=1, seed=0)))
+        ledger = {"nodes": 4, "timeout": 5.0, "timeouts": 1}
+        invariant.audit(ctx, {**ledger, "timeouts": 0, "timeout_min_s": None})
+        invariant.audit(ctx, {**ledger, "timeout_min_s": 5.0})
+        with pytest.raises(InvariantViolation, match="timeout-takes-its-time"):
+            invariant.audit(ctx, {**ledger, "timeout_min_s": 0.72})
+
 
 @pytest.mark.fuzz
 class TestChurnedBurstsFuzzClean:
