@@ -1,6 +1,6 @@
 """Node runtime: storage, load monitoring, membership, message handling."""
 
-from .loadmon import LoadMonitor, WindowedRate
+from .loadmon import LoadMonitor, ServedLoad, WindowedRate
 from .membership import StatusWord
 from .storage import FileOrigin, FileStore, StoredFile
 
@@ -8,6 +8,7 @@ __all__ = [
     "FileOrigin",
     "FileStore",
     "LoadMonitor",
+    "ServedLoad",
     "StatusWord",
     "StoredFile",
     "WindowedRate",

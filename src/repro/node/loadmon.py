@@ -2,17 +2,18 @@
 
 The paper's overload criterion is a plain threshold — "if a node
 receives more than [capacity] requests per second, it is overloaded".
-The DES measures rates over a sliding window; per-file and per-source
-breakdowns feed replica placement (hottest file) and the log-based
-baseline (which child forwards most).
+Rates are measured over a sliding window.  :class:`ServedLoad` keeps
+the node total and the per-file rates (the hottest file is the one to
+replicate); it is all the live node keeps.  :class:`LoadMonitor` adds
+the per-forwarder split and the capacity test, for the DES and the
+log-based baseline (which child forwards most).
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
-from dataclasses import dataclass
+from collections import deque
 
-__all__ = ["WindowedRate", "LoadMonitor"]
+__all__ = ["WindowedRate", "ServedLoad", "LoadMonitor"]
 
 
 class WindowedRate:
@@ -64,111 +65,85 @@ class WindowedRate:
             times.popleft()
 
 
-@dataclass
-class _FileLoad:
-    served: WindowedRate
-    by_source: dict[int, WindowedRate]
+class ServedLoad:
+    """Served requests per file and in total: what the §2.2 trigger reads.
+
+    A live node needs no more than this to decide it is overloaded
+    (the total against its capacity) and which file to replicate (the
+    hottest).  It records no forwarder: the placement decision that
+    follows reads the tree shape, not an access log.
+    """
+
+    def __init__(self, window: float = 1.0) -> None:
+        self.window = window
+        self._total = WindowedRate(window)
+        self._files: dict[str, WindowedRate] = {}
+
+    def record(self, file: str, now: float) -> None:
+        """This node returned ``file`` at ``now``."""
+        rate = self._files.get(file)
+        if rate is None:
+            rate = self._files[file] = WindowedRate(self.window)
+        rate.record(now)
+        self._total.record(now)
+
+    def total_rate(self, now: float) -> float:
+        """Requests served per second, all files."""
+        return self._total.rate(now)
+
+    def file_rate(self, file: str, now: float) -> float:
+        rate = self._files.get(file)
+        return rate.rate(now) if rate is not None else 0.0
+
+    def hottest_file(self, now: float) -> str | None:
+        """The file contributing the most load right now."""
+        best, best_rate = None, 0.0
+        for name in sorted(self._files):
+            rate = self._files[name].rate(now)
+            if rate > best_rate:
+                best, best_rate = name, rate
+        return best
 
 
-class LoadMonitor:
-    """Per-node request accounting.
+class LoadMonitor(ServedLoad):
+    """Served-request rates plus the per-forwarder split and a capacity.
 
-    Tracks, per file: the rate of requests this node *served* (returned
-    the file for), and the rate broken down by the immediate overlay
-    source that forwarded them (``-1`` = arrived directly from a
-    client).  The per-source split is exactly the information a
-    client-access log would contain — only the log-based baseline is
-    allowed to look at it.
+    On top of :class:`ServedLoad`, tracks per file the served rate
+    broken down by the immediate overlay source that forwarded the
+    requests (``-1`` = arrived directly from a client).  The per-source
+    split is exactly the information a client-access log would
+    contain — only the log-based baseline is allowed to look at it.
     """
 
     def __init__(self, capacity: float = 100.0, window: float = 1.0) -> None:
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
+        super().__init__(window)
         self.capacity = capacity
-        self.window = window
-        self._loads: dict[str, _FileLoad] = {}
-        self._total = WindowedRate(window)
-        # file → (rate, t0): synthetic load attributed from a crashed
-        # holder, decaying linearly to zero over one window.
-        self._inherited: dict[str, tuple[float, float]] = {}
-
-    def _load(self, file: str) -> _FileLoad:
-        entry = self._loads.get(file)
-        if entry is None:
-            entry = _FileLoad(WindowedRate(self.window), defaultdict(lambda: WindowedRate(self.window)))
-            self._loads[file] = entry
-        return entry
+        self._sources: dict[str, dict[int, WindowedRate]] = {}
 
     def record_served(self, file: str, source: int, now: float) -> None:
         """This node returned ``file`` for a request forwarded by ``source``."""
-        entry = self._load(file)
-        entry.served.record(now)
-        entry.by_source[source].record(now)
-        self._total.record(now)
-
-    def inherit(self, file: str, rate: float, now: float) -> None:
-        """Attribute load a crashed holder of ``file`` was carrying.
-
-        The heir has no samples for demand that used to land on the
-        dead node, yet that demand is about to arrive — without this,
-        the overload triggers stay blind for a full window after a
-        crash.  Seed the monitor with the victim's last observed rate,
-        decayed linearly over one window so real samples take over as
-        they arrive.  Inherited load is synthetic: it feeds the
-        overload views (:meth:`total_rate` / :meth:`file_rate` /
-        :meth:`hottest_file`) but never :meth:`source_rates` — the
-        access log only ever contains requests this node actually
-        served.
-        """
-        if rate <= 0.0:
-            return
-        self._inherited[file] = (self._inherited_rate(file, now) + rate, now)
-
-    def _inherited_rate(self, file: str, now: float) -> float:
-        entry = self._inherited.get(file)
-        if entry is None:
-            return 0.0
-        rate, t0 = entry
-        remaining = rate * (1.0 - (now - t0) / self.window)
-        if remaining <= 0.0:
-            del self._inherited[file]
-            return 0.0
-        return min(remaining, rate)
-
-    def total_rate(self, now: float) -> float:
-        """Requests served per second, all files (plus inherited load)."""
-        inherited = sum(self._inherited_rate(f, now) for f in list(self._inherited))
-        return self._total.rate(now) + inherited
-
-    def file_rate(self, file: str, now: float) -> float:
-        entry = self._loads.get(file)
-        served = entry.served.rate(now) if entry else 0.0
-        return served + self._inherited_rate(file, now)
+        self.record(file, now)
+        by_source = self._sources.setdefault(file, {})
+        rate = by_source.get(source)
+        if rate is None:
+            rate = by_source[source] = WindowedRate(self.window)
+        rate.record(now)
 
     def is_overloaded(self, now: float) -> bool:
         return self.total_rate(now) > self.capacity
 
-    def hottest_file(self, now: float) -> str | None:
-        """The file contributing the most load (served + inherited) right now."""
-        best, best_rate = None, 0.0
-        for name in sorted(set(self._loads) | set(self._inherited)):
-            rate = self.file_rate(name, now)
-            if rate > best_rate:
-                best, best_rate = name, rate
-        return best
-
     def source_rates(self, file: str, now: float) -> dict[int, float]:
         """Per-forwarder service rates for ``file`` (the 'access log')."""
-        entry = self._loads.get(file)
-        if entry is None:
-            return {}
+        by_source = self._sources.get(file, {})
         return {
             src: wr.rate(now)
-            for src, wr in sorted(entry.by_source.items())
+            for src, wr in sorted(by_source.items())
             if wr.rate(now) > 0.0
         }
 
     def reset(self) -> None:
-        self._loads.clear()
-        self._inherited.clear()
+        self._files.clear()
+        self._sources.clear()
         self._total = WindowedRate(self.window)

@@ -15,8 +15,8 @@ schedule placed *inside* the burst window:
   the victim retires instantly, no REGISTER_DEAD broadcast goes out,
   and the cluster keeps serving against stale words — exactly the
   regime the stale-redirect machinery must survive.  The announce half
-  (recovery, oplog ``recover`` record, inherited-load attribution) runs
-  as an *autopsy* in :meth:`finalize`, after the burst.
+  (recovery, oplog ``recover`` record) runs as an *autopsy* in
+  :meth:`finalize`, after the burst.
 * ``crash`` / ``join`` / ``leave`` events are announced self-organizing
   ops (§5).  They drain the cluster internally, so they are serialized
   through a single background worker — membership flips land mid-burst,
@@ -147,9 +147,9 @@ class ChurnInjector:
 
         Call after the burst completes and before any quiesce /
         conformance diff: the autopsy announces reconcile every live
-        node's status word with the silent deaths, close the
-        ``kill``/``recover`` oplog pairs, and attribute inherited load,
-        so the oracle replay sees a fully self-organized membership.
+        node's status word with the silent deaths and close the
+        ``kill``/``recover`` oplog pairs, so the oracle replay sees a
+        fully self-organized membership.
         """
         if self._runner is None:
             raise ConfigurationError("injector was never started")

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from time import perf_counter
 from typing import Any, Callable, ClassVar
 
-from ..cluster.churn import any_holder
 from ..core.bits import check_id, check_width
 from ..core.errors import ConfigurationError, MembershipError
 from ..core.subtree import check_b
@@ -164,7 +163,6 @@ class LiveCluster(NodeHost):
         self.oplog = self.coordinator.oplog
         self.nodes: dict[int, NodeServer] = {}
         self._silent_deaths: set[int] = set()
-        self._crash_loads: dict[int, dict[str, float]] = {}
         self._inflight_to: dict[int, int] = {}
         self._peer_conns: dict[tuple[int, int], FrameConnection] = {}
         self._outbox: asyncio.Queue[Message] = asyncio.Queue()
@@ -406,10 +404,8 @@ class LiveCluster(NodeHost):
     async def catalog_advance(self, name: str, payload: Any) -> int | None:
         return self.coordinator.advance(name, payload)
 
-    async def decide_replication(
-        self, name: str, holder: int, seed: int, rates: dict[int, float]
-    ) -> int | None:
-        frames = self._post(self.coordinator.decide(name, holder, seed, rates))
+    async def decide_replication(self, name: str, holder: int, seed: int) -> int | None:
+        frames = self._post(self.coordinator.decide(name, holder, seed))
         return frames[0].dst if frames else None
 
     async def record_removal(self, name: str, pid: int) -> None:
@@ -494,19 +490,6 @@ class LiveCluster(NodeHost):
         """
         if not self.word.is_live(pid) or pid not in self.nodes:
             raise MembershipError(f"P({pid}) is not live")
-        # Capture what the victim was serving: §5.3 recovery hands each
-        # file's observed rate to its heir so the overload plane reacts
-        # to the inherited demand instead of rediscovering it a window
-        # later.
-        victim = self.nodes[pid]
-        now = asyncio.get_running_loop().time()
-        loads = {
-            name: rate
-            for name in victim.store.names()
-            if (rate := victim.monitor.file_rate(name, now)) > 0.0
-        }
-        if loads:
-            self._crash_loads[pid] = loads
         # The kill record lands with the retirement, so replication
         # decisions taken between death and detection replay against a
         # word that already lost the victim.
@@ -534,27 +517,7 @@ class LiveCluster(NodeHost):
     async def _announce_crash_effects(self, pid: int) -> list[str]:
         """REGISTER_DEAD broadcast + §5.3 recovery for a retired node."""
         await self._broadcast_register(MessageKind.REGISTER_DEAD, pid)
-        recovered = await self._churn_step(self.coordinator.recover, pid)
-        self._attribute_inherited_load(pid)
-        return recovered
-
-    def _attribute_inherited_load(self, pid: int) -> None:
-        """Hand the crashed node's observed per-file rates to the heirs.
-
-        Runtime-only accounting (never oplogged): each file the victim
-        was serving seeds its surviving holder's load monitor — the
-        INSERTED holder when one exists, else the first replica — so
-        the SLO-aware replication trigger sees the demand about to
-        shift there.
-        """
-        loads = self._crash_loads.pop(pid, None)
-        if not loads:
-            return
-        for name in sorted(loads):
-            heir = any_holder(self.coordinator.mirror, name)
-            node = self.nodes.get(heir) if heir is not None else None
-            if node is not None:
-                node.inherit_load(name, loads[name])
+        return await self._churn_step(self.coordinator.recover, pid)
 
     async def _retire_node(self, pid: int) -> None:
         """Take a node off the wire: no new frames can reach it."""

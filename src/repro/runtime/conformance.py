@@ -3,11 +3,11 @@
 The live cluster's `Coordinator` records every placement-mutating
 decision in its operation log (:class:`repro.runtime.coordinator.OpRecord`):
 inserts, updates (with the assigned version), replicate decisions (with
-the deciding holder, its observed forwarder rates, and the rng seed the
-policy drew from), and churn.  :func:`replay_oplog` feeds that log, in
-decision order, through a fresh coordinator's :class:`LessLogSystem` —
-the oracle — and :func:`diff_states` compares final state field by
-field, with placement and per-node words read off the real node stores:
+the deciding holder and the rng seed the policy drew from), and churn.
+:func:`replay_oplog` feeds that log, in decision order, through a fresh
+coordinator's :class:`LessLogSystem` — the oracle — and
+:func:`diff_states` compares final state field by field, with
+placement and per-node words read off the real node stores:
 
 * **replica placement** — file → {holder PID → inserted/replicated},
 * **version map** — file → catalog version, and the version each real
@@ -24,7 +24,7 @@ Determinism caveat: replication decisions taken *concurrently* with an
 in-flight update can copy the pre-update version, which the sequential
 oracle cannot express.  :func:`apply_ops` therefore drains the cluster
 between operations; load *bursts* (many concurrent GETs) are fine —
-GETs do not mutate placement, and recorded rates/seeds make the
+GETs do not mutate placement, and recorded holders/seeds make the
 sweeper's autonomous decisions replayable.
 
 :func:`run_live` is the one in-process run every caller shares — the

@@ -72,9 +72,11 @@ class OpRecord:
     version: int = 0
     seed: int = 0
     target: int | None = None
-    rates: dict[int, float] | None = None
-    """Replicate only: the deciding holder's observed forwarder rates —
-    replayed verbatim so the oracle's max-traffic-child choice matches."""
+
+    rates = None
+    """Not a field: ``LessLogPolicy`` reads no forwarder rates, so a
+    decision records none.  A class constant only because
+    ``bench/layers.py`` still reads ``rec.rates``."""
 
 
 class Coordinator:
@@ -113,13 +115,10 @@ class Coordinator:
                     f"v{rec.version}, oracle v{out}"
                 )
         elif kind == "replicate":
-            # The rng seed and the holder's observed rates make the §3
-            # proportional coin replayable; the logged record carries
-            # the target the oracle chose (``None`` included).
-            out = system.replicate(
-                rec.name, rec.pid, forwarder_rates=rec.rates,
-                rng=random.Random(rec.seed),
-            )
+            # The rng seed makes the §3 proportional coin replayable;
+            # the logged record carries the target the oracle chose
+            # (``None`` included).
+            out = system.replicate(rec.name, rec.pid, rng=random.Random(rec.seed))
             rec = replace(rec, target=out)
         elif kind == "remove":
             # Counter-based idle decay, plus the oracle's orphan GC.
@@ -224,9 +223,7 @@ class Coordinator:
 
     # -- verbs: replication and decay ---------------------------------------
 
-    def decide(
-        self, name: str, holder: int, seed: int, rates: dict[int, float]
-    ) -> list[Message]:
+    def decide(self, name: str, holder: int, seed: int) -> list[Message]:
         """One §2.2 placement decision for an overloaded ``holder``.
 
         A dead holder, or one whose copy is already gone in decision
@@ -239,9 +236,7 @@ class Coordinator:
         if store is None or name not in store:
             return []
         return self._step(
-            OpRecord(kind="replicate", name=name, pid=holder, seed=seed,
-                     rates=rates),
-            [name],
+            OpRecord(kind="replicate", name=name, pid=holder, seed=seed), [name],
         )
 
     def remove(self, name: str, pid: int) -> list[Message]:

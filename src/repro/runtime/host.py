@@ -142,9 +142,7 @@ class NodeHost(ABC):
         """The next version for an UPDATE (``None``: not inserted)."""
 
     @abstractmethod
-    async def decide_replication(
-        self, name: str, holder: int, seed: int, rates: dict[int, float]
-    ) -> int | None:
+    async def decide_replication(self, name: str, holder: int, seed: int) -> int | None:
         """One placement decision; the target's copy travels as the
         coordinator's REPLICATE frame, not from the deciding node.
         Returns the target (``None``: no target); raises

@@ -8,8 +8,8 @@ inbox.  A handler that has to wait (a first-contact dial, a paused
 stream, a ``service_time`` sleep, a control RPC) is handed, half-run, to
 the consumer, and later arrivals queue in the inbox behind it, so a
 node still handles one message at a time, in arrival order.  One
-housekeeping task (the load monitor / overload sweeper) runs beside
-the consumer when the config gives it a trigger to watch.  No handler
+housekeeping task (the overload sweeper) runs beside the consumer when
+the config gives it a trigger to watch.  No handler
 blocks on a reply — multi-message flows (an INSERT fanning out to its
 ``2**b`` homes, a GET climbing the lookup tree) park their state in a
 pending table keyed by ``request_id`` and resume when the matching
@@ -37,10 +37,11 @@ algebra* — the same :mod:`repro.core.subtree` decisions
   whole list while that set is unknown (a TRANSFER, a changed word, a
   decision in flight).  Every child's frame is the one the holder
   received, copied and re-addressed (the wire's carried body).
-* **REPLICATE** (§2.2/§3): an overloaded holder reports its seed and
-  observed forwarder rates to the coordination plane, which runs
-  ``LessLogSystem.replicate`` on its mirror and sends the chosen
-  node its copy as a REPLICATE frame.
+* **REPLICATE** (§2.2/§3): an overloaded holder — its served rate
+  over capacity; the node counts served requests per file and in
+  total, and keeps no access log — reports the file and its seed to
+  the coordination plane, which runs ``LessLogSystem.replicate`` on
+  its mirror and sends the chosen node its copy as a REPLICATE frame.
 
 Dead peers are discovered the §3 way: a failed send marks the peer
 dead in this node's own status word and the routing step recomputes —
@@ -90,7 +91,7 @@ from ..core.subtree import (
     update_starts,
 )
 from ..net.message import Message, MessageKind, fast_message
-from ..node.loadmon import LoadMonitor
+from ..node.loadmon import ServedLoad
 from ..node.storage import FileOrigin, FileStore
 from .addressing import PeerUnreachableError
 from .overload import AdmissionController, LatencyTracker
@@ -162,7 +163,7 @@ class NodeServer:
         self.b = config.b
         self.word = cluster.word.copy()
         self.store = FileStore()
-        self.monitor = LoadMonitor(capacity=1.0, window=config.window)
+        self.monitor = ServedLoad(window=config.window)
         self.inbox = _Inbox()  # (message, connection) pairs
         self._wake: asyncio.Future | None = None
         """Set exactly while the consumer is parked with nothing queued
@@ -500,7 +501,7 @@ class NodeServer:
         t0 = perf_counter()
         copy = self.store.get(msg.file)
         now = asyncio.get_running_loop().time()
-        self.monitor.record_served(msg.file, msg.src, now)
+        self.monitor.record(msg.file, now)
         if arrival is not None:
             # Enqueue-to-serve latency: the windowed p99 the SLO-aware
             # replication trigger watches.
@@ -836,9 +837,9 @@ class NodeServer:
         """One placement decision for this (overloaded) holder.
 
         The node contributes what only it knows — whether it still
-        holds the copy, the derived rng seed, its monitor's observed
-        forwarder rates — and the coordination plane runs the
-        ``LessLogSystem.replicate`` computation, records the decision
+        holds the copy, and the derived rng seed — and the coordination
+        plane runs the ``LessLogSystem.replicate`` computation from the
+        tree shape and its mirror's holders, records the decision
         and sends the target its copy in the same step
         (:meth:`Coordinator.decide`), so no crash can land between the
         record and the copy.
@@ -848,16 +849,12 @@ class NodeServer:
         if seed is None:
             seed = self._derived_seed()
         self._decision_count += 1
-        now = asyncio.get_running_loop().time()
-        rates = dict(self.monitor.source_rates(name, now))
         # While the outcome is out, the target may already hold its copy:
         # ``name``'s UPDATEs fan out to the whole children list.
         deciding = self._deciding
         deciding[name] = deciding.get(name, 0) + 1
         try:
-            target = await self.cluster.decide_replication(
-                name, self.pid, seed, rates
-            )
+            target = await self.cluster.decide_replication(name, self.pid, seed)
         except ConnectionError:
             self._placed.pop(name, None)  # the outcome never came back
             return None
@@ -871,20 +868,8 @@ class NodeServer:
 
     # -- overload sweeper ---------------------------------------------------
 
-    def inherit_load(self, name: str, rate: float) -> None:
-        """Attribute demand a crashed holder of ``name`` was carrying.
-
-        Called by the cluster's §5.3 recovery when this node is the
-        heir of a crashed holder's copy: the victim's last observed
-        service rate is seeded into the load monitor (linearly decaying
-        over one window) so the sweeper's rate trigger and hottest-file
-        choice react to the inherited pressure *before* a full window
-        of real samples accumulates here.
-        """
-        self.monitor.inherit(name, rate, asyncio.get_running_loop().time())
-
     async def _sweep(self) -> None:
-        """The per-node load monitor: replicate away sustained pressure.
+        """The per-node overload trigger: replicate away sustained pressure.
 
         Overload is either a saturated in-flight window (inbox depth at
         or beyond ``inflight_limit``) or a served rate above

@@ -32,10 +32,10 @@ send counters die with it, but its frames land in receivers'
 once the victim is dead.
 
 Scale-out v1 scope: crash churn only (no join/leave over the wire),
-silent kills with a post-burst autopsy (PR 8's semantics), and no
-cross-process inherited-load attribution — the victim's load monitor
-dies with its process, and that accounting is runtime-only (never
-oplogged), so conformance is unaffected.
+silent kills with a post-burst autopsy, as `ChurnInjector` runs them
+in process.  A crash works as in process, too: the victim's load
+counts die with it, and each heir learns its load from its own
+arrivals.
 """
 
 from __future__ import annotations
@@ -249,8 +249,7 @@ class BootstrapServer:
         frames: list[Message] = []
         if not self.paused:
             frames = self.coordinator.decide(
-                name, int(body["holder"]), int(body["seed"]),
-                {int(k): float(v) for k, v in (body.get("rates") or {}).items()},
+                name, int(body["holder"]), int(body["seed"])
             )
             self._deliver(*frames)
         # Placement delta piggyback: the decider learns the full holder

@@ -180,14 +180,9 @@ class WorkerRuntime(NodeHost):
         version = reply.get("version")
         return None if version is None else int(version)
 
-    async def decide_replication(
-        self, name: str, holder: int, seed: int, rates: dict[int, float]
-    ) -> int | None:
+    async def decide_replication(self, name: str, holder: int, seed: int) -> int | None:
         try:
-            reply = await self.link.call(
-                "decide", name=name, holder=holder, seed=seed,
-                rates={str(src): rate for src, rate in rates.items()},
-            )
+            reply = await self.link.call("decide", name=name, holder=holder, seed=seed)
         except RuntimeError as exc:
             # The bootstrap may have decided before it failed: the
             # outcome is as unknown as on a dead link.

@@ -816,8 +816,8 @@ class ScenarioHarness:
         """
         decide = cluster.decide_replication
 
-        async def forgetful_decide(name, holder, seed, rates):
-            await decide(name, holder, seed, rates)
+        async def forgetful_decide(name, holder, seed):
+            await decide(name, holder, seed)
             return None
 
         cluster.decide_replication = forgetful_decide

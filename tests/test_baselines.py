@@ -3,6 +3,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     ChordRing,
@@ -12,6 +14,7 @@ from repro.baselines import (
     make_policy,
 )
 from repro.baselines.base import PlacementContext
+from repro.cluster.system import LessLogSystem
 from repro.core.errors import NoLiveNodeError
 from repro.core.liveness import AllLive, SetLiveness
 from repro.core.tree import LookupTree
@@ -32,14 +35,36 @@ class TestLessLogPolicy:
         assert policy.choose(tree4, 4, AllLive(4), {4}, ctx()) == 5
         assert policy.choose(tree4, 4, AllLive(4), {4, 5}, ctx()) == 6
 
-    def test_needs_no_forwarder_rates(self, tree4):
-        # The whole point of the paper: identical choice with no log data.
-        policy = LessLogPolicy()
-        with_rates = policy.choose(
-            tree4, 4, AllLive(4), {4}, ctx(rates={5: 1.0, 6: 99.0})
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_needs_no_forwarder_rates(self, data):
+        """The whole point of the paper: identical choice with no log
+        data.  Two systems take the same replication steps from the
+        same holders under the same rng seeds, one with arbitrary
+        forwarder rates and one without; every target agrees, so an
+        oplog replay needs no rates."""
+        m = data.draw(st.integers(2, 6), label="m")
+        b = data.draw(st.sampled_from((0, 1)), label="b")
+        n = 1 << m
+        dead = data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1), label="dead")
+        live = set(range(n)) - dead
+        with_rates = LessLogSystem(m=m, b=b, live=live)
+        without = LessLogSystem(m=m, b=b, live=live)
+        with_rates.insert("f")
+        without.insert("f")
+        rates = st.dictionaries(
+            st.integers(-1, n - 1), st.floats(0.0, 1e4, allow_nan=False)
         )
-        without = policy.choose(tree4, 4, AllLive(4), {4}, ctx())
-        assert with_rates == without == 5
+        for _ in range(data.draw(st.integers(1, 8), label="steps")):
+            holders = without.holders_of("f")
+            assert with_rates.holders_of("f") == holders
+            holder = data.draw(st.sampled_from(holders), label="holder")
+            seed = data.draw(st.integers(0, 2**31 - 1), label="seed")
+            got = with_rates.replicate(
+                "f", holder, forwarder_rates=data.draw(rates, label="rates"),
+                rng=random.Random(seed),
+            )
+            assert got == without.replicate("f", holder, rng=random.Random(seed))
 
 
 class TestLogBasedPolicy:

@@ -101,7 +101,7 @@ def drive(seed: int, b: int, ops: int = 40) -> FrameDrivenStores:
             holders = world.holders(op.name)
             if holders:
                 holder = holders[op.seed % len(holders)]
-                world.deliver(coordinator.decide(op.name, holder, op.seed, {}))
+                world.deliver(coordinator.decide(op.name, holder, op.seed))
         elif op.kind == "get":
             # Every third GET stands in for an idle-decay tick.
             replicas = [
@@ -184,7 +184,7 @@ def _one_file(b: int = 0) -> tuple[Coordinator, str, int]:
 
 def test_decide_records_the_outcome_and_returns_the_targets_copy():
     coordinator, name, home = _one_file()
-    (frame,) = coordinator.decide(name, home, seed=1, rates={})
+    (frame,) = coordinator.decide(name, home, seed=1)
     assert frame.kind is MessageKind.REPLICATE
     assert frame.payload == {"payload": "payload"} and frame.version == 1
     rec = coordinator.oplog[-1]
@@ -195,25 +195,25 @@ def test_decide_on_a_dead_holder_records_nothing():
     coordinator, name, home = _one_file()
     coordinator.kill(home)
     before = list(coordinator.oplog)
-    assert coordinator.decide(name, home, seed=1, rates={}) == []
+    assert coordinator.decide(name, home, seed=1) == []
     assert coordinator.oplog == before
 
 
 def test_decide_on_a_holder_whose_copy_is_gone_records_nothing():
     coordinator, name, home = _one_file()
-    (frame,) = coordinator.decide(name, home, seed=1, rates={})
+    (frame,) = coordinator.decide(name, home, seed=1)
     replica = frame.dst
     assert [m.dst for m in coordinator.remove(name, replica)] == [replica]
     before = list(coordinator.oplog)
     # The replica's own store may still hold the copy (its REMOVE frame
     # is in flight); in decision order it is gone.
-    assert coordinator.decide(name, replica, seed=2, rates={}) == []
+    assert coordinator.decide(name, replica, seed=2) == []
     assert coordinator.oplog == before
 
 
 def test_remove_racing_a_kill_is_a_noop():
     coordinator, name, home = _one_file()
-    (frame,) = coordinator.decide(name, home, seed=1, rates={})
+    (frame,) = coordinator.decide(name, home, seed=1)
     coordinator.kill(frame.dst)
     before = list(coordinator.oplog)
     assert coordinator.remove(name, frame.dst) == []

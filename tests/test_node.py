@@ -5,7 +5,14 @@ import random
 import pytest
 
 from repro.core.errors import MembershipError, StorageError
-from repro.node import FileOrigin, FileStore, LoadMonitor, StatusWord, WindowedRate
+from repro.node import (
+    FileOrigin,
+    FileStore,
+    LoadMonitor,
+    ServedLoad,
+    StatusWord,
+    WindowedRate,
+)
 
 
 class TestFileStore:
@@ -147,11 +154,14 @@ class TestLoadMonitor:
         per-source windows.  Over 100 windows of serves with no read,
         every window still holds only events from the last window before
         its newest one, and rates read afterwards are those of a run
-        that read after every serve."""
+        that read after every serve.  The live node's `ServedLoad`,
+        fed the same serves without their sources, reads the same
+        total, per-file and hottest-file rates."""
         rng = random.Random(5)
         window = 0.5
         unread = LoadMonitor(capacity=1.0, window=window)
         read = LoadMonitor(capacity=1.0, window=window)
+        served = ServedLoad(window=window)
         files, sources = ("a", "b", "c", "d"), (-1, 3, 7)
         now = 0.0
         while now < 100 * window:
@@ -159,20 +169,24 @@ class TestLoadMonitor:
             name, source = rng.choice(files), rng.choice(sources)
             unread.record_served(name, source, now)
             read.record_served(name, source, now)
+            served.record(name, now)
             read.is_overloaded(now)
             read.source_rates(read.hottest_file(now), now)
-        rates = [unread._total] + [
-            rate for load in unread._loads.values()
-            for rate in (load.served, *load.by_source.values())
+        rates = [unread._total, *unread._files.values()] + [
+            rate for by_source in unread._sources.values()
+            for rate in by_source.values()
         ]
         for rate in rates:
             times = rate._times
             assert times and times[0] > times[-1] - window
         for at in (now, now + window / 3, now + window):
             assert unread.total_rate(at) == read.total_rate(at)
+            assert served.total_rate(at) == read.total_rate(at)
             assert unread.hottest_file(at) == read.hottest_file(at)
+            assert served.hottest_file(at) == read.hottest_file(at)
             for name in files:
                 assert unread.file_rate(name, at) == read.file_rate(name, at)
+                assert served.file_rate(name, at) == read.file_rate(name, at)
                 assert unread.source_rates(name, at) == read.source_rates(name, at)
 
 

@@ -1470,7 +1470,7 @@ class _StubHost(NodeHost):
     async def catalog_advance(self, name, payload):
         return 1
 
-    async def decide_replication(self, name, holder, seed, rates):
+    async def decide_replication(self, name, holder, seed):
         return None
 
     async def record_removal(self, name, pid):
@@ -1695,7 +1695,7 @@ class _PlacingHost(_StubHost):
     async def send(self, src, msg):
         self.sent.append(msg)
 
-    async def decide_replication(self, name, holder, seed, rates):
+    async def decide_replication(self, name, holder, seed):
         return None if self.decide is None else await self.decide(name)
 
 

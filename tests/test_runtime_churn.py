@@ -370,54 +370,6 @@ def test_generator_redials_a_rejoined_entry():
 
 
 # ---------------------------------------------------------------------------
-# inherited load: §5.3 recovery hands the victim's demand to the heir
-# ---------------------------------------------------------------------------
-
-
-@pytest.mark.runtime
-def test_crashed_holders_load_is_attributed_to_the_heir():
-    """The overload plane must not go blind for a window after a crash:
-    the demand the victim was serving seeds its heir's load monitor, so
-    the SLO-aware replication trigger sees the pressure about to shift
-    there."""
-
-    async def run():
-        config = _churn_config(window=1.0)
-        cluster, home = await _boot_with_hot_file(config)
-        try:
-            name = "hot-0.dat"
-            # Drive demand at the home specifically so only its monitor
-            # holds samples.
-            client = await RuntimeClient(cluster, home).connect()
-            for _ in range(30):
-                outcome = await client.get(name)
-                assert outcome.ok
-            await client.close()
-            loop = asyncio.get_running_loop()
-            assert cluster.nodes[home].monitor.file_rate(name, loop.time()) > 0
-            survivors = [
-                p for p in sorted(cluster.holders(name)) if p != home
-            ]
-            for pid in survivors:
-                assert cluster.nodes[pid].monitor.file_rate(
-                    name, loop.time()
-                ) == 0.0
-            await cluster.crash(home)
-            now = loop.time()
-            heirs = [
-                p for p in sorted(cluster.holders(name))
-                if cluster.nodes[p].monitor.file_rate(name, now) > 0
-            ]
-            # Someone alive now carries the inherited rate — without
-            # ever having served a single request for the file.
-            assert heirs, "the crashed holder's load evaporated"
-        finally:
-            await cluster.shutdown()
-
-    asyncio.run(run())
-
-
-# ---------------------------------------------------------------------------
 # satellite: lifecycle conservation under churn, property-tested live
 # ---------------------------------------------------------------------------
 

@@ -656,6 +656,35 @@ class TestHolderHintCache:
             _BoundedCache(0)
 
 
+class _DecideLink:
+    """Records each control call; every ``decide`` picks P(5)."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[str, dict]] = []
+
+    async def call(self, op: str, **fields):
+        self.calls.append((op, fields))
+        return {"target": 5, "holders": [1, 5]}
+
+
+class TestDecideBody:
+    def test_decide_carries_only_name_holder_and_seed(self):
+        """A holder's placement decision ships no access log: the
+        ``decide`` control call carries the file, the deciding holder
+        and its rng seed, and nothing else."""
+        from repro.node.storage import FileOrigin
+
+        runtime = _bare_runtime(pid=1)
+        runtime.link = link = _DecideLink()
+        node = runtime.node
+        node.store.store("hot", "p", 1, FileOrigin.INSERTED)
+        assert _run(node._replicate_decision("hot", seed=7)) == 5
+        assert link.calls == [
+            ("decide", {"name": "hot", "holder": 1, "seed": 7})
+        ]
+        assert runtime.holders("hot") == {1, 5}
+
+
 class TestAddressing:
     def test_missing_book_entry_is_the_dead_peer_signal(self):
         with pytest.raises(PeerUnreachableError, match=r"P\(9\)"):

@@ -172,7 +172,7 @@ async def _run_trial(
     With ``churn_kills`` nonzero, that many *silent* crashes
     (``crash(pid, announce=False)``) land inside the middle half of the
     measured burst on a seeded schedule; the announce half (recovery,
-    oplog close, inherited-load attribution) runs as an autopsy after
+    oplog close) runs as an autopsy after
     the generator closes, so the conformance replay still sees a fully
     self-organized membership.
 
