@@ -550,21 +550,8 @@ def _cmd_serve(args: "argparse.Namespace") -> int:
 
 
 def _cmd_loadgen_scaleout(args: "argparse.Namespace") -> int:
-    import asyncio
-    import random
-
-    from .runtime import (
-        LoadGenerator,
-        RuntimeClient,
-        RuntimeConfig,
-        WorkloadShape,
-        verify_snapshot,
-    )
-    from .runtime.scaleout import (
-        ScaleoutEndpoint,
-        ScaleoutSupervisor,
-        ShardedLoadDriver,
-    )
+    from .runtime import ChurnEvent, RuntimeConfig, WorkloadShape
+    from .runtime.scaleout import drive_fleet, run_fleet
 
     if args.churn_crashes or args.churn_joins or args.churn_leaves:
         print("loadgen --processes/--bootstrap supports --churn-kills only "
@@ -575,19 +562,30 @@ def _cmd_loadgen_scaleout(args: "argparse.Namespace") -> int:
         print("--client-processes shards the open-loop driver; drop "
               "--closed-loop or run one client process")
         return 2
-
-    supervisor = None
+    files = [f"file-{i}.dat" for i in range(args.files)]
+    load = dict(
+        rps=args.rps, duration=args.duration, seed=args.seed,
+        shape=WorkloadShape(kind=args.workload, s=args.zipf_s),
+        redirects=args.redirects, closed_loop=args.closed_loop,
+        client_shards=args.client_processes,
+    )
+    run = None
     if args.bootstrap is None:
         config = RuntimeConfig(
             m=args.m, b=args.b, seed=args.seed, tcp=True,
             capacity=args.capacity, service_time=args.service_time,
             inflight_limit=16, **_overload_fields(args),
         )
-        supervisor = ScaleoutSupervisor(
-            config, n_nodes=args.processes, mode=args.spawn
+        run = run_fleet(
+            config, args.processes, files, spawn=args.spawn,
+            min_live=args.churn_min_live, kills=[
+                ChurnEvent(at=(i + 1) * args.duration / (args.churn_kills + 1),
+                           action="kill")
+                for i in range(args.churn_kills)
+            ], **load,
         )
-        # Fork the fleet before any event loop exists.
-        host, port = supervisor.launch()
+        report, shard_reports = run.report, run.shard_reports
+        nodes = len(run.snapshot.live_pids)
     else:
         if args.churn_kills:
             print("--churn-kills needs --processes "
@@ -601,106 +599,27 @@ def _cmd_loadgen_scaleout(args: "argparse.Namespace") -> int:
         if not host or not port_text.isdigit():
             print(f"--bootstrap must be HOST:PORT, got {args.bootstrap!r}")
             return 2
-        port = int(port_text)
-
-    files = [f"file-{i}.dat" for i in range(args.files)]
-    shape = WorkloadShape(kind=args.workload, s=args.zipf_s)
-    driver = None
-    if args.client_processes > 1:
-        # Fork the shard drivers before any event loop exists, same
-        # discipline as the fleet itself; they park on their go pipes
-        # until the file set is inserted and the fleet drained.
-        driver = ShardedLoadDriver(
-            host, port, files, shards=args.client_processes,
-            rps=args.rps, duration=args.duration, shape=shape,
-            seed=args.seed, redirects=args.redirects,
-            inherited_sockets=(
-                [supervisor.listen_socket] if supervisor is not None
-                and supervisor.listen_socket is not None else []
-            ),
+        report, shard_reports, nodes = drive_fleet(
+            host, int(port_text), files, **load
         )
-        driver.launch()
-
-    async def inject_kills(endpoint: "ScaleoutEndpoint",
-                           kills: list[int]) -> None:
-        rng = random.Random(args.seed)
-        for i in range(args.churn_kills):
-            await asyncio.sleep(args.duration / (args.churn_kills + 1))
-            live = supervisor.bootstrap.worker_pids()
-            if len(live) <= args.churn_min_live:
-                break
-            victim = rng.choice(live)
-            await supervisor.kill(victim)
-            kills.append(victim)
-
-    async def run() -> int:
-        if supervisor is not None:
-            await supervisor.start()
-        endpoint = await ScaleoutEndpoint.connect(host, port)
-        try:
-            boot = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
-            for name in files:
-                await boot.insert(name, f"payload of {name}")
-            await boot.close()
-            await endpoint.drain()
-            kills: list[int] = []
-            kill_task = None
-            if supervisor is not None and args.churn_kills:
-                kill_task = asyncio.create_task(inject_kills(endpoint, kills))
-            if driver is not None:
-                driver.start()
-                report = await driver.collect()
-                report.served_by_node = await endpoint.served_counts()
-            else:
-                gen = LoadGenerator(endpoint, files, shape, seed=args.seed,
-                                    redirects=args.redirects)
-                if args.closed_loop > 0:
-                    report = await gen.run_closed_loop(
-                        args.closed_loop, max(1, int(args.rps * args.duration))
-                    )
-                else:
-                    report = await gen.run_open_loop(args.rps, args.duration)
-            if kill_task is not None:
-                await kill_task
-            if driver is None:
-                await gen.close()
-            if kills:
-                # Post-burst autopsy: §5 recovery for every victim.
-                for victim in kills:
-                    await supervisor.bootstrap.announce_crash(victim)
-                print(f"churn: {len(kills)} kill -9 event(s): " + ", ".join(
-                    f"P({pid})" for pid in kills))
-            await endpoint.quiesce()
-            print(f"loadgen over {len(endpoint.nodes)} worker process(es), "
-                  f"tcp: m={args.m}, b={args.b}, "
-                  f"workload={args.workload}, seed={args.seed}")
-            for key, value in report.as_dict().items():
-                print(f"  {key:15} {value}")
-            if driver is not None:
-                shard_rps = [
-                    round(r.achieved_rps, 3) for r in driver.shard_reports
-                ]
-                print(f"  {'client_shards':15} {args.client_processes}")
-                print(f"  {'shard_rps':15} {shard_rps}")
-            if supervisor is not None:
-                snapshot, _stats = await supervisor.bootstrap.collect_snapshot()
-                print(f"  {'replicas':15} {snapshot.replicas_created}")
-                if args.conformance:
-                    conformance = verify_snapshot(snapshot)
-                    print(conformance.render())
-                    if not conformance.ok:
-                        return 1
-            return 0
-        finally:
-            await endpoint.close()
-            if supervisor is not None:
-                await supervisor.shutdown()
-
-    try:
-        return asyncio.run(run())
-    finally:
-        if driver is not None:
-            driver.kill()  # no-op after a clean collect()
+    if run is not None and run.killed:
+        print(f"churn: {len(run.killed)} kill -9 event(s): " + ", ".join(
+            f"P({pid})" for pid in run.killed))
+    print(f"loadgen over {nodes} worker process(es), "
+          f"tcp: m={args.m}, b={args.b}, "
+          f"workload={args.workload}, seed={args.seed}")
+    for key, value in report.as_dict().items():
+        print(f"  {key:15} {value}")
+    if shard_reports:
+        print(f"  {'client_shards':15} {args.client_processes}")
+        print(f"  {'shard_rps':15} "
+              f"{[round(r.achieved_rps, 3) for r in shard_reports]}")
+    if run is not None:
+        print(f"  {'replicas':15} {run.snapshot.replicas_created}")
+        if args.conformance:
+            print(run.conformance.render())
+            return 0 if run.conformance.ok else 1
+    return 0
 
 
 def _cmd_loadgen(args: "argparse.Namespace") -> int:

@@ -15,13 +15,15 @@ The pieces, smallest to largest:
   processes with disjoint entry partitions and exactly-merging
   ledgers;
 * :mod:`.supervisor` — forks/boots the fleet, injects ``kill -9``,
-  and tears it down.
+  and tears it down;
+* :mod:`.fleet` — `run_fleet`, one probe of a fleet, boot to teardown.
 """
 
 from .bootstrap import BootstrapServer, ScaleoutStats
 from .control import ControlLink, config_from_wire, config_to_wire
 from .endpoint import ScaleoutEndpoint
 from .loadshard import ShardedLoadDriver
+from .fleet import FleetRun, drive_fleet, plan_kills, run_fleet
 from .supervisor import FleetLifecycleError, ScaleoutSupervisor
 from .worker import WorkerProcess, WorkerRuntime, run_worker
 
@@ -34,6 +36,10 @@ __all__ = [
     "ScaleoutEndpoint",
     "ShardedLoadDriver",
     "FleetLifecycleError",
+    "FleetRun",
+    "drive_fleet",
+    "plan_kills",
+    "run_fleet",
     "ScaleoutSupervisor",
     "WorkerProcess",
     "WorkerRuntime",

@@ -53,7 +53,8 @@ The default registry encodes the paper's claims:
                                wasted attempt
 ``scaleout-lifecycle-conservation`` every worker a ``live_scaleout``
                                burst did not kill ships a goodbye
-                               snapshot on the clean shutdown path
+                               snapshot on the clean shutdown path,
+                               and none outlives the teardown
 =============================  ==========================================
 """
 
@@ -675,7 +676,8 @@ class ScaleoutLifecycle(_LiveRecords):
     bootstrap collected: every worker that was *not* ``kill -9``ed
     must terminate through the clean path — SIGTERM, local drain,
     goodbye snapshot shipped to the bootstrap.  A missing goodbye means
-    a worker died outside the supervisor's accounting.  (The burst's
+    a worker died outside the supervisor's accounting; an OS pid in
+    ``left_running`` means one outlived the teardown.  (The burst's
     request conservation is ``overload-shed-conservation``'s.)
     """
 
@@ -691,6 +693,12 @@ class ScaleoutLifecycle(_LiveRecords):
                 f"goodbye snapshot(s) (killed: {record['killed']}) but "
                 f"collected {record['goodbyes']} — a worker died outside "
                 f"the clean SIGTERM-drain-goodbye path",
+            )
+        if record["left_running"]:
+            self.fail(
+                ctx,
+                f"scale-out burst left OS pid(s) {record['left_running']} "
+                f"running after its teardown",
             )
 
 

@@ -510,36 +510,18 @@ class ScenarioHarness:
         })
 
     def _apply_live_scaleout(self, event: ScenarioEvent) -> bool:
-        """A burst against a fleet of *real worker OS processes*.
-
-        The scale-out fuzzer op: forks a small multi-process cluster
-        behind the bootstrap/address-book service, drives a seeded
-        burst over loopback TCP (optionally ``kill -9``-ing one worker
-        mid-burst, with the §5 autopsy after), then collects the
-        central snapshot and replays its decision-ordered oplog through
-        the oracle.  The conformance report feeds the
-        ``runtime-oracle-conformance`` invariant; the burst ledger feeds
-        ``overload-shed-conservation`` (request conservation) and
-        ``scaleout-lifecycle-conservation`` (a goodbye snapshot from
-        every cleanly terminated worker).
-
-        With ``client_shards >= 2`` the burst is driven by a
-        :class:`ShardedLoadDriver` — K forked load processes over
-        disjoint entry partitions — and the *merged* ledger is audited
-        by the very same conservation and conformance predicates, so
-        the sharded measurement path is fuzzed alongside the runtime
-        it measures.
+        """A burst against a fleet of *real worker OS processes*: one
+        :func:`~repro.runtime.scaleout.run_fleet` probe over loopback TCP,
+        optionally ``kill -9``-ing one worker mid-burst, and with
+        ``client_shards >= 2`` driven by forked load processes whose
+        merged ledger is audited like a single one.  The verdict feeds
+        ``runtime-oracle-conformance``; the ledger feeds
+        ``overload-shed-conservation`` and
+        ``scaleout-lifecycle-conservation``.
         """
-        import asyncio
-
-        from ..runtime.client import LoadGenerator, RuntimeClient
+        from ..runtime.churn import ChurnEvent
         from ..runtime.cluster import RuntimeConfig
-        from ..runtime.conformance import verify_snapshot
-        from ..runtime.scaleout import (
-            ScaleoutEndpoint,
-            ScaleoutSupervisor,
-            ShardedLoadDriver,
-        )
+        from ..runtime.scaleout import run_fleet
 
         params = event.params
         n_nodes = max(3, min(int(params.get("nodes", 4)), 6))
@@ -553,84 +535,27 @@ class ScenarioHarness:
             cooldown=0.05,
         )
         files = max(1, min(int(params.get("files", 3)), 4))
-        rps = max(20.0, min(float(params.get("rps", 60.0)), 200.0))
         duration = max(0.1, min(float(params.get("duration", 0.3)), 0.5))
-        kill = bool(params.get("kill", False)) and n_nodes > 3
         client_shards = max(0, min(int(params.get("client_shards", 0)), 3))
-        names = [f"so-{i}" for i in range(files)]
-
-        supervisor = ScaleoutSupervisor(config, n_nodes=n_nodes, mode="fork")
-        host, port = supervisor.launch()
-        driver: ShardedLoadDriver | None = None
-        if client_shards >= 2:
-            # Fork the shard drivers while no event loop exists —
-            # the same pre-loop discipline as the supervisor itself.
-            driver = ShardedLoadDriver(
-                host, port, names, shards=client_shards,
-                rps=rps, duration=duration, seed=config.seed,
-                timeout=_LIVE_SCALEOUT_TIMEOUT,
-                inherited_sockets=[supervisor.listen_socket],
-            )
-            driver.launch()
-
-        async def burst():
-            await supervisor.start(boot_timeout=60.0)
-            endpoint = await ScaleoutEndpoint.connect(host, port)
-            killed: list[int] = []
-            try:
-                boot = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
-                for name in names:
-                    await boot.insert(name, f"payload of {name}")
-                await boot.close()
-                await endpoint.drain()
-
-                async def mid_burst_kill():
-                    await asyncio.sleep(duration / 2)
-                    victim = sorted(endpoint.nodes)[
-                        int(params.get("victim", 0)) % len(endpoint.nodes)
-                    ]
-                    await supervisor.kill(victim)
-                    killed.append(victim)
-
-                if driver is not None:
-                    driver.start()
-                    if kill:
-                        await mid_burst_kill()
-                    report = await driver.collect()
-                else:
-                    gen = LoadGenerator(endpoint, names, seed=config.seed,
-                                        timeout=_LIVE_SCALEOUT_TIMEOUT)
-                    run = asyncio.ensure_future(
-                        gen.run_open_loop(rps=rps, duration=duration)
-                    )
-                    if kill:
-                        await mid_burst_kill()
-                    report = await run
-                    await gen.close()
-                for victim in killed:
-                    await supervisor.bootstrap.announce_crash(victim)
-                await endpoint.quiesce()
-                snapshot, stats = await supervisor.bootstrap.collect_snapshot()
-                return (report, verify_snapshot(snapshot),
-                        (stats.counters, stats.handler_tracebacks), killed)
-            finally:
-                await endpoint.close()
-                await supervisor.shutdown()
-
-        try:
-            report, conformance, faults, killed = asyncio.run(burst())
-        finally:
-            if driver is not None:
-                driver.kill()
-        self._record_live(conformance, *faults)
+        kills = [
+            ChurnEvent(at=duration / 2, action="kill",
+                       pid=int(params.get("victim", 0)) % n_nodes)
+        ] if params.get("kill") and n_nodes > 3 else []
+        run = run_fleet(
+            config, n_nodes, [f"so-{i}" for i in range(files)],
+            rps=max(20.0, min(float(params.get("rps", 60.0)), 200.0)),
+            duration=duration, timeout=_LIVE_SCALEOUT_TIMEOUT,
+            client_shards=client_shards, kills=kills,
+        )
+        self._record_live(
+            run.conformance, run.stats.counters, run.stats.handler_tracebacks
+        )
         self._record_burst(
-            report,
-            timeout=_LIVE_SCALEOUT_TIMEOUT,
-            nodes=n_nodes,
-            client_shards=client_shards if driver is not None else 1,
-            killed=killed,
-            expected_goodbyes=n_nodes - len(killed),
-            goodbyes=len(supervisor.bootstrap.goodbyes),
+            run.report, timeout=_LIVE_SCALEOUT_TIMEOUT, nodes=n_nodes,
+            client_shards=client_shards if client_shards >= 2 else 1,
+            killed=list(run.killed), goodbyes=len(run.goodbyes),
+            expected_goodbyes=n_nodes - len(run.killed),
+            left_running=list(run.left_running),
         )
         return True
 

@@ -20,11 +20,15 @@ event loop, so each test calls ``launch()`` first and only then enters
 import asyncio
 import json
 import os
+import random
 import signal
 import socket
+import subprocess
+import sys
 import time
 from dataclasses import MISSING, fields
 from functools import partial
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +38,7 @@ from repro.core.errors import ConfigurationError, MembershipError
 from repro.net.message import Message, MessageKind
 from repro.runtime import (
     ADMIN,
+    ChurnEvent,
     ClientError,
     LoadGenerator,
     PeerUnreachableError,
@@ -52,6 +57,8 @@ from repro.runtime.scaleout import (
     ShardedLoadDriver,
     config_from_wire,
     config_to_wire,
+    plan_kills,
+    run_fleet,
 )
 from repro.runtime.scaleout.bootstrap import BootstrapServer, _Peer
 from repro.runtime.scaleout.worker import (
@@ -70,6 +77,8 @@ from repro.runtime.wire import (
     decode_message,
     encode_message,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # ---------------------------------------------------------------------------
 # control-plane codecs and validation (deterministic, tier-1)
@@ -711,6 +720,65 @@ class TestSupervisorValidation:
             asyncio.run(supervisor.kill(2))
 
 
+def _cli_victims(n_nodes: int, seed: int, min_live: int, kills: int) -> list[int]:
+    """The victims ``lesslog loadgen --churn-kills`` drew before
+    ``run_fleet``: one ``choice`` per kill over the live workers,
+    stopping at ``min_live``."""
+    rng = random.Random(seed)
+    live = list(range(n_nodes))
+    victims = []
+    for _ in range(kills):
+        if len(live) <= min_live:
+            break
+        victim = rng.choice(live)
+        live.remove(victim)
+        victims.append(victim)
+    return victims
+
+
+class TestPlanKills:
+    @pytest.mark.parametrize("n_nodes", [4, 6, 12])
+    @pytest.mark.parametrize("min_live", [1, 3])
+    @pytest.mark.parametrize("kills", [1, 2, 4])
+    def test_draws_what_the_cli_loop_drew(self, n_nodes, min_live, kills):
+        schedule = [ChurnEvent(at=0.1 * (i + 1), action="kill")
+                    for i in range(kills)]
+        for seed in range(12):
+            plan = plan_kills(range(n_nodes), schedule, seed, min_live)
+            assert len(plan) == kills
+            drawn = [v for v in plan if v is not None]
+            assert drawn == _cli_victims(n_nodes, seed, min_live, kills)
+            assert plan == drawn + [None] * (kills - len(drawn))
+
+    def test_the_bench_draw_is_one_choice_over_the_fleet(self):
+        for seed in range(20):
+            assert plan_kills(range(12), [ChurnEvent(0.6, "kill")], seed) == [
+                random.Random(seed).choice(range(12))
+            ]
+
+    def test_schedule_order_is_time_order_and_pins_take_no_draw(self):
+        schedule = [ChurnEvent(0.3, "kill"), ChurnEvent(0.1, "kill", pid=2),
+                    ChurnEvent(0.2, "kill")]
+        rng = random.Random(5)
+        first = rng.choice([0, 1, 3, 4, 5])
+        second = rng.choice([v for v in [0, 1, 3, 4, 5] if v != first])
+        assert plan_kills(range(6), schedule, 5) == [2, first, second]
+
+    @pytest.mark.parametrize("action", ["crash", "join", "leave"])
+    def test_only_kill_is_accepted(self, action):
+        with pytest.raises(ConfigurationError, match="kill -9 only"):
+            plan_kills(range(4), [ChurnEvent(0.1, action)], 0)
+        # run_fleet refuses it before it forks anything.
+        with pytest.raises(ConfigurationError, match="kill -9 only"):
+            run_fleet(RuntimeConfig(m=2, tcp=True), 4, ["f"], rps=10,
+                      duration=0.1, kills=[ChurnEvent(0.1, action)])
+
+    def test_a_sharded_closed_loop_is_refused_before_any_fork(self):
+        with pytest.raises(ConfigurationError, match="closed loop"):
+            run_fleet(RuntimeConfig(m=2, tcp=True), 4, ["f"], rps=10,
+                      duration=0.1, closed_loop=4, client_shards=2)
+
+
 # ---------------------------------------------------------------------------
 # real worker processes over loopback TCP (runtime marker)
 # ---------------------------------------------------------------------------
@@ -728,34 +796,15 @@ class TestWorkerLifecycle:
         """Boot -> serve -> SIGTERM drain -> goodbye: every worker ships
         its final store/word snapshot, and the central snapshot built
         from worker stores replays conformant."""
-        config = _fleet_config()
-        supervisor = ScaleoutSupervisor(config, n_nodes=8, mode="fork")
-        host, port = supervisor.launch()
-
-        async def drive() -> tuple:
-            await supervisor.start(boot_timeout=60.0)
-            endpoint = await ScaleoutEndpoint.connect(host, port)
-            files = [f"life-{i}" for i in range(5)]
-            client = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
-            for name in files:
-                await client.insert(name, payload=f"payload:{name}")
-            await client.close()
-            gen = LoadGenerator(endpoint, files, seed=3, timeout=5.0)
-            report = await gen.run_open_loop(rps=60, duration=0.8)
-            await gen.close()
-            await endpoint.quiesce()
-            snapshot, stats = await supervisor.bootstrap.collect_snapshot()
-            await endpoint.close()
-            await supervisor.shutdown()
-            return report, snapshot, stats
-
-        report, snapshot, stats = asyncio.run(drive())
+        run = run_fleet(_fleet_config(), 8, [f"life-{i}" for i in range(5)],
+                        rps=60, duration=0.8, seed=3)
+        report, snapshot, stats = run.report, run.snapshot, run.stats
         assert report.conserved and report.completed > 0
         conformance = verify_snapshot(snapshot)
         assert conformance.ok, conformance.mismatches
         # Every worker terminated cleanly and shipped a goodbye body.
-        assert sorted(supervisor.bootstrap.goodbyes) == list(range(8))
-        for pid, body in supervisor.bootstrap.goodbyes.items():
+        assert sorted(run.goodbyes) == list(range(8))
+        for pid, body in run.goodbyes.items():
             assert {"store", "word", "served"} <= set(body)
             assert pid in body["word"]
         assert sum(stats.served_by_node.values()) == report.completed
@@ -1059,50 +1108,62 @@ class TestShardedBurst:
         fleet's serve totals match the merged completions, every worker
         goodbyes, and the snapshot replays conformant — the full
         sharded measurement path in one lifecycle."""
-        config = _fleet_config(seed=13)
-        supervisor = ScaleoutSupervisor(config, n_nodes=8, mode="fork")
-        host, port = supervisor.launch()
-        files = [f"shard-{i}" for i in range(4)]
-        driver = ShardedLoadDriver(
-            host, port, files, shards=2, rps=60, duration=0.8, seed=13,
-            inherited_sockets=[supervisor.listen_socket],
-        )
-        driver.launch()
-
-        async def drive() -> tuple:
-            await supervisor.start(boot_timeout=60.0)
-            endpoint = await ScaleoutEndpoint.connect(host, port)
-            client = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
-            for name in files:
-                await client.insert(name, payload=f"payload:{name}")
-            await client.close()
-            await endpoint.drain()
-            driver.start()
-            report = await driver.collect()
-            report.served_by_node = await endpoint.served_counts()
-            await endpoint.quiesce()
-            snapshot, stats = await supervisor.bootstrap.collect_snapshot()
-            await endpoint.close()
-            await supervisor.shutdown()
-            return report, snapshot, stats
-
-        try:
-            report, snapshot, stats = asyncio.run(drive())
-        finally:
-            driver.kill()
+        run = run_fleet(_fleet_config(seed=13), 8, [f"shard-{i}" for i in range(4)],
+                        rps=60, duration=0.8, seed=13, client_shards=2)
+        report, snapshot, stats = run.report, run.snapshot, run.stats
         assert report.conserved and report.completed > 0
-        assert len(driver.shard_reports) == 2
+        assert len(run.shard_reports) == 2
         for field_name in LoadReport._COUNTERS:
             assert getattr(report, field_name) == sum(
-                getattr(part, field_name) for part in driver.shard_reports
+                getattr(part, field_name) for part in run.shard_reports
             )
         assert report.hist.total == sum(
-            part.hist.total for part in driver.shard_reports
+            part.hist.total for part in run.shard_reports
         )
         # Each shard generated real load through its own partition.
-        assert all(part.completed > 0 for part in driver.shard_reports)
+        assert all(part.completed > 0 for part in run.shard_reports)
         # The fleet's serve totals account for every merged completion.
         assert sum(stats.served_by_node.values()) == report.completed
         conformance = verify_snapshot(snapshot)
         assert conformance.ok, conformance.mismatches
-        assert sorted(supervisor.bootstrap.goodbyes) == list(range(8))
+        assert sorted(run.goodbyes) == list(range(8))
+        assert run.left_running == ()
+
+
+#: The report keys ``lesslog loadgen --processes`` prints, in order; the
+#: test pins them, and the non-timing lines, to the seed-0 output.
+_LOADGEN_KEYS = [
+    "requests", "completed", "faults", "errors", "timeouts", "shed",
+    "churn_lost", "stale_sheds", "overloads", "redirected", "rerouted",
+    "duration_s", "achieved_rps", "latency_p50_s", "latency_p99_s",
+    "served_by_node", "latency_hist",
+]
+
+
+@pytest.mark.runtime
+class TestLoadgenFleet:
+    """``lesslog loadgen --processes`` end to end, in a fresh interpreter."""
+
+    @pytest.mark.parametrize("extra, keys", [
+        ([], _LOADGEN_KEYS + ["replicas"]),
+        (["--client-processes", "2"],
+         _LOADGEN_KEYS + ["client_shards", "shard_rps", "replicas"]),
+    ])
+    def test_kill_run_prints_what_it_printed(self, extra, keys):
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "loadgen", "--m", "3",
+             "--processes", "4", "--rps", "40", "--duration", "0.4",
+             "--churn-kills", "1", "--conformance", *extra],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "churn: 1 kill -9 event(s): P(3)"
+        assert lines[1] == ("loadgen over 3 worker process(es), tcp: m=3, "
+                            "b=1, workload=zipf, seed=0")
+        assert [line.split()[0] for line in lines[2:-1]] == keys
+        assert lines[-2] == f"  {'replicas':15} 0"
+        assert lines[-1] == (
+            "conformance: 10 ops replayed, 8 files, 0 replicas created -- OK"
+        )

@@ -213,6 +213,21 @@ class TestLiveOverloadOp:
         with pytest.raises(InvariantViolation, match="timeout-takes-its-time"):
             invariant.audit(ctx, {**ledger, "timeout_min_s": 0.72})
 
+    def test_a_worker_left_running_fails_the_fleet(self):
+        from repro.verify.invariants import (
+            AuditContext,
+            InvariantViolation,
+            ScaleoutLifecycle,
+        )
+
+        invariant = ScaleoutLifecycle()
+        ctx = AuditContext(harness=ScenarioHarness(Scenario(m=4, b=1, seed=0)))
+        ledger = {"nodes": 4, "killed": [1], "expected_goodbyes": 3,
+                  "goodbyes": 3, "left_running": []}
+        invariant.audit(ctx, ledger)
+        with pytest.raises(InvariantViolation, match="left OS pid"):
+            invariant.audit(ctx, {**ledger, "left_running": [4242]})
+
 
 @pytest.mark.fuzz
 class TestChurnedBurstsFuzzClean:

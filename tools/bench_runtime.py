@@ -425,105 +425,7 @@ def _shape_reference(base_config: dict, seed: int) -> dict[str, dict]:
     }}
 
 
-async def _drive_scaleout(
-    supervisor,
-    host: str,
-    port: int,
-    files: int,
-    rps: float,
-    warmup: float,
-    duration: float,
-    seed: int,
-    kill: bool,
-    driver=None,
-) -> dict:
-    """Drive one booted fleet through one rate; optionally kill -9.
-
-    With ``driver`` (a pre-forked `ShardedLoadDriver`) the load comes
-    from K driver processes over disjoint entry partitions and the
-    returned report is the exact merge of the K shard ledgers;
-    without, a single in-loop `LoadGenerator` drives as before.
-    """
-    import random
-
-    from repro.runtime import verify_snapshot
-    from repro.runtime.scaleout import ScaleoutEndpoint
-
-    n_nodes = supervisor.bootstrap.expected
-    await supervisor.start(boot_timeout=60.0 + 0.5 * n_nodes)
-    endpoint = await ScaleoutEndpoint.connect(host, port)
-    killed: list[int] = []
-    try:
-        names = [f"bench-{i}.dat" for i in range(files)]
-        boot = await RuntimeClient(endpoint, min(endpoint.nodes)).connect()
-        for name in names:
-            await boot.insert(name, f"payload of {name}")
-        await boot.close()
-        await endpoint.drain()
-
-        async def _mid_burst_kill(delay: float) -> None:
-            await asyncio.sleep(delay)
-            victim = random.Random(seed).choice(
-                supervisor.bootstrap.worker_pids()
-            )
-            await supervisor.kill(victim)
-            killed.append(victim)
-
-        loop = asyncio.get_running_loop()
-        if driver is not None:
-            # Shards run their own warmup after the gate opens, so the
-            # mid-burst kill aims at warmup + half the measured window.
-            driver.start()
-            kill_task = (
-                loop.create_task(_mid_burst_kill(warmup + duration / 2))
-                if kill else None
-            )
-            report = await driver.collect()
-            report.served_by_node = await endpoint.served_counts()
-        else:
-            gen = LoadGenerator(
-                endpoint, names, WorkloadShape(kind="zipf", s=1.2), seed=seed
-            )
-            if warmup > 0:
-                await gen.run_open_loop(rps=rps, duration=warmup)
-            kill_task = (
-                loop.create_task(_mid_burst_kill(duration / 2))
-                if kill else None
-            )
-            report = await gen.run_open_loop(rps=rps, duration=duration)
-        if kill_task is not None:
-            await kill_task
-        if driver is None:
-            await gen.close()
-        for victim in killed:
-            await supervisor.bootstrap.announce_crash(victim)
-        await endpoint.quiesce()
-        snapshot, stats = await supervisor.bootstrap.collect_snapshot()
-        conformance = verify_snapshot(snapshot)
-        out = {
-            **report.as_dict(),
-            "conserved": report.conserved,
-            "conformant": conformance.ok,
-            "mismatches": conformance.mismatches,
-            "killed": killed,
-            "oplog_records": len(snapshot.oplog),
-            "replicas_to_balance": snapshot.replicas_created,
-            "stage_seconds": {
-                k: round(v, 6) for k, v in sorted(stats.stage_seconds.items())
-            },
-        }
-        if driver is not None:
-            out["client_processes"] = driver.shards
-            out["shard_rps"] = [
-                round(r.achieved_rps, 3) for r in driver.shard_reports
-            ]
-        return out
-    finally:
-        await endpoint.close()
-        await supervisor.shutdown()
-
-
-def _scaleout_trial(
+def _fleet_trial(
     base_config: dict,
     n_nodes: int,
     files: int,
@@ -535,40 +437,35 @@ def _scaleout_trial(
     spawn: str,
     client_processes: int = 1,
 ) -> dict:
-    """One fresh fleet of worker processes, one target rate, one trial.
+    """One fresh fleet of worker processes, one target rate, one trial
+    (``run_fleet``); ``kill`` fires one ``kill -9`` mid-window."""
+    from repro.runtime import ChurnEvent
+    from repro.runtime.scaleout import run_fleet
 
-    The forks happen here, *before* any event loop exists — first the
-    worker fleet, then (for ``client_processes > 1``) the K shard
-    driver processes, which park on their go pipes until the fleet is
-    booted, seeded, and drained.
-    """
-    from repro.runtime.scaleout import ScaleoutSupervisor, ShardedLoadDriver
-
-    config = RuntimeConfig(**base_config)
-    supervisor = ScaleoutSupervisor(config, n_nodes=n_nodes, mode=spawn)
-    host, port = supervisor.launch()
-    driver = None
-    if client_processes > 1:
-        driver = ShardedLoadDriver(
-            host, port, [f"bench-{i}.dat" for i in range(files)],
-            shards=client_processes, rps=rps, duration=duration,
-            warmup=warmup, shape=WorkloadShape(kind="zipf", s=1.2),
-            seed=seed,
-            inherited_sockets=(
-                [supervisor.listen_socket]
-                if supervisor.listen_socket is not None else []
-            ),
-        )
-        driver.launch()
-    try:
-        out = asyncio.run(_drive_scaleout(
-            supervisor, host, port, files, rps, warmup, duration, seed,
-            kill, driver,
-        ))
-    finally:
-        if driver is not None:
-            driver.kill()  # no-op after a clean collect()
-    out["goodbyes"] = len(supervisor.bootstrap.goodbyes)
+    run = run_fleet(
+        RuntimeConfig(**base_config), n_nodes,
+        [f"bench-{i}.dat" for i in range(files)],
+        rps=rps, duration=duration, warmup=warmup,
+        shape=WorkloadShape(kind="zipf", s=1.2), seed=seed,
+        client_shards=client_processes, spawn=spawn,
+        kills=[ChurnEvent(at=warmup + duration / 2, action="kill")] if kill else (),
+    )
+    out = {
+        **run.report.as_dict(),
+        "conserved": run.report.conserved,
+        "conformant": run.conformance.ok,
+        "mismatches": run.conformance.mismatches,
+        "killed": list(run.killed),
+        "oplog_records": len(run.snapshot.oplog),
+        "replicas_to_balance": run.snapshot.replicas_created,
+        "stage_seconds": {
+            k: round(v, 6) for k, v in sorted(run.stats.stage_seconds.items())
+        },
+    }
+    if run.shard_reports:
+        out["client_processes"] = client_processes
+        out["shard_rps"] = [round(r.achieved_rps, 3) for r in run.shard_reports]
+    out["goodbyes"] = len(run.goodbyes)
     return out
 
 
@@ -632,7 +529,7 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
         best_rps = 0.0
         best: dict | None = None
         for rps in rates:
-            entry = _scaleout_trial(
+            entry = _fleet_trial(
                 base_config, n_nodes, files, rps, warmup, duration,
                 args.seed, kill=False, spawn=args.spawn,
                 client_processes=client_processes,
@@ -672,7 +569,7 @@ def _bench_scaleout(args: argparse.Namespace) -> int:
 
     print(f"crash segment: kill -9 mid-burst at {rates[0]:.0f} rps"
           + (f" ({shards} client shards)" if shards > 1 else "") + ":")
-    crash = _scaleout_trial(
+    crash = _fleet_trial(
         base_config, n_nodes, files, rates[0], warmup, duration,
         args.seed + 1, kill=True, spawn=args.spawn, client_processes=shards,
     )
